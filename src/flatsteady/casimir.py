@@ -151,17 +151,13 @@ class CasimirModel:
 
     # -- evaluation --------------------------------------------------------
 
-    def _raw_coeffs(self):
-        return float(self.a1), float(self.a2)
-
     def Q(self, f):
         f = np.asarray(f, dtype=float)
         if self.kind == "polytrope":
             return self.c * np.power(f, 1.0 + 1.0 / self.mu)
         if self.kind == "double_power":
-            a1, a2 = self._raw_coeffs()
-            return (a1 * np.power(f, 1.0 + 1.0 / self.mu1)
-                    + a2 * np.power(f, 1.0 + 1.0 / self.mu2))
+            return (self.a1 * np.power(f, 1.0 + 1.0 / self.mu1)
+                    + self.a2 * np.power(f, 1.0 + 1.0 / self.mu2))
         return self._interp(np.clip(f, 0.0, self.f_table[-1]))
 
     def Qp(self, f):
@@ -170,10 +166,10 @@ class CasimirModel:
             p = 1.0 + 1.0 / self.mu
             return self.c * p * np.power(f, p - 1.0)
         if self.kind == "double_power":
-            a1, a2 = self._raw_coeffs()
             p1 = 1.0 + 1.0 / self.mu1
             p2 = 1.0 + 1.0 / self.mu2
-            return a1 * p1 * np.power(f, p1 - 1.0) + a2 * p2 * np.power(f, p2 - 1.0)
+            return (self.a1 * p1 * np.power(f, p1 - 1.0)
+                    + self.a2 * p2 * np.power(f, p2 - 1.0))
         return self._interp.derivative()(np.clip(f, 0.0, self.f_table[-1]))
 
     def Qpp(self, f):
@@ -182,11 +178,10 @@ class CasimirModel:
             p = 1.0 + 1.0 / self.mu
             return self.c * p * (p - 1.0) * np.power(f, p - 2.0)
         if self.kind == "double_power":
-            a1, a2 = self._raw_coeffs()
             p1 = 1.0 + 1.0 / self.mu1
             p2 = 1.0 + 1.0 / self.mu2
-            return (a1 * p1 * (p1 - 1.0) * np.power(f, p1 - 2.0)
-                    + a2 * p2 * (p2 - 1.0) * np.power(f, p2 - 2.0))
+            return (self.a1 * p1 * (p1 - 1.0) * np.power(f, p1 - 2.0)
+                    + self.a2 * p2 * (p2 - 1.0) * np.power(f, p2 - 2.0))
         return self._interp.derivative(2)(np.clip(f, 0.0, self.f_table[-1]))
 
     def inverse(self) -> "InverseQ":
@@ -241,7 +236,7 @@ class InverseQ:
 
     def _q_root_double(self, eps):
         m = self.model
-        a1, a2 = m._raw_coeffs()
+        a1, a2 = m.a1, m.a2
         p1 = 1.0 + 1.0 / m.mu1
         p2 = 1.0 + 1.0 / m.mu2
         # upper bracket: f solving each single term alone

@@ -357,18 +357,14 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="INI config path")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker thread cap")
+                        help="accepted and ignored: outputs do not depend on it; "
+                             "set thread caps in the environment before launch")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed override")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-
-    if args.threads and args.threads > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
 
     try:
         os.makedirs(args.out, exist_ok=True)

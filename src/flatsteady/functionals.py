@@ -22,7 +22,7 @@ import numpy as np
 from .casimir import CasimirModel
 from .errors import InputError
 from .grids import RadialGrid, RadialProfile
-from .potential import lp_norm, operator_for
+from .potential import FlatPotentialOperator, lp_norm, operator_for
 from .steady import SteadyState
 
 __all__ = ["FunctionalReport", "ScalingParams", "evaluate_steady",
@@ -277,7 +277,9 @@ def rescale_steady(model: CasimirModel, ss: SteadyState, p: ScalingParams) -> di
     ringw_s = scaled_grid.ring_weights
     rho_bar = a * c ** -2 * ss.rho0.values
     mass_direct = float(np.sum(ringw_s * rho_bar))
-    op = operator_for(scaled_grid)
+    # an independent assembly: operator_for would derive this operator from
+    # the unscaled one by the same homogeneity the prediction uses
+    op = FlatPotentialOperator(scaled_grid)
     e_pot_direct = op.potential_energy(rho_bar)
     # velocity moments of a*q(s(br) - c^2 w) by direct 1D quadrature
     kin_density = _velocity_moment_direct(inv, s, c, "kinetic", a)

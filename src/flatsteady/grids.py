@@ -88,6 +88,14 @@ class RadialGrid:
     def key(self) -> bytes:
         return self.nodes.tobytes()
 
+    def shape(self) -> "RadialGrid":
+        """Nodes / r_max rounded to 12 significant digits: one per scale family.
+
+        The rounding absorbs the last-digit jitter of scaling a grid.
+        """
+        unit = [float(f"{x:.12g}") for x in self.nodes / self.r_max]
+        return RadialGrid(np.array(unit), scheme=self.scheme)
+
     def content_hash(self) -> str:
         return hashlib.sha256(self.nodes.tobytes()).hexdigest()[:16]
 

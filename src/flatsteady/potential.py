@@ -9,14 +9,17 @@ logarithmically singular at s = r; panels touching the singularity are
 integrated by splitting K into a smooth remainder plus ln|r-s|, whose
 moments against local polynomials are known in closed form.
 
-The discrete operator is a dense matrix U = Kmat @ rho assembled once per
-grid (density interpolated by local quadratics between nodes) and reused
-across fixed-point iterations.  Potential energies use a symmetrized
-bilinear form so that int rho1 * U_rho2 == int rho2 * U_rho1 holds exactly
-in the discretization.
+The discrete operator is a dense matrix U = Kmat @ rho (density
+interpolated by local quadratics between nodes).  The kernel is homogeneous
+of degree one, so Kmat is assembled once per grid shape (nodes / r_max) and
+scaled by r_max for each grid of that shape.  Potential energies use a
+symmetrized bilinear form so that int rho1 * U_rho2 == int rho2 * U_rho1
+holds exactly in the discretization.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 
@@ -33,6 +36,8 @@ __all__ = [
 ]
 
 _ROW_BLOCK = 128  # rows assembled per vectorized block (memory cap)
+_GL8 = np.polynomial.legendre.leggauss(8)  # Gauss-Legendre rule per regular panel
+_CACHE_SIZE = 8   # operators kept by operator_for, least recently used dropped
 
 
 def _kern(r, s):
@@ -41,6 +46,13 @@ def _kern(r, s):
     xi = 2.0 * np.sqrt(np.maximum(r * s, 0.0)) / np.where(denom > 0, denom, 1.0)
     xi = np.minimum(xi, 1.0 - 1e-15)
     return -4.0 * s / np.where(denom > 0, denom, 1.0) * elliptic_k(xi)
+
+
+def _lagrange3(s, x0, x1, x2):
+    """Quadratic Lagrange basis on nodes x0, x1, x2 at s; basis on a new last axis."""
+    return np.stack([(s - x1) * (s - x2) / ((x0 - x1) * (x0 - x2)),
+                     (s - x0) * (s - x2) / ((x1 - x0) * (x1 - x2)),
+                     (s - x0) * (s - x1) / ((x2 - x0) * (x2 - x1))], axis=-1)
 
 
 def _log_moments(h):
@@ -79,36 +91,36 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 class FlatPotentialOperator:
     """Dense discretization of the flat-disc potential on one radial grid."""
 
-    def __init__(self, grid: RadialGrid, gauss_order: int = 8):
+    def __init__(self, grid: RadialGrid):
         self.grid = grid
-        self.gauss_order = gauss_order
-        self.kmat = self._assemble()
-        w = grid.ring_weights
-        wk = w[:, None] * self.kmat
+        self._set_kmat(self._assemble())
+
+    def _set_kmat(self, kmat):
+        self.kmat = kmat
+        wk = self.grid.ring_weights[:, None] * kmat
         # symmetrize: the continuous form -iint rho1 rho2 / |x-y| is symmetric
         self.smat = 0.5 * (wk + wk.T)
+
+    def _scaled_view(self, grid: RadialGrid) -> "FlatPotentialOperator":
+        """The operator on grid, a multiple of self.grid, without assembly."""
+        view = object.__new__(FlatPotentialOperator)
+        view.grid = grid
+        view._set_kmat(grid.r_max / self.grid.r_max * self.kmat)
+        return view
 
     # -- assembly ----------------------------------------------------------
 
     def _panel_setup(self):
         r = self.grid.nodes
         n = r.size
-        m = self.gauss_order
-        xg, wg = np.polynomial.legendre.leggauss(m)
+        xg, wg = _GL8
         a, b = r[:-1], r[1:]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         s = mid[:, None] + half[:, None] * xg[None, :]      # (n-1, m)
         w = half[:, None] * wg[None, :]
         # quadratic interpolation triple per panel
         j0 = np.clip(np.arange(n - 1) - 1, 0, n - 3)
-        x0, x1, x2 = r[j0], r[j0 + 1], r[j0 + 2]
-        B = np.empty((n - 1, m, 3))
-        B[:, :, 0] = ((s - x1[:, None]) * (s - x2[:, None])
-                      / ((x0 - x1) * (x0 - x2))[:, None])
-        B[:, :, 1] = ((s - x0[:, None]) * (s - x2[:, None])
-                      / ((x1 - x0) * (x1 - x2))[:, None])
-        B[:, :, 2] = ((s - x0[:, None]) * (s - x1[:, None])
-                      / ((x2 - x0) * (x2 - x1))[:, None])
+        B = _lagrange3(s, *(r[j0 + k][:, None] for k in range(3)))
         return s, w, B, j0
 
     def _assemble(self):
@@ -128,14 +140,13 @@ class FlatPotentialOperator:
             flat = (rows * n + cols[None, :, :]).ravel()
             kmat += np.bincount(flat, weights=contrib.ravel(),
                                 minlength=n * n).reshape(n, n)
-        self._fix_singular_panels(kmat, B, j0)
+        self._fix_singular_panels(kmat, s, w, B, j0)
         return kmat
 
-    def _fix_singular_panels(self, kmat, B, j0):
+    def _fix_singular_panels(self, kmat, s, w, B, j0):
         r = self.grid.nodes
         n = r.size
-        m16_x, m16_w = np.polynomial.legendre.leggauss(16)
-        xg, wg = np.polynomial.legendre.leggauss(self.gauss_order)
+        m16_x, m16_w = _GL16
         for i in range(n):
             ri = r[i]
             if ri == 0.0:
@@ -148,18 +159,8 @@ class FlatPotentialOperator:
                 tri = (j0[p], j0[p] + 1, j0[p] + 2)
                 x0, x1, x2 = r[tri[0]], r[tri[1]], r[tri[2]]
 
-                def basis(svals):
-                    out = np.empty(svals.shape + (3,))
-                    out[..., 0] = (svals - x1) * (svals - x2) / ((x0 - x1) * (x0 - x2))
-                    out[..., 1] = (svals - x0) * (svals - x2) / ((x1 - x0) * (x1 - x2))
-                    out[..., 2] = (svals - x0) * (svals - x1) / ((x2 - x0) * (x2 - x1))
-                    return out
-
                 # naive panel contribution to subtract
-                s_naive = 0.5 * (a + b) + 0.5 * h * xg
-                w_naive = 0.5 * h * wg
-                kern_naive = _kern(ri, s_naive)
-                old = (w_naive[:, None] * kern_naive[:, None] * basis(s_naive)).sum(axis=0)
+                old = (w[p][:, None] * _kern(ri, s[p])[:, None] * B[p]).sum(axis=0)
 
                 # smooth part: -4 s/(r+s) * (K(xi) + ln|r-s|) * B_l(s)
                 s16 = 0.5 * (a + b) + 0.5 * h * m16_x
@@ -169,14 +170,16 @@ class FlatPotentialOperator:
                 xi = np.minimum(xi, 1.0 - 1e-15)
                 kk = elliptic_k(xi)
                 smooth = -4.0 * s16 / denom * (kk + np.log(np.abs(ri - s16)))
-                new = (w16[:, None] * smooth[:, None] * basis(s16)).sum(axis=0)
+                new = (w16[:, None] * smooth[:, None]
+                       * _lagrange3(s16, x0, x1, x2)).sum(axis=0)
 
                 # log part: + int 4 s/(r+s) B_l(s) ln|r-s| ds, u = |s - r_i|
                 sign = 1.0 if p == i else -1.0  # s = r_i + sign*u covers the panel
 
                 def psi(u):
                     sv = ri + sign * u
-                    return 4.0 * sv[:, None] * basis(sv) / (ri + sv)[:, None]
+                    return (4.0 * sv[:, None] * _lagrange3(sv, x0, x1, x2)
+                            / (ri + sv)[:, None])
 
                 new += _quad_log_integral(psi, h)
 
@@ -203,25 +206,32 @@ class FlatPotentialOperator:
         """E_pot(rho) = 0.5 * int rho U_rho dx (negative for nonzero mass)."""
         return 0.5 * self.interaction_energy(rho, rho)
 
-    def self_energy_entry(self, i: int, j: int, wi: float, wj: float) -> float:
-        """Interaction energy of a two-node deposit (wi at i, wj at j)."""
-        s = self.smat
-        return (wi * wi * s[i, i] + 2.0 * wi * wj * s[i, j] + wj * wj * s[j, j])
+
+_OP_CACHE: OrderedDict = OrderedDict()
 
 
-_OP_CACHE: dict = {}
+def _cached(key: bytes, make) -> FlatPotentialOperator:
+    """LRU lookup: a hit moves to the end, a miss may drop the oldest entry."""
+    op = _OP_CACHE[key] = _OP_CACHE.pop(key, None) or make()
+    if len(_OP_CACHE) > _CACHE_SIZE:
+        _OP_CACHE.popitem(last=False)
+    return op
 
 
 def operator_for(grid: RadialGrid) -> FlatPotentialOperator:
-    """Cached operator per grid; assembly is the expensive step."""
-    key = grid.key()
-    op = _OP_CACHE.get(key)
-    if op is None:
-        op = FlatPotentialOperator(grid)
-        if len(_OP_CACHE) > 8:
-            _OP_CACHE.clear()
-        _OP_CACHE[key] = op
-    return op
+    """Cached operator for grid, assembled once per grid shape.
+
+    The kernel is homogeneous of degree one, so the operator on lam*g is
+    lam times the one on g.  The assembly runs on ``grid.shape()`` itself
+    (nodes / r_max rounded to 12 significant digits), and each grid of that
+    shape gets a view whose kmat is r_max times the shape's.  Shapes and
+    views share one LRU cache of ``_CACHE_SIZE`` entries.
+    """
+    def view():
+        shape = grid.shape()
+        base = _cached(shape.key(), lambda: FlatPotentialOperator(shape))
+        return base._scaled_view(grid)
+    return _cached(grid.key(), view)
 
 
 def potential_from_density(rho: RadialProfile) -> RadialProfile:

@@ -229,7 +229,7 @@ def _apply_perturbation(ens: ParticleEnsemble, kind: str,
     raise InputError(f"unknown perturbation kind {kind!r}")
 
 
-def _diagnostics_row(model, ss, ens, eps_soft_unused=None) -> dict:
+def _diagnostics_row(model, ss, ens) -> dict:
     rep = evaluate_ensemble(model, ens, grid=ss.grid)
     d_dist, epot_diff = stability_distance(model, ss, ens)
     return {

@@ -13,7 +13,7 @@ trial edge radius R the inner sweep sets E0 = U(R), applies the map and
 renormalizes to the target mass, which removes the unstable amplitude and
 scale modes.  The renormalization factor A(R) at the inner fixed point is
 smooth and monotone in R, and A(R*) = 1 exactly at the self-consistent
-state; an outer log-log secant iteration drives A to one, rebuilding the
+state; an outer log-log secant iteration drives A to one, rescaling the
 grid around each trial R so the support always sits well inside it.
 """
 
@@ -42,7 +42,6 @@ class SolverOptions:
     residual_tol: float = 1e-11
     mass_tol: float = 1e-9
     e0_bracket: tuple = (-1e12, -1e-15)
-    grid: Optional[RadialGrid] = None
     n: int = 384
     r_edge_seed: float = 1.0
     outer_tol: float = 1e-10
@@ -139,29 +138,19 @@ def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
         f"(residual {res:.3e})")
 
 
-def _grid_for_edge(R: float, opts: SolverOptions) -> RadialGrid:
-    # uniform core covers the support with margin; short log tail for the
-    # edge interpolation of U
-    return RadialGrid.hybrid(1.25 * R, 5.0 * R, opts.n)
-
-
 def solve(model: CasimirModel, M: float, opts: Optional[SolverOptions] = None) -> SteadyState:
     """Compute the steady state of total mass M for the given Casimir model."""
     if M <= 0:
         raise InputError("solve: target mass must be positive")
     opts = opts or SolverOptions()
     inv = model.inverse()
-    fixed_grid = opts.grid
+    # uniform core covers the support with margin; short log tail for the
+    # edge interpolation of U.  Exact multiples of one shape share one
+    # operator assembly (see potential.operator_for).
+    unit = RadialGrid.hybrid(0.25, 1.0, opts.n).shape().nodes
 
     def evaluate(R):
-        if fixed_grid is not None:
-            if R >= 0.8 * fixed_grid.r_max:
-                raise GridTooSmallError(
-                    f"trial support edge {R:g} approaches the grid edge "
-                    f"(r_max={fixed_grid.r_max:g}); rerun with a larger r_max")
-            g = fixed_grid
-        else:
-            g = _grid_for_edge(R, opts)
+        g = RadialGrid(5.0 * R * unit, scheme="hybrid")
         return g, _inner_sweep(inv, operator_for(g), g, M, R, opts)
 
     R1 = opts.r_edge_seed
