@@ -10,7 +10,11 @@ with w = |v|^2 / 2 and s = E0 - U0(r),
 so only 1D radial quadratures remain.  Ensembles are evaluated directly:
 kinetic energy particle-wise, potential energy through the deposited ring
 density with per-particle self energies removed, and the Casimir through a
-4D phase-space histogram (the dominant error term of the ensemble path).
+phase-space histogram in the reduced coordinates (r, |v|^2/2), the dominant
+error term of the ensemble path.  The particle sums of one diagnostics row
+share one binning of the radii (``RadialGrid.locate``): the cloud-in-cell
+deposit, its self-energy and the U0 lookup read the same cells and
+fractions, and the histogram is built once.
 """
 
 from __future__ import annotations
@@ -121,47 +125,68 @@ def evaluate_steady(model: CasimirModel, ss: SteadyState,
 
 # -- ensemble path ---------------------------------------------------------
 
-def deposit_density(grid: RadialGrid, radii: np.ndarray,
-                    masses: np.ndarray) -> np.ndarray:
-    """Cloud-in-cell ring deposit; returns node density values.
+def _bin(grid: RadialGrid, radii: np.ndarray, masses: np.ndarray) -> tuple:
+    """One binning of the particles on grid, shared by every layer that needs it.
 
-    Mass beyond the last node is dropped (escapers); total deposited ring
-    mass equals the retained particle mass.
+    Returns (idx, frac, outside, lo, hi): the cell and in-cell fraction from
+    ``grid.locate``; the mask of particles past r_max, the one definition of
+    outside the grid; and the cloud-in-cell masses each particle gives the
+    two nodes of its cell, zero for particles outside.
     """
-    r = grid.nodes
+    idx, frac = grid.locate(radii)
+    outside = radii > grid.r_max
+    kept = np.where(outside, 0.0, masses)
+    return idx, frac, outside, kept * (1.0 - frac), kept * frac
+
+
+def _ring_density(grid: RadialGrid, idx, lo, hi) -> np.ndarray:
+    """Node density of the cloud-in-cell node masses: mass / ring weight."""
     ringw = grid.ring_weights
-    keep = radii <= r[-1]
-    rad = radii[keep]
-    m = masses[keep]
-    idx = np.clip(np.searchsorted(r, rad) - 1, 0, r.size - 2)
-    frac = (rad - r[idx]) / (r[idx + 1] - r[idx])
-    rho = np.bincount(idx, weights=m * (1.0 - frac), minlength=r.size)
-    rho += np.bincount(idx + 1, weights=m * frac, minlength=r.size)
+    rho = np.bincount(idx, weights=lo, minlength=grid.n)
+    # the node above cell i is i + 1: shift instead of a second index array
+    rho[1:] += np.bincount(idx, weights=hi, minlength=grid.n)[:-1]
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = np.where(ringw > 0.0, rho / np.where(ringw > 0.0, ringw, 1.0), 0.0)
     return rho
 
 
-def _deposit_self_energy(op, grid: RadialGrid, radii: np.ndarray,
-                         masses: np.ndarray) -> float:
+def _self_energy(op, idx, lo, hi) -> float:
     """Sum of per-particle deposit self-energies (to subtract from E_pot)."""
-    r = grid.nodes
-    ringw = grid.ring_weights
-    keep = radii <= r[-1]
-    rad = radii[keep]
-    m = masses[keep]
-    idx = np.clip(np.searchsorted(r, rad) - 1, 0, r.size - 2)
-    frac = (rad - r[idx]) / (r[idx + 1] - r[idx])
+    ringw = op.grid.ring_weights
     safe = np.where(ringw > 0.0, ringw, np.inf)
-    wa = m * (1.0 - frac) / safe[idx]
-    wb = m * frac / safe[idx + 1]
-    s = op.smat
-    quad = (wa * wa * s[idx, idx] + 2.0 * wa * wb * s[idx, idx + 1]
-            + wb * wb * s[idx + 1, idx + 1])
+    wa = lo / safe[idx]
+    wb = hi / safe[1:][idx]
+    quad = (wa * wa * op.smat_diag[idx] + 2.0 * wa * wb * op.smat_super[idx]
+            + wb * wb * op.smat_diag[1:][idx])
     return 0.5 * float(np.sum(quad))
 
 
-def _histogram_casimir(model: CasimirModel, ens) -> float:
+def _interp(values: np.ndarray, idx, frac, outside) -> np.ndarray:
+    """Node values interpolated linearly through the binning; 0 outside.
+
+    Matches ``RadialProfile.__call__`` (``np.interp`` with right=0) to
+    rounding.
+    """
+    v = values[idx]
+    v += frac * np.diff(values)[idx]
+    v[outside] = 0.0
+    return v
+
+
+def deposit_density(grid: RadialGrid, radii: np.ndarray,
+                    masses: np.ndarray) -> np.ndarray:
+    """Cloud-in-cell ring deposit; returns node density values.
+
+    Mass beyond the last node is dropped (escapers); total deposited ring
+    mass equals the retained particle mass, less the share assigned to a
+    node of zero ring weight (a first node at r = 0).
+    """
+    idx, _, _, lo, hi = _bin(grid, radii, masses)
+    return _ring_density(grid, idx, lo, hi)
+
+
+def _histogram_casimir(model: CasimirModel, r: np.ndarray, w: np.ndarray,
+                       weights: np.ndarray) -> float:
     """C(f) from a histogram density estimate on phase-space cells.
 
     Cells live in the reduced coordinates (r, w = |v|^2/2); a raw 4D
@@ -173,8 +198,6 @@ def _histogram_casimir(model: CasimirModel, ens) -> float:
     2*pi^2*(r2^2 - r1^2)*dw.  This estimate remains the dominant error of
     the ensemble path.
     """
-    r = np.hypot(ens.positions[:, 0], ens.positions[:, 1])
-    w = 0.5 * np.sum(ens.velocities ** 2, axis=1)
     n = r.size
     nb = []
     for x in (r, w):
@@ -185,13 +208,53 @@ def _histogram_casimir(model: CasimirModel, ens) -> float:
         h = sig * n ** (-1.0 / 6.0)
         nb.append(int(np.clip(np.ceil((x.max() - x.min()) / h), 1, 512)))
     hist, (r_edges, w_edges) = np.histogramdd(
-        np.column_stack([r, w]), bins=nb, weights=ens.weights, density=False)
+        np.column_stack([r, w]), bins=nb, weights=weights, density=False)
     ann = np.pi * (r_edges[1:] ** 2 - r_edges[:-1] ** 2)
     dw = np.diff(w_edges)
     vol = 2.0 * np.pi * ann[:, None] * dw[None, :]
     occ = hist > 0.0
     f_hat = hist[occ] / vol[occ]
     return float(np.sum(model.Q(f_hat) * vol[occ]))
+
+
+def _ensemble_terms(model: CasimirModel, ens, grid: RadialGrid,
+                    ss: SteadyState = None) -> dict:
+    """Every particle sum of one diagnostics row, from one pass.
+
+    The radii, the binning, the deposit, its self-energy and the histogram
+    Casimir are computed once.  Returns mass, e_kin, e_pot (self-energies
+    removed, not yet clamped at 0), casimir, max_r and mass_past_grid (the
+    fraction of mass past r_max); with a steady state ss on grid also d_dist
+    (d(f, f0), with U0 interpolated through the binning) and epot_diff
+    (E_pot(rho_f - rho0)).
+    """
+    w = ens.weights
+    v2 = np.sum(ens.velocities ** 2, axis=1)
+    radii = np.hypot(ens.positions[:, 0], ens.positions[:, 1])
+    mass = float(np.sum(w))
+    idx, frac, outside, lo, hi = _bin(grid, radii, w)
+    op = operator_for(grid)
+    rho = _ring_density(grid, idx, lo, hi)
+    self_e = _self_energy(op, idx, lo, hi)
+    del lo, hi  # two particle arrays fewer at the row's memory peak
+    casimir = _histogram_casimir(model, radii, 0.5 * v2, w)
+    out = {"mass": mass, "e_kin": 0.5 * float(np.sum(w * v2)),
+           "e_pot": op.potential_energy(rho) - self_e, "casimir": casimir,
+           "max_r": float(np.max(radii)),
+           "mass_past_grid": float(np.sum(w[outside])) / mass}
+    if ss is None:
+        return out
+    inv = ss.inv
+    ringw = grid.ring_weights
+    s = np.maximum(ss.s_values, 0.0)
+    c_f0 = float(np.sum(ringw * 2.0 * np.pi * inv.GQ(s)))
+    U0_at = _interp(ss.U0.values, idx, frac, outside)
+    e_moment_f = float(np.sum(w * (0.5 * v2 + U0_at - ss.E0)))
+    # iint (E - E0) f0 = sum ringw * [2 pi G2(s) - s * 2 pi G(s)]
+    e_moment_f0 = float(np.sum(ringw * 2.0 * np.pi * (inv.G2(s) - s * inv.G(s))))
+    out["d_dist"] = (casimir - c_f0) + (e_moment_f - e_moment_f0)
+    out["epot_diff"] = op.potential_energy(rho - ss.rho0.values) - self_e
+    return out
 
 
 def evaluate_ensemble(model: CasimirModel, ens,
@@ -203,20 +266,13 @@ def evaluate_ensemble(model: CasimirModel, ens,
     """
     if ens.positions.shape[0] == 0:
         raise InputError("evaluate_ensemble: empty ensemble")
-    w = ens.weights
-    v2 = np.sum(ens.velocities ** 2, axis=1)
-    e_kin = 0.5 * float(np.sum(w * v2))
-    mass = float(np.sum(w))
-    radii = np.hypot(ens.positions[:, 0], ens.positions[:, 1])
     if grid is None:
+        radii = np.hypot(ens.positions[:, 0], ens.positions[:, 1])
         r_out = max(1.5 * float(np.max(radii)), 1e-6)
         grid = RadialGrid.hybrid(0.75 * r_out, r_out, 256)
-    op = operator_for(grid)
-    rho = deposit_density(grid, radii, w)
-    e_pot = op.potential_energy(rho) - _deposit_self_energy(op, grid, radii, w)
-    casimir = _histogram_casimir(model, ens)
-    return FunctionalReport(mass=mass, e_kin=e_kin, e_pot=min(e_pot, 0.0),
-                            casimir=casimir)
+    t = _ensemble_terms(model, ens, grid)
+    return FunctionalReport(mass=t["mass"], e_kin=t["e_kin"],
+                            e_pot=min(t["e_pot"], 0.0), casimir=t["casimir"])
 
 
 # -- scaling ---------------------------------------------------------------
@@ -377,29 +433,8 @@ def stability_distance(model: CasimirModel, ss: SteadyState, ens) -> tuple:
     """
     if ens.positions.shape[0] == 0:
         raise InputError("stability_distance: empty ensemble")
-    inv = ss.inv
-    grid = ss.grid
-    ringw = grid.ring_weights
-    s = np.maximum(ss.s_values, 0.0)
-
-    c_f0 = float(np.sum(ringw * 2.0 * np.pi * inv.GQ(s)))
-    c_f = _histogram_casimir(model, ens)
-
-    radii = np.hypot(ens.positions[:, 0], ens.positions[:, 1])
-    v2 = np.sum(ens.velocities ** 2, axis=1)
-    U0_at = ss.U0(radii)
-    e_moment_f = float(np.sum(ens.weights * (0.5 * v2 + U0_at - ss.E0)))
-    # iint (E - E0) f0 = sum ringw * [2 pi G2(s) - s * 2 pi G(s)]
-    e_moment_f0 = float(np.sum(ringw * 2.0 * np.pi * (inv.G2(s) - s * inv.G(s))))
-
-    d = (c_f - c_f0) + (e_moment_f - e_moment_f0)
-
-    op = operator_for(grid)
-    rho_f = deposit_density(grid, radii, ens.weights)
-    delta = rho_f - ss.rho0.values
-    e_pot_diff = (op.potential_energy(delta)
-                  - _deposit_self_energy(op, grid, radii, ens.weights))
-    return d, e_pot_diff
+    t = _ensemble_terms(model, ens, ss.grid, ss)
+    return t["d_dist"], t["epot_diff"]
 
 
 # -- structural checks -----------------------------------------------------

@@ -7,15 +7,31 @@ package tied to one quadrature convention.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import io
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
 
 __all__ = ["RadialGrid", "RadialProfile"]
+
+# Largest cell lookup table ``RadialGrid.locate`` builds; a grid whose
+# finest cell would need more buckets gets a coarser table and more
+# correction passes.
+_LOCATE_MAX_BUCKETS = 1 << 16
+
+
+class _CellTable(NamedTuple):
+    """Uniform buckets over [nodes[0], r_max] mapped to grid cells."""
+
+    scale: float          # buckets per unit radius
+    cells: np.ndarray     # cell holding each bucket's left edge, plus r_max
+    upper: np.ndarray     # right edge of each cell; inf for the last cell
+    widths: np.ndarray    # cell widths
+    exact: bool           # no bucket holds more than one node
 
 
 @dataclass(frozen=True)
@@ -87,6 +103,49 @@ class RadialGrid:
 
     def key(self) -> bytes:
         return self.nodes.tobytes()
+
+    @functools.cached_property
+    def _cell_table(self) -> _CellTable:
+        r = self.nodes
+        widths = np.diff(r)
+        span = r[-1] - r[0]
+        # narrower than the finest cell by at least 1/n_buckets, far above
+        # rounding, so a bucket and the rounding slack at its edges hold at
+        # most one node: a radius is in the table's cell or a neighbour
+        n_buckets = int(span / widths.min()) + 2
+        exact = n_buckets <= _LOCATE_MAX_BUCKETS
+        if not exact:
+            n_buckets = _LOCATE_MAX_BUCKETS
+        edges = r[0] + np.arange(n_buckets + 1) * (span / n_buckets)
+        cells = np.clip(np.searchsorted(r, edges, "right") - 1, 0, r.size - 2)
+        upper = np.append(r[1:-1], np.inf)
+        return _CellTable(n_buckets / span, cells, upper, widths, exact)
+
+    def locate(self, r):
+        """Cell index and in-cell fraction of each radius, clipped to the grid.
+
+        ``idx`` equals ``clip(searchsorted(nodes, r, "right") - 1, 0, n - 2)``
+        and ``frac = (r - nodes[idx]) / (nodes[idx + 1] - nodes[idx])`` with r
+        clipped into [nodes[0], r_max].  A table of uniform buckets gives a
+        first guess, and one comparison on each side corrects it.
+        """
+        r = np.clip(r, self.nodes[0], self.r_max)
+        if np.isnan(r).any():
+            raise InputError("RadialGrid.locate: NaN radius")
+        tab = self._cell_table
+        lower = self.nodes
+        idx = tab.cells[((r - lower[0]) * tab.scale).astype(np.intp)]
+        idx -= r < lower[idx]
+        idx += r >= tab.upper[idx]
+        if not tab.exact:
+            # a coarse bucket can hold several nodes: walk the rest home
+            todo = np.nonzero((r < lower[idx]) | (r >= tab.upper[idx]))[0]
+            while todo.size:
+                i, ri = idx[todo], r[todo]
+                i += (ri >= tab.upper[i]).astype(np.intp) - (ri < lower[i])
+                idx[todo] = i
+                todo = todo[(ri < lower[i]) | (ri >= tab.upper[i])]
+        return idx, (r - lower[idx]) / tab.widths[idx]
 
     def shape(self) -> "RadialGrid":
         """Nodes / r_max rounded to 12 significant digits: one per scale family.

@@ -100,6 +100,9 @@ class FlatPotentialOperator:
         wk = self.grid.ring_weights[:, None] * kmat
         # symmetrize: the continuous form -iint rho1 rho2 / |x-y| is symmetric
         self.smat = 0.5 * (wk + wk.T)
+        # the two diagonals a cloud-in-cell particle's self-energy reads
+        self.smat_diag = np.diag(self.smat).copy()
+        self.smat_super = np.diag(self.smat, 1).copy()
 
     def _scaled_view(self, grid: RadialGrid) -> "FlatPotentialOperator":
         """The operator on grid, a multiple of self.grid, without assembly."""

@@ -4,8 +4,11 @@ The steady state is isotropic in v, so sampling splits into an inverse-CDF
 draw of the radius from 2*pi*r*rho0(r), a rejection draw of the kinetic
 energy w = |v|^2/2 from q(E0 - U0(r) - w) with the constant envelope
 q(E0 - U0(r)), and uniform angles.  Evolution is kick-drift-kick leapfrog
-under either the axisymmetrized grid force (deposit, kernel potential,
-spline derivative) or direct pairwise summation with Plummer softening.
+under either the axisymmetrized grid force or direct pairwise summation
+with Plummer softening.  The grid force bins the particles once per
+position update and reuses that binning for the deposit and for gathering
+the spline derivative of the kernel potential; each diagnostics row bins
+its snapshot once for all of its particle sums.
 All randomness flows through one counter-based generator (Philox) seeded
 explicitly, so runs are bit-reproducible across thread counts.
 """
@@ -19,8 +22,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import InputError
-from .functionals import (deposit_density, evaluate_ensemble,
-                          stability_distance)
+from .functionals import _bin, _ensemble_terms, _ring_density, stability_distance
 from .grids import RadialGrid
 from .potential import operator_for
 from .steady import SteadyState
@@ -144,16 +146,22 @@ def sample(ss: SteadyState, n: int, seed: int) -> ParticleEnsemble:
 
 def _grid_accel_arrays(x: np.ndarray, weights: np.ndarray,
                        grid: RadialGrid) -> np.ndarray:
-    """Axisymmetrized force: deposit, kernel potential, spline derivative."""
-    op = operator_for(grid)
+    """Axisymmetrized force from one binning of the particles.
+
+    Deposit, kernel potential, and the derivative of its not-a-knot cubic
+    spline gathered at each particle's cell; the force is held at its r_max
+    value past the grid.  The derivative is summed in scipy's PPoly order,
+    so it equals ``CubicSpline(nodes, U).derivative()(r)`` bit for bit.
+    """
     radii = np.hypot(x[:, 0], x[:, 1])
-    rho = deposit_density(grid, radii, weights)
-    U = op.potential(rho)
-    dU = CubicSpline(grid.nodes, U).derivative()(np.clip(radii, 0.0,
-                                                         grid.r_max))
+    idx, _, outside, lo, hi = _bin(grid, radii, weights)
+    U = operator_for(grid).potential(_ring_density(grid, idx, lo, hi))
+    dc = CubicSpline(grid.nodes, U).derivative().c
+    t = np.where(outside, grid.r_max, radii) - grid.nodes[idx]
+    dU = dc[2][idx] + dc[1][idx] * t + dc[0][idx] * (t * t)
     with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(radii > 0.0, -dU / np.where(radii > 0.0, radii, 1.0),
-                         0.0)
+        scale = -dU / radii
+    scale[radii == 0.0] = 0.0  # no direction at the origin
     return scale[:, None] * x
 
 
@@ -229,20 +237,35 @@ def _apply_perturbation(ens: ParticleEnsemble, kind: str,
     raise InputError(f"unknown perturbation kind {kind!r}")
 
 
-def _diagnostics_row(model, ss, ens) -> dict:
-    rep = evaluate_ensemble(model, ens, grid=ss.grid)
-    d_dist, epot_diff = stability_distance(model, ss, ens)
-    return {
+def _diagnostics_row(model, ss, ens) -> tuple:
+    """One time-series row, and the fraction of mass past the grid."""
+    t = _ensemble_terms(model, ens, ss.grid, ss)
+    e_pot = min(t["e_pot"], 0.0)
+    row = {
         "t": ens.time,
-        "e_kin": rep.e_kin,
-        "e_pot": rep.e_pot,
-        "casimir": rep.casimir,
-        "D": rep.d,
-        "d_dist": d_dist,
-        "epot_diff": epot_diff,
+        "e_kin": t["e_kin"],
+        "e_pot": e_pot,
+        "casimir": t["casimir"],
+        "D": (t["e_kin"] + t["casimir"]) + e_pot,
+        "d_dist": t["d_dist"],
+        "epot_diff": t["epot_diff"],
         "L3": ens.angular_momentum(),
-        "max_r": float(np.max(ens.radii())) if ens.n else 0.0,
+        "max_r": t["max_r"],
     }
+    return row, t["mass_past_grid"]
+
+
+def _noise_floor(model, ss, ens, d0: float) -> float:
+    """Monte-Carlo noise floor of the distance metric: |d| at t=0 on the
+    full ensemble (d0) plus the spread of d between its two halves."""
+    half = ens.n // 2
+    if half < 1000:
+        return abs(d0)
+    da, _ = stability_distance(model, ss, ParticleEnsemble(
+        ens.positions[:half], ens.velocities[:half], ens.weights[:half]))
+    db, _ = stability_distance(model, ss, ParticleEnsemble(
+        ens.positions[half:], ens.velocities[half:], ens.weights[half:]))
+    return abs(d0) + abs(da - db)
 
 
 def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
@@ -250,7 +273,8 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     """Sample, perturb, evolve, and emit the stability time series.
 
     Returns {"rows": [...], "ensemble": final, "eps_mc": noise floor,
-    "escaped": count}; rows carry the CSV columns
+    "escaped": count, "mass_past_grid": largest fraction of mass past the
+    grid's r_max over the rows}; rows carry the CSV columns
     t, e_kin, e_pot, casimir, D, d_dist, epot_diff, L3, max_r.
     """
     model = model or ss.model
@@ -260,22 +284,10 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     eps_soft = cfg.eps_soft if cfg.eps_soft > 0.0 else 0.01 * ss.support_radius
     grid = ss.grid
 
-    # Monte-Carlo noise floor of the distance metric: the t=0 value of d on
-    # the full ensemble plus the half-ensemble spread
-    d0, _ = stability_distance(model, ss, ens)
-    half = ens.n // 2
-    if half >= 1000:
-        e1 = ParticleEnsemble(ens.positions[:half], ens.velocities[:half],
-                              ens.weights[:half], ens.time)
-        e2 = ParticleEnsemble(ens.positions[half:], ens.velocities[half:],
-                              ens.weights[half:], ens.time)
-        da, _ = stability_distance(model, ss, e1)
-        db, _ = stability_distance(model, ss, e2)
-        eps_mc = abs(d0) + abs(da - db)
-    else:
-        eps_mc = abs(d0)
+    row, mass_past_grid = _diagnostics_row(model, ss, ens)
+    rows = [row]
+    eps_mc = _noise_floor(model, ss, ens, row["d_dist"])
 
-    rows = [_diagnostics_row(model, ss, ens)]
     escape_r = cfg.escape_factor * ss.support_radius
     escaped = 0
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -297,6 +309,8 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
             far = int(np.count_nonzero(ens.radii() > escape_r))
             if far > escaped:
                 escaped = far
-            rows.append(_diagnostics_row(model, ss, ens))
+            row, past = _diagnostics_row(model, ss, ens)
+            rows.append(row)
+            mass_past_grid = max(mass_past_grid, past)
     return {"rows": rows, "ensemble": ens, "eps_mc": eps_mc,
-            "escaped": escaped}
+            "escaped": escaped, "mass_past_grid": mass_past_grid}

@@ -124,6 +124,7 @@ def test_criterion_09_regularity_diagnostics(ss_half):
     assert abs(rep["edge_exponent"] - 1.5) <= 0.05
 
 
+@pytest.mark.slow
 def test_criterion_10_stability_baseline(poly_wide, ss_wide):
     t_dyn = ss_wide.dynamical_time()
     cfg = SimConfig(n_particles=1_000_000, dt=0.01 * t_dyn,
@@ -168,12 +169,15 @@ seed = 12
 """
     cfg = tmp_path / "poly.ini"
     cfg.write_text(ini)
-    outs = []
+    outs, codes = [], []
     for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
         out = tmp_path / name
-        cli_main(["evolve", "--config", str(cfg), "--out", str(out),
-                  "--threads", threads])
+        codes.append(cli_main(["evolve", "--config", str(cfg), "--out",
+                               str(out), "--threads", threads]))
         outs.append(out)
+    # the exit code is deterministic too; it is not asserted to be 0, since
+    # 5000 particles miss this config's own D-drift check
+    assert codes[0] == codes[1] == codes[2]
     for name in ("steady.csv", "steady.json", "timeseries.csv",
                  "snapshot.csv", "evolve.json"):
         blobs = [(o / name).read_bytes() for o in outs]

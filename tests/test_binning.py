@@ -1,0 +1,259 @@
+"""One binning per position update: ``RadialGrid.locate`` and its consumers.
+
+The deposit, the grid-force gather, the deposit self-energy and the U0
+lookup all read one (cell, fraction) binning.  The properties check
+``locate`` against the ``searchsorted`` rule it replaces and the consumers
+against their definitions; the regression tests keep the earlier separate
+implementations as references.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
+
+from flatsteady import (RadialGrid, RadialProfile, SimConfig, evaluate_ensemble,
+                        run, sample, stability_distance)
+from flatsteady import grids
+from flatsteady.functionals import _bin, _interp, deposit_density
+from flatsteady.potential import operator_for
+from flatsteady.simulate import (ParticleEnsemble, _diagnostics_row,
+                                 _grid_accel_arrays)
+
+
+def _searchsorted_cells(grid, r):
+    return np.clip(np.searchsorted(grid.nodes, r, "right") - 1, 0, grid.n - 2)
+
+
+@st.composite
+def grids_any(draw):
+    """Uniform, log, hybrid and solver grids (5R times the solver shape).
+
+    Log grids with a small inner radius need more buckets than the table
+    cap, which exercises the repeated correction.
+    """
+    n = draw(st.integers(16, 512))
+    kind = draw(st.sampled_from(["uniform", "log", "hybrid", "solver"]))
+    r_max = draw(st.floats(1e-3, 1e3))
+    if kind == "uniform":
+        return RadialGrid.uniform(r_max, n)
+    if kind == "log":
+        return RadialGrid.log(r_max * draw(st.floats(1e-7, 0.5)), r_max, n)
+    if kind == "hybrid":
+        return RadialGrid.hybrid(r_max * draw(st.floats(0.05, 0.95)), r_max,
+                                 max(n, 32))
+    shape = RadialGrid.hybrid(0.25, 1.0, max(n, 32)).shape()
+    return RadialGrid(5.0 * r_max * shape.nodes, scheme="hybrid")
+
+
+@st.composite
+def radii_on(draw, grid):
+    """Radii in [0, 2 r_max]: random, exact nodes, 0, r_max and past it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    r = [rng.random(2000) * 2.0 * grid.r_max,
+         grid.r_max * 10.0 ** rng.uniform(-9.0, 0.3, 500),
+         rng.choice(grid.nodes, 200),
+         [0.0, grid.nodes[0], grid.r_max, np.nextafter(grid.r_max, np.inf),
+          2.0 * grid.r_max]]
+    return np.concatenate(r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_locate_matches_searchsorted_rule(data):
+    grid = data.draw(grids_any())
+    r = data.draw(radii_on(grid))
+    idx, frac = grid.locate(r)
+    ref = _searchsorted_cells(grid, r)
+    assert np.array_equal(idx, ref)
+    rc = np.clip(r, grid.nodes[0], grid.r_max)
+    assert np.array_equal(frac, (rc - grid.nodes[ref])
+                          / (grid.nodes[ref + 1] - grid.nodes[ref]))
+
+
+def test_locate_coarse_table_walks_every_particle_home():
+    # 512 log nodes over 9 decades: most nodes share the table's first bucket
+    grid = RadialGrid.log(1e-6, 1e3, 512)
+    assert not grid._cell_table.exact
+    assert grid._cell_table.cells.size == grids._LOCATE_MAX_BUCKETS + 1
+    r = np.concatenate([grid.nodes, 10.0 ** np.linspace(-7.0, 3.5, 5001)])
+    assert np.array_equal(grid.locate(r)[0], _searchsorted_cells(grid, r))
+
+
+def test_locate_table_size_on_the_solver_grid():
+    shape = RadialGrid.hybrid(0.25, 1.0, 256).shape()
+    grid = RadialGrid(5.0 * 0.37 * shape.nodes)
+    tab = grid._cell_table
+    n_buckets = tab.cells.size - 1  # one more entry for r = r_max
+    assert tab.exact and n_buckets == 766
+    assert 1.0 / tab.scale < np.diff(grid.nodes).min()
+
+
+def test_locate_rejects_nan():
+    from flatsteady.errors import InputError
+    with pytest.raises(InputError):
+        RadialGrid.uniform(1.0, 32).locate(np.array([0.5, np.nan]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_deposit_keeps_the_retained_mass(data):
+    grid = data.draw(grids_any())
+    r = data.draw(radii_on(grid))
+    m = np.random.default_rng(r.size).random(r.size) + 0.5
+    rho = deposit_density(grid, r, m)
+    inside = r <= grid.r_max
+    retained = float(np.sum(m[inside]))
+    # a node of zero ring weight (r = 0) holds no density: the share of
+    # the first cell's particles assigned to it drops out of the ring mass
+    origin = 0.0
+    if grid.nodes[0] == 0.0:
+        cell0 = r < grid.nodes[1]
+        origin = float(np.sum(m[cell0] * (1.0 - r[cell0] / grid.nodes[1])))
+    ring_mass = float(np.sum(grid.ring_weights * rho))
+    assert ring_mass + origin == pytest.approx(retained, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_interp_through_binning_matches_profile(data):
+    grid = data.draw(grids_any())
+    r = data.draw(radii_on(grid))
+    rng = np.random.default_rng(grid.n)
+    U = -0.5 - rng.random(grid.n)          # potential-like: negative, O(1)
+    idx, frac, outside, _, _ = _bin(grid, r, np.ones_like(r))
+    got = _interp(U, idx, frac, outside)
+    ref = RadialProfile(grid, U)(r)
+    assert np.all(got[r > grid.r_max] == 0.0)
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
+# -- regression against the separate searchsorted paths -----------------------
+
+def _ref_deposit(grid, radii, masses):
+    r = grid.nodes
+    ringw = grid.ring_weights
+    keep = radii <= r[-1]
+    rad, m = radii[keep], masses[keep]
+    idx = np.clip(np.searchsorted(r, rad) - 1, 0, r.size - 2)
+    frac = (rad - r[idx]) / (r[idx + 1] - r[idx])
+    rho = np.bincount(idx, weights=m * (1.0 - frac), minlength=r.size)
+    rho += np.bincount(idx + 1, weights=m * frac, minlength=r.size)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(ringw > 0.0, rho / np.where(ringw > 0.0, ringw, 1.0), 0.0)
+
+
+def _ref_self_energy(op, grid, radii, masses):
+    r = grid.nodes
+    ringw = grid.ring_weights
+    keep = radii <= r[-1]
+    rad, m = radii[keep], masses[keep]
+    idx = np.clip(np.searchsorted(r, rad) - 1, 0, r.size - 2)
+    frac = (rad - r[idx]) / (r[idx + 1] - r[idx])
+    safe = np.where(ringw > 0.0, ringw, np.inf)
+    wa = m * (1.0 - frac) / safe[idx]
+    wb = m * frac / safe[idx + 1]
+    s = op.smat
+    return 0.5 * float(np.sum(wa * wa * s[idx, idx]
+                              + 2.0 * wa * wb * s[idx, idx + 1]
+                              + wb * wb * s[idx + 1, idx + 1]))
+
+
+def _ref_histogram_casimir(model, ens):
+    r = np.hypot(ens.positions[:, 0], ens.positions[:, 1])
+    w = 0.5 * np.sum(ens.velocities ** 2, axis=1)
+    nb = []
+    for x in (r, w):
+        h = float(np.std(x)) * r.size ** (-1.0 / 6.0)
+        nb.append(int(np.clip(np.ceil((x.max() - x.min()) / h), 1, 512)))
+    hist, (re, we) = np.histogramdd(np.column_stack([r, w]), bins=nb,
+                                    weights=ens.weights)
+    vol = 2.0 * np.pi * (np.pi * (re[1:] ** 2 - re[:-1] ** 2))[:, None] \
+        * np.diff(we)[None, :]
+    occ = hist > 0.0
+    return float(np.sum(model.Q(hist[occ] / vol[occ]) * vol[occ]))
+
+
+def _ref_row(model, ss, ens):
+    """The row as evaluate_ensemble and stability_distance built it."""
+    grid, op, w = ss.grid, operator_for(ss.grid), ens.weights
+    radii = np.hypot(ens.positions[:, 0], ens.positions[:, 1])
+    v2 = np.sum(ens.velocities ** 2, axis=1)
+    e_kin = 0.5 * float(np.sum(w * v2))
+    rho = _ref_deposit(grid, radii, w)
+    self_e = _ref_self_energy(op, grid, radii, w)
+    e_pot = min(op.potential_energy(rho) - self_e, 0.0)
+    casimir = _ref_histogram_casimir(model, ens)
+    inv, ringw = ss.inv, grid.ring_weights
+    s = np.maximum(ss.s_values, 0.0)
+    c_f0 = float(np.sum(ringw * 2.0 * np.pi * inv.GQ(s)))
+    e_f = float(np.sum(w * (0.5 * v2 + ss.U0(radii) - ss.E0)))
+    e_f0 = float(np.sum(ringw * 2.0 * np.pi * (inv.G2(s) - s * inv.G(s))))
+    return {"e_kin": e_kin, "e_pot": e_pot, "casimir": casimir,
+            "D": (e_kin + casimir) + e_pot,
+            "d_dist": (casimir - c_f0) + (e_f - e_f0),
+            "epot_diff": op.potential_energy(rho - ss.rho0.values) - self_e}
+
+
+@pytest.fixture(scope="module")
+def ens_edge(ss_wide):
+    """A sampled ensemble with a few particles pushed past the grid."""
+    ens = sample(ss_wide, 200_000, seed=13)
+    x = ens.positions.copy()
+    x[:50] *= 1.5 * ss_wide.grid.r_max / np.hypot(*x[:50].T)[:, None]
+    x[50] = [ss_wide.grid.r_max, 0.0]
+    x[51] = [0.0, 0.0]
+    return ParticleEnsemble(x, ens.velocities, ens.weights)
+
+
+def test_force_gather_matches_spline_derivative(ss_wide, ens_edge):
+    grid = ss_wide.grid
+    x, w = ens_edge.positions, ens_edge.weights
+    radii = np.hypot(x[:, 0], x[:, 1])
+    U = operator_for(grid).potential(_ref_deposit(grid, radii, w))
+    dU = CubicSpline(grid.nodes, U).derivative()(np.clip(radii, 0.0, grid.r_max))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(radii > 0.0, -dU / np.where(radii > 0.0, radii, 1.0), 0.0)
+    ref = scale[:, None] * x
+    got = _grid_accel_arrays(x, w, grid)
+    np.testing.assert_allclose(got, ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_fused_row_matches_separate_paths(poly_wide, ss_wide, ens_edge):
+    row, past = _diagnostics_row(poly_wide, ss_wide, ens_edge)
+    ref = _ref_row(poly_wide, ss_wide, ens_edge)
+    for key, value in ref.items():
+        assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+    d, epot_diff = stability_distance(poly_wide, ss_wide, ens_edge)
+    assert (d, epot_diff) == (row["d_dist"], row["epot_diff"])
+    rep = evaluate_ensemble(poly_wide, ens_edge, grid=ss_wide.grid)
+    assert (rep.e_pot, rep.casimir, rep.d) == (row["e_pot"], row["casimir"], row["D"])
+    assert past == pytest.approx(50 / ens_edge.n, rel=1e-12)
+
+
+# -- one definition of outside the grid ----------------------------------------
+
+def test_particle_past_grid_is_counted_and_not_deposited(poly_wide, ss_wide):
+    grid = ss_wide.grid
+    ens = sample(ss_wide, 5000, seed=21)
+    far = ParticleEnsemble(np.vstack([ens.positions, [[2.0 * grid.r_max, 0.0]]]),
+                           np.vstack([ens.velocities, [[0.0, 0.1]]]),
+                           np.append(ens.weights, 0.25))
+    _, past = _diagnostics_row(poly_wide, ss_wide, far)
+    assert past == pytest.approx(0.25 / far.mass, rel=1e-12)
+    rho_far = deposit_density(grid, far.radii(), far.weights)
+    assert np.array_equal(rho_far, deposit_density(grid, ens.radii(), ens.weights))
+
+
+def test_run_reports_mass_past_grid(poly_wide, ss_wide):
+    cfg = SimConfig(n_particles=2000, dt=0.01, t_end=0.02, method="grid",
+                    seed=4, output_every=1)
+    assert run(ss_wide, cfg, model=poly_wide)["mass_past_grid"] == 0.0
+    # radius-scale by 6 puts everything beyond r_max / 6 past the grid edge
+    out = run(ss_wide, cfg, perturbation="radius-scale", delta=5.0,
+              model=poly_wide)
+    start = sample(ss_wide, 2000, seed=4)
+    frac0 = np.mean(6.0 * start.radii() > ss_wide.grid.r_max)
+    assert frac0 > 0.0
+    assert out["mass_past_grid"] >= frac0 - 1e-12
