@@ -10,6 +10,7 @@ rho0(r) = 2*pi*G(E0 - U0(r)).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,8 +24,6 @@ __all__ = [
     "InverseQ",
     "ValidationReport",
     "validate_assumptions",
-    "q_eval",
-    "q_antiderivative",
 ]
 
 _REL_SLACK = 1e-9  # validation slack for floating-point equality cases
@@ -39,10 +38,10 @@ _GL_W = 0.5 * _GL_WEIGHTS
 class CasimirModel:
     """Convex Casimir function Q with declared assumption constants.
 
-    Built-in kinds are 'polytrope' (Q = c*f^(1+1/mu)) and 'double_power'
-    (Q = C1*f^(1+1/mu1) + C2*f^(1+1/mu2)); 'custom' interpolates a
-    tabulated Q on a log-spaced f grid with a monotone cubic, which keeps
-    Q' monotone and q well defined.
+    Built-in kinds are power sums, Q = sum of coef*f^(1+1/mu) over
+    ``terms`` = ((coef, mu), ...): 'polytrope' has one term and
+    'double_power' two.  'custom' (no terms) interpolates a tabulated Q
+    with a monotone cubic, which keeps Q' monotone and q well defined.
     """
 
     kind: str
@@ -54,10 +53,7 @@ class CasimirModel:
     C2: float = 1.0
     C3: float = 0.5
     C4: float = 2.0
-    mu: Optional[float] = None          # polytrope exponent
-    c: Optional[float] = None           # polytrope coefficient
-    a1: Optional[float] = None          # double-power raw coefficients
-    a2: Optional[float] = None
+    terms: tuple = ()
     f_table: Optional[np.ndarray] = None
     Q_table: Optional[np.ndarray] = None
     _interp: object = field(default=None, repr=False, compare=False)
@@ -81,7 +77,7 @@ class CasimirModel:
         m3 = mu if mu3 is None else mu3
         e = 1.0 / mu - 1.0  # homogeneity degree of Q''
         return CasimirModel(
-            kind="polytrope", F0=F0, mu=mu, c=c,
+            kind="polytrope", F0=F0, terms=((c, mu),),
             mu1=mu, mu2=mu, mu3=m3, C1=c, C2=c,
             C3=0.5 ** e, C4=2.0 ** e,
         )
@@ -104,7 +100,7 @@ class CasimirModel:
             kind="double_power", F0=F0,
             mu1=mu1, mu2=mu2, mu3=min(mu1, mu2),
             C1=C1, C2=C2_decl, C3=0.5 ** e, C4=2.0 ** e,
-            a1=C1, a2=C2,
+            terms=((C1, mu1), (C2, mu2)),
         )
 
     @staticmethod
@@ -152,37 +148,26 @@ class CasimirModel:
     # -- evaluation --------------------------------------------------------
 
     def Q(self, f):
-        f = np.asarray(f, dtype=float)
-        if self.kind == "polytrope":
-            return self.c * np.power(f, 1.0 + 1.0 / self.mu)
-        if self.kind == "double_power":
-            return (self.a1 * np.power(f, 1.0 + 1.0 / self.mu1)
-                    + self.a2 * np.power(f, 1.0 + 1.0 / self.mu2))
-        return self._interp(np.clip(f, 0.0, self.f_table[-1]))
+        return self._derivative(f, 0)
 
     def Qp(self, f):
-        f = np.asarray(f, dtype=float)
-        if self.kind == "polytrope":
-            p = 1.0 + 1.0 / self.mu
-            return self.c * p * np.power(f, p - 1.0)
-        if self.kind == "double_power":
-            p1 = 1.0 + 1.0 / self.mu1
-            p2 = 1.0 + 1.0 / self.mu2
-            return (self.a1 * p1 * np.power(f, p1 - 1.0)
-                    + self.a2 * p2 * np.power(f, p2 - 1.0))
-        return self._interp.derivative()(np.clip(f, 0.0, self.f_table[-1]))
+        return self._derivative(f, 1)
 
     def Qpp(self, f):
+        return self._derivative(f, 2)
+
+    def _derivative(self, f, k):
+        """k-th derivative of Q: sum of coef*p*(p-1)*f^(p-k), p = 1 + 1/mu."""
         f = np.asarray(f, dtype=float)
-        if self.kind == "polytrope":
-            p = 1.0 + 1.0 / self.mu
-            return self.c * p * (p - 1.0) * np.power(f, p - 2.0)
-        if self.kind == "double_power":
-            p1 = 1.0 + 1.0 / self.mu1
-            p2 = 1.0 + 1.0 / self.mu2
-            return (self.a1 * p1 * (p1 - 1.0) * np.power(f, p1 - 2.0)
-                    + self.a2 * p2 * (p2 - 1.0) * np.power(f, p2 - 2.0))
-        return self._interp.derivative(2)(np.clip(f, 0.0, self.f_table[-1]))
+        if not self.terms:
+            return self._interp.derivative(k)(np.clip(f, 0.0, self.f_table[-1]))
+        parts = []
+        for coef, mu in self.terms:
+            p = 1.0 + 1.0 / mu
+            for j in range(k):
+                coef = coef * (p - j)
+            parts.append(coef * np.power(f, p - k))
+        return sum(parts[1:], parts[0])
 
     def inverse(self) -> "InverseQ":
         return InverseQ(self)
@@ -191,21 +176,24 @@ class CasimirModel:
 class InverseQ:
     """The inverse q of Q', extended by q = 0 on negative arguments.
 
-    Polytropes invert in closed form; other kinds use a monotone bracketed
-    root-find (bisection to tolerance, then a Newton polish).
+    One power term (a polytrope) inverts in closed form, as do its G and
+    G2; a sum of powers uses Newton's method from above, and a table a
+    bracketed bisection with a Newton polish.
     """
 
     REL_TOL = 1e-12
 
     def __init__(self, model: CasimirModel):
         self.model = model
-        if model.kind == "polytrope":
+        self._n_terms = len(model.terms)
+        if self._n_terms == 1:
             # q(eps) = (mu*eps / (c*(mu+1)))^mu
-            self._kappa = (model.mu / (model.c * (model.mu + 1.0))) ** model.mu
-        elif model.kind == "custom":
+            c, mu = model.terms[0]
+            self._mu = mu
+            self._kappa = (mu / (c * (mu + 1.0))) ** mu
+        elif not self._n_terms:
             # bracket table: Q' sampled on the tabulated f range
-            f = model.f_table
-            self._fmax = float(f[-1])
+            self._fmax = float(model.f_table[-1])
             self._eps_max = float(model.Qp(self._fmax))
 
     # -- q -----------------------------------------------------------------
@@ -227,21 +215,15 @@ class InverseQ:
         return float(out[0]) if scalar else out
 
     def _q_positive(self, eps):
-        m = self.model
-        if m.kind == "polytrope":
-            return self._kappa * np.power(eps, m.mu)
-        if m.kind == "double_power":
-            return self._q_root_double(eps)
-        return self._q_root_custom(eps)
+        if self._n_terms == 1:
+            return self._kappa * np.power(eps, self._mu)
+        return self._q_newton(eps) if self._n_terms else self._q_bisect(eps)
 
-    def _q_root_double(self, eps):
+    def _q_newton(self, eps):
         m = self.model
-        a1, a2 = m.a1, m.a2
-        p1 = 1.0 + 1.0 / m.mu1
-        p2 = 1.0 + 1.0 / m.mu2
-        # upper bracket: f solving each single term alone
-        f_hi = np.minimum((eps / (a1 * p1)) ** m.mu1, (eps / (a2 * p2)) ** m.mu2)
-        f = f_hi.copy()
+        # upper bracket: the smallest f solving one term alone
+        f = functools.reduce(np.minimum, [(eps / (coef * (1.0 + 1.0 / mu))) ** mu
+                                          for coef, mu in m.terms])
         # Q' is convex increasing, Newton from above converges monotonically
         for _ in range(80):
             g = m.Qp(f) - eps
@@ -253,7 +235,7 @@ class InverseQ:
                 break
         return f
 
-    def _q_root_custom(self, eps):
+    def _q_bisect(self, eps):
         m = self.model
         if np.any(eps > self._eps_max * (1.0 + 1e-12)):
             bad = float(np.max(eps))
@@ -286,9 +268,9 @@ class InverseQ:
         pos = sv > 0.0
         if np.any(pos):
             sp = sv[pos]
-            m = self.model
-            if m.kind == "polytrope":
-                out[pos] = self._kappa * np.power(sp, m.mu + 1.0) / (m.mu + 1.0)
+            if self._n_terms == 1:
+                mu = self._mu
+                out[pos] = self._kappa * np.power(sp, mu + 1.0) / (mu + 1.0)
             else:
                 # t = s*u^2 flattens the t^mu endpoint behaviour
                 u2 = _GL_U ** 2
@@ -306,10 +288,10 @@ class InverseQ:
         pos = sv > 0.0
         if np.any(pos):
             sp = sv[pos]
-            m = self.model
-            if m.kind == "polytrope":
-                out[pos] = (self._kappa * np.power(sp, m.mu + 2.0)
-                            / ((m.mu + 1.0) * (m.mu + 2.0)))
+            if self._n_terms == 1:
+                mu = self._mu
+                out[pos] = (self._kappa * np.power(sp, mu + 2.0)
+                            / ((mu + 1.0) * (mu + 2.0)))
             else:
                 u2 = _GL_U ** 2
                 t = sp[:, None] * u2[None, :]
@@ -336,16 +318,6 @@ class InverseQ:
             integ = self.model.Q(amp * qt).reshape(t.shape)
             out[pos] = 2.0 * sp * np.sum(_GL_W * _GL_U * integ, axis=1)
         return float(out[0]) if np.ndim(s) == 0 else out
-
-
-def q_eval(inv: InverseQ, eps):
-    """Operation-style wrapper around InverseQ.q."""
-    return inv.q(eps)
-
-
-def q_antiderivative(inv: InverseQ, s):
-    """Operation-style wrapper around InverseQ.G."""
-    return inv.G(s)
 
 
 @dataclass

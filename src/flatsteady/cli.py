@@ -24,7 +24,7 @@ from .casimir import CasimirModel, validate_assumptions
 from .errors import FlatSteadyError, InputError
 from .functionals import (evaluate_steady, scaling_inequality_check,
                           split_diagnostic)
-from .grids import RadialGrid, RadialProfile
+from .grids import RadialGrid, RadialProfile, read_csv, write_csv
 from .potential import potential_from_density
 from .steady import SolverOptions, SteadyState, regularity_report, solve
 from .simulate import SimConfig, run
@@ -78,78 +78,81 @@ def _stamp(cfg_path, seed=None, grid: RadialGrid = None) -> dict:
 
 # -- config parsing --------------------------------------------------------
 
+_REQUIRED = object()
+
+
 def _load_config(path) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise InputError(f"config file {path!r} is malformed ({exc})") from exc
     if not read:
         raise InputError(f"config file {path!r} not found or unreadable")
     return cp
 
 
+def _get(cp, section, key, default=_REQUIRED, type_=float):
+    """``[section] key`` converted by ``type_``; InputError if it is malformed
+    or, without a default, missing."""
+    if not cp.has_option(section, key):
+        if default is _REQUIRED:
+            raise InputError(f"config: [{section}] needs {key}")
+        return default
+    try:
+        return type_(cp.get(section, key))
+    except (ValueError, configparser.Error) as exc:
+        raise InputError(f"config: bad [{section}] {key} ({exc})") from exc
+
+
 def _model_from_config(cp: configparser.ConfigParser) -> CasimirModel:
     if "model" not in cp:
         raise InputError("config: missing [model] section")
-    sec = cp["model"]
-    kind = sec.get("kind", "polytrope")
-    try:
-        if kind == "polytrope":
-            if "mu" not in sec:
-                raise InputError("config: [model] polytrope needs mu")
-            return CasimirModel.polytrope(
-                sec.getfloat("mu"), c=sec.getfloat("c", 1.0),
-                F0=sec.getfloat("f0", 1.0),
-                mu3=sec.getfloat("mu3", fallback=None))
-        if kind == "double_power":
-            for k in ("mu1", "mu2", "c1", "c2"):
-                if k not in sec:
-                    raise InputError(f"config: [model] double_power needs {k}")
-            return CasimirModel.double_power(
-                sec.getfloat("mu1"), sec.getfloat("mu2"),
-                sec.getfloat("c1"), sec.getfloat("c2"),
-                F0=sec.getfloat("f0", 1.0))
-        if kind == "custom":
-            if "table" not in sec:
-                raise InputError("config: [model] custom needs table=CSV path")
-            data = np.loadtxt(sec.get("table"), delimiter=",", comments="#",
-                              skiprows=1)
-            return CasimirModel.custom(data[:, 0], data[:, 1],
-                                       F0=sec.getfloat("f0", 1.0),
-                                       mu1=sec.getfloat("mu1"),
-                                       mu2=sec.getfloat("mu2"),
-                                       mu3=sec.getfloat("mu3"))
-    except ValueError as exc:
-        raise InputError(f"config: bad [model] value ({exc})") from exc
+    kind = _get(cp, "model", "kind", "polytrope", str)
+    F0 = _get(cp, "model", "f0", 1.0)
+    if kind == "polytrope":
+        return CasimirModel.polytrope(
+            _get(cp, "model", "mu"), c=_get(cp, "model", "c", 1.0), F0=F0,
+            mu3=_get(cp, "model", "mu3", None))
+    if kind == "double_power":
+        mu1, mu2, c1, c2 = (_get(cp, "model", k) for k in ("mu1", "mu2", "c1", "c2"))
+        return CasimirModel.double_power(mu1, mu2, c1, c2, F0=F0)
+    if kind == "custom":
+        table = read_csv(_get(cp, "model", "table", type_=str))
+        mu1, mu2, mu3 = (_get(cp, "model", k) for k in ("mu1", "mu2", "mu3"))
+        return CasimirModel.custom(table[0], table[1], F0=F0,
+                                   mu1=mu1, mu2=mu2, mu3=mu3)
     raise InputError(f"config: unknown model kind {kind!r}")
 
 
 def _solver_opts(cp: configparser.ConfigParser) -> SolverOptions:
-    if "solver" not in cp:
-        return SolverOptions()
-    sec = cp["solver"]
-    try:
-        return SolverOptions(
-            damping=sec.getfloat("damping", 0.5),
-            max_iters=sec.getint("max_iters", 400),
-            residual_tol=sec.getfloat("residual_tol", 1e-11),
-            mass_tol=sec.getfloat("mass_tol", 1e-9),
-            n=sec.getint("n", 384),
-            r_edge_seed=sec.getfloat("r_edge_seed", 1.0),
-        )
-    except ValueError as exc:
-        raise InputError(f"config: bad [solver] value ({exc})") from exc
+    return SolverOptions(
+        damping=_get(cp, "solver", "damping", 0.5),
+        max_iters=_get(cp, "solver", "max_iters", 400, int),
+        residual_tol=_get(cp, "solver", "residual_tol", 1e-11),
+        mass_tol=_get(cp, "solver", "mass_tol", 1e-9),
+        n=_get(cp, "solver", "n", 384, int),
+        r_edge_seed=_get(cp, "solver", "r_edge_seed", 1.0),
+    )
 
 
 # -- steady-state artifacts ------------------------------------------------
 
+def _model_record(model: CasimirModel) -> dict:
+    """The model as ``steady.json`` stores it, parsed back from its JSON text."""
+    record = {k: getattr(model, k) for k in
+              ("kind", "F0", "mu1", "mu2", "mu3", "C1", "C2", "C3", "C4", "terms")}
+    if model.f_table is not None:
+        record["table_sha256"] = hashlib.sha256(
+            model.f_table.tobytes() + model.Q_table.tobytes()).hexdigest()
+    return json.loads(_fmt(record))
+
+
 def _write_state(out_dir, prefix, ss: SteadyState, cfg_path, model):
     csv_path = os.path.join(out_dir, prefix + ".csv")
     json_path = os.path.join(out_dir, prefix + ".json")
-    with open(csv_path, "w") as fh:
-        fh.write("# version: %s\n" % __version__)
-        fh.write("# grid_hash: %s\n" % ss.grid.content_hash())
-        fh.write("r,rho,U\n")
-        for r, rho, u in zip(ss.grid.nodes, ss.rho0.values, ss.U0.values):
-            fh.write("%.17g,%.17g,%.17g\n" % (r, rho, u))
+    write_csv(csv_path, {"version": __version__, "grid_hash": ss.grid.content_hash()},
+              ("r", "rho", "U"), (ss.grid.nodes, ss.rho0.values, ss.U0.values))
     report = evaluate_steady(model, ss)
     payload = _stamp(cfg_path, grid=ss.grid)
     payload.update({
@@ -158,6 +161,7 @@ def _write_state(out_dir, prefix, ss: SteadyState, cfg_path, model):
         "residual": ss.residual, "iterations": ss.iterations,
         "functionals": report.to_dict(),
         "regularity": regularity_report(ss),
+        "model": _model_record(model),
     })
     _write_json(json_path, payload)
     return csv_path, json_path
@@ -169,18 +173,22 @@ def _read_state(prefix, model) -> SteadyState:
     for p in (csv_path, json_path):
         if not os.path.exists(p):
             raise InputError(f"steady-state artifact {p!r} not found")
-    data = np.loadtxt(csv_path, delimiter=",", comments="#", skiprows=3)
+    data = read_csv(csv_path)
     with open(json_path) as fh:
         side = json.load(fh)
-    grid = RadialGrid(data[:, 0])
+    grid = RadialGrid(data[0])
     if grid.content_hash() != side.get("grid_hash"):
         raise FlatSteadyError(
             f"stale artifact: grid hash {grid.content_hash()} does not match "
             f"sidecar {side.get('grid_hash')}")
+    if side.get("model") != _model_record(model):
+        raise FlatSteadyError(
+            f"stale artifact: {json_path!r} was solved for another model "
+            f"({side.get('model')})")
     return SteadyState(
         model=model, E0=side["E0"], grid=grid,
-        rho0=RadialProfile(grid, data[:, 1], require_nonnegative=True),
-        U0=RadialProfile(grid, data[:, 2]),
+        rho0=RadialProfile(grid, data[1], require_nonnegative=True),
+        U0=RadialProfile(grid, data[2]),
         mass=side["mass"], support_radius=side["support_radius"],
         residual=side["residual"], iterations=side["iterations"],
     )
@@ -188,11 +196,10 @@ def _read_state(prefix, model) -> SteadyState:
 
 def _state_for(cp, args, model, out_dir):
     """Load the referenced artifact if configured, else solve in-process."""
-    sec = cp[args.command] if args.command in cp else {}
-    prefix = sec.get("state", None)
+    prefix = _get(cp, args.command, "state", None, str)
     if prefix:
         return _read_state(prefix, model)
-    ss = solve(model, float(sec.get("mass", "1.0")), _solver_opts(cp))
+    ss = solve(model, _get(cp, args.command, "mass", 1.0), _solver_opts(cp))
     _write_state(out_dir, "steady", ss, args.config, model)
     return ss
 
@@ -217,8 +224,7 @@ def _cmd_validate(args, cp):
 
 def _cmd_solve(args, cp):
     model = _model_from_config(cp)
-    sec = cp["solve"] if "solve" in cp else {}
-    mass = float(sec.get("mass", "1.0"))
+    mass = _get(cp, "solve", "mass", 1.0)
     if mass <= 0:
         raise InputError("config: [solve] mass must be positive")
     ss = solve(model, mass, _solver_opts(cp))
@@ -228,9 +234,8 @@ def _cmd_solve(args, cp):
 
 def _cmd_scaling(args, cp):
     model = _model_from_config(cp)
-    sec = cp["scaling"] if "scaling" in cp else {}
-    m1 = float(sec.get("m1", "0.5"))
-    m2 = float(sec.get("m2", "1.0"))
+    m1 = _get(cp, "scaling", "m1", 0.5)
+    m2 = _get(cp, "scaling", "m2", 1.0)
     report = scaling_inequality_check(model, m1, m2, _solver_opts(cp))
     payload = _stamp(args.config)
     payload["scaling"] = report
@@ -240,13 +245,12 @@ def _cmd_scaling(args, cp):
 
 def _cmd_split(args, cp):
     model = _model_from_config(cp)
+    radius = _get(cp, "split", "radius", None)
+    fraction = _get(cp, "split", "radius_fraction", 0.5)
+    c_const = _get(cp, "split", "c", None)
     ss = _state_for(cp, args, model, args.out)
-    sec = cp["split"] if "split" in cp else {}
-    if "radius" in sec:
-        radius = float(sec["radius"])
-    else:
-        radius = float(sec.get("radius_fraction", "0.5")) * ss.support_radius
-    c_const = float(sec["c"]) if "c" in sec else None
+    if radius is None:
+        radius = fraction * ss.support_radius
     report = split_diagnostic(ss, radius, C=c_const)
     payload = _stamp(args.config, grid=ss.grid)
     payload["split"] = report
@@ -258,46 +262,38 @@ def _cmd_split(args, cp):
 
 def _cmd_evolve(args, cp):
     model = _model_from_config(cp)
+    seed = args.seed if args.seed is not None else _get(cp, "evolve", "seed", 0, int)
+    n_particles = _get(cp, "evolve", "n_particles", 100000, int)
+    dt_over_tdyn = _get(cp, "evolve", "dt_over_tdyn", 0.01)
+    t_end_over_tdyn = _get(cp, "evolve", "t_end_over_tdyn", 1.0)
+    method = _get(cp, "evolve", "method", "grid", str)
+    eps_soft = _get(cp, "evolve", "eps_soft", 0.0)
+    output_every = _get(cp, "evolve", "output_every", 50, int)
+    perturbation = _get(cp, "evolve", "perturbation", "none", str)
+    delta = _get(cp, "evolve", "delta", 0.0)
     ss = _state_for(cp, args, model, args.out)
-    sec = cp["evolve"] if "evolve" in cp else {}
     t_dyn = ss.dynamical_time()
-    seed = args.seed if args.seed is not None else int(sec.get("seed", "0"))
     cfg = SimConfig(
-        n_particles=int(sec.get("n_particles", "100000")),
-        dt=float(sec.get("dt_over_tdyn", "0.01")) * t_dyn,
-        t_end=float(sec.get("t_end_over_tdyn", "1.0")) * t_dyn,
-        method=sec.get("method", "grid"),
-        eps_soft=float(sec.get("eps_soft", "0")),
-        seed=seed,
-        output_every=int(sec.get("output_every", "50")),
+        n_particles=n_particles, dt=dt_over_tdyn * t_dyn,
+        t_end=t_end_over_tdyn * t_dyn, method=method, eps_soft=eps_soft,
+        seed=seed, output_every=output_every,
     )
-    perturbation = sec.get("perturbation", "none")
-    delta = float(sec.get("delta", "0"))
     out = run(ss, cfg, perturbation=perturbation, delta=delta, model=model)
 
-    series_path = os.path.join(args.out, "timeseries.csv")
+    rows = out["rows"]
+    ens = out["ensemble"]
     cols = ["t", "e_kin", "e_pot", "casimir", "D", "d_dist", "epot_diff",
             "L3", "max_r"]
-    with open(series_path, "w") as fh:
-        fh.write("# version: %s\n# seed: %d\n# grid_hash: %s\n"
-                 % (__version__, cfg.seed, ss.grid.content_hash()))
-        fh.write(",".join(cols) + "\n")
-        for row in out["rows"]:
-            fh.write(",".join("%.17g" % row[c] for c in cols) + "\n")
+    write_csv(os.path.join(args.out, "timeseries.csv"),
+              {"version": __version__, "seed": cfg.seed,
+               "grid_hash": ss.grid.content_hash()},
+              cols, [[row[c] for row in rows] for c in cols])
+    write_csv(os.path.join(args.out, "snapshot.csv"),
+              {"seed": cfg.seed, "N": ens.n, "dt": "%.17g" % cfg.dt,
+               "method": cfg.method},
+              ("x1", "x2", "v1", "v2", "w"),
+              (*ens.positions.T, *ens.velocities.T, ens.weights))
 
-    snap_path = os.path.join(args.out, "snapshot.csv")
-    ens = out["ensemble"]
-    with open(snap_path, "w") as fh:
-        fh.write("# seed: %d\n# N: %d\n# dt: %.17g\n# method: %s\n"
-                 % (cfg.seed, ens.n, cfg.dt, cfg.method))
-        fh.write("x1,x2,v1,v2,w\n")
-        for i in range(ens.n):
-            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                     % (ens.positions[i, 0], ens.positions[i, 1],
-                        ens.velocities[i, 0], ens.velocities[i, 1],
-                        ens.weights[i]))
-
-    rows = out["rows"]
     d0 = rows[0]["D"]
     l3_scale = max(ens.abs_angular_momentum(), 1e-300)
     d_drift = max(abs(r["D"] - d0) for r in rows) / max(abs(d0), 1e-300)
@@ -322,19 +318,12 @@ def _cmd_evolve(args, cp):
 
 
 def _cmd_potential_table(args, cp):
-    sec = cp["table"] if "table" in cp else {}
-    src = sec.get("density", None)
-    if not src:
-        raise InputError("config: [table] needs density=CSV path")
-    rho = RadialProfile.from_csv(src, nonnegative=True)
+    rho = RadialProfile.from_csv(_get(cp, "table", "density", type_=str),
+                                 nonnegative=True)
     U = potential_from_density(rho)
-    out_path = os.path.join(args.out, "potential.csv")
-    with open(out_path, "w") as fh:
-        fh.write("# version: %s\n# grid_hash: %s\n"
-                 % (__version__, rho.grid.content_hash()))
-        fh.write("r,U\n")
-        for r, u in zip(rho.grid.nodes, U.values):
-            fh.write("%.17g,%.17g\n" % (r, u))
+    write_csv(os.path.join(args.out, "potential.csv"),
+              {"version": __version__, "grid_hash": rho.grid.content_hash()},
+              ("r", "U"), (rho.grid.nodes, U.values))
     return 0
 
 

@@ -16,12 +16,16 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["RadialGrid", "RadialProfile"]
+__all__ = ["RadialGrid", "RadialProfile", "write_csv", "read_csv"]
 
 # Largest cell lookup table ``RadialGrid.locate`` builds; a grid whose
 # finest cell would need more buckets gets a coarser table and more
 # correction passes.
 _LOCATE_MAX_BUCKETS = 1 << 16
+
+# Rows ``write_csv`` formats per write: formatting a whole 10^6-row table at
+# once would hold a Python float object for every value.
+_CSV_CHUNK_ROWS = 1024
 
 
 class _CellTable(NamedTuple):
@@ -196,25 +200,54 @@ class RadialProfile:
     # -- CSV round trip at full double precision ---------------------------
 
     def to_csv(self, path, header_extra: dict | None = None):
-        with open(path, "w") as fh:
-            for k, v in (header_extra or {}).items():
-                fh.write(f"# {k}: {v}\n")
-            fh.write("r,value\n")
-            for r, v in zip(self.grid.nodes, self.values):
-                fh.write(f"{r:.17g},{v:.17g}\n")
+        write_csv(path, header_extra or {}, ("r", "value"),
+                  (self.grid.nodes, self.values))
 
     @staticmethod
     def from_csv(path, nonnegative: bool = False) -> "RadialProfile":
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or line.startswith("r,"):
-                    continue
-                parts = line.split(",")
-                rows.append((float(parts[0]), float(parts[1])))
-        if not rows:
-            raise InputError(f"profile CSV {path!r} has no data rows")
-        arr = np.array(rows)
-        return RadialProfile(RadialGrid(arr[:, 0]), arr[:, 1],
+        data = read_csv(path)
+        return RadialProfile(RadialGrid(data[0]), data[1],
                              require_nonnegative=nonnegative)
+
+
+def write_csv(path, header: dict, names, columns):
+    """Write ``# key: value`` lines, the column-name row, then rows at %.17g.
+
+    Header values are written with ``str``; every column value as a double
+    at 17 significant digits, which ``read_csv`` reads back bit for bit.
+    """
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(f"# {k}: {v}\n" for k, v in header.items())
+        fh.write(",".join(names) + "\n")
+        for i in range(0, cols[0].size, _CSV_CHUNK_ROWS):
+            block = np.column_stack([c[i:i + _CSV_CHUNK_ROWS] for c in cols])
+            fh.write("".join(row % tuple(r) for r in block.tolist()))
+
+
+def read_csv(path) -> np.ndarray:
+    """Columns of a CSV file as rows of a 2-d array.
+
+    ``#`` lines and blank lines are skipped anywhere; the first other line
+    is the column-name row.  An unreadable file, a missing name row,
+    malformed rows or a file without data rows raise ``InputError``.
+    """
+    try:
+        with open(path) as fh:
+            lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
+    except (OSError, ValueError) as exc:
+        raise InputError(f"CSV {str(path)!r} is unreadable ({exc})") from exc
+    if len(lines) < 2:
+        raise InputError(f"CSV {str(path)!r} has no data rows")
+    try:
+        float(lines[0].split(",")[0])
+    except ValueError:
+        pass
+    else:
+        raise InputError(f"CSV {str(path)!r} has no column-name row")
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"CSV {str(path)!r} has a malformed row ({exc})") from exc
+    return data.T.copy()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatsteady import CasimirModel, validate_assumptions
-from flatsteady.casimir import q_antiderivative, q_eval
 from flatsteady.errors import InputError, ModelDefinitionError
 
 F_GRID = np.linspace(0.0, 4.0, 256)
@@ -64,12 +64,6 @@ def test_inverse_roundtrip_custom():
     assert np.max(np.abs(q_vals - q_ref) / q_ref) < 5e-3
 
 
-def test_module_wrappers():
-    inv = CasimirModel.polytrope(0.5, c=1.0).inverse()
-    assert q_eval(inv, 3.0) == pytest.approx(1.0, rel=1e-14)
-    assert q_antiderivative(inv, 3.0) == pytest.approx(2.0, rel=1e-13)
-
-
 def test_assumptions_polytrope_passes():
     rep = validate_assumptions(CasimirModel.polytrope(0.5), F_GRID)
     assert rep.all_passed
@@ -114,3 +108,59 @@ def test_mu3_above_mu_violates_q3():
     # declared mu3 must not exceed the polytropic exponent
     rep = validate_assumptions(CasimirModel.polytrope(0.5, mu3=0.8), F_GRID)
     assert not rep.checks["Q3"]["passed"]
+
+
+# -- properties of the power-sum form -----------------------------------------
+
+# mu = 1/2 and 1/4 give odd integer powers, which keep the sign of f = -0.0
+_mus = st.floats(0.2, 0.95) | st.sampled_from([0.25, 0.5])
+_coefs = st.floats(0.1, 100.0)
+_f = st.lists(st.floats(0.0, 10.0) | st.just(-0.0), min_size=1,
+              max_size=20).map(np.array)
+
+
+@st.composite
+def _power_sums(draw):
+    """A random polytrope or double power and its terms ((coef, mu), ...)."""
+    if draw(st.booleans()):
+        c, mu = draw(_coefs), draw(_mus)
+        return CasimirModel.polytrope(mu, c=c), ((c, mu),)
+    c1, c2, mu1, mu2 = draw(_coefs), draw(_coefs), draw(_mus), draw(_mus)
+    model = CasimirModel.double_power(mu1, mu2, c1, c2,
+                                      F0=draw(st.floats(0.5, 2.0)))
+    return model, ((c1, mu1), (c2, mu2))
+
+
+@settings(deadline=None)
+@given(_power_sums(), _f)
+def test_power_sum_matches_closed_form_bitwise(model_terms, f):
+    model, terms = model_terms
+    ref = {"Q": [], "Qp": [], "Qpp": []}
+    for c, mu in terms:
+        p = 1.0 + 1.0 / mu
+        ref["Q"].append(c * np.power(f, 1.0 + 1.0 / mu))
+        ref["Qp"].append(c * p * np.power(f, p - 1.0))
+        ref["Qpp"].append(c * p * (p - 1.0) * np.power(f, p - 2.0))
+    for name, parts in ref.items():
+        expected = parts[0] if len(parts) == 1 else parts[0] + parts[1]
+        assert getattr(model, name)(f).tobytes() == expected.tobytes(), name
+
+
+@settings(deadline=None)
+@given(_power_sums(), st.floats(1e-3, 10.0))
+def test_inverse_roundtrip_power_sums(model_terms, f):
+    model, terms = model_terms
+    tol = 1e-12 if len(terms) == 1 else 1e-10
+    assert model.inverse().q(model.Qp(f)) == pytest.approx(f, rel=tol)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_power_sums(), st.integers(100, 400), st.floats(0.5, 8.0),
+       st.floats(0.05, 0.95))
+def test_inverse_roundtrip_custom_tables(model_terms, n, f_max, share):
+    base, _ = model_terms
+    table = np.linspace(0.0, f_max, n)
+    m = CasimirModel.custom(table, base.Q(table), F0=1.0,
+                            mu1=0.5, mu2=0.5, mu3=0.5)
+    f = share * f_max
+    assert abs(m.inverse().q(m.Qp(f)) - f) <= 1e-9 * f_max

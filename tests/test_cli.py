@@ -200,3 +200,74 @@ def test_potential_table_roundtrip(tmp_path):
     exact = -1.0 / np.sqrt(1.0 + data[:, 0] ** 2)
     sel = data[:, 0] <= 5.0
     assert np.max(np.abs(data[sel, 1] - exact[sel])) < 1e-3
+
+
+@pytest.mark.parametrize("command,old,new", [
+    ("solve", "mass = 1.0", "mass = heavy"),
+    ("scaling", "m1 = 0.5", "m1 = light"),
+    ("split", "radius_fraction = 0.5", "radius = xyz"),
+    ("evolve", "n_particles = 5000", "n_particles = abc"),
+])
+def test_non_numeric_value_is_usage_error(tmp_path, command, old, new):
+    cfg = _write_config(tmp_path / "bad.ini", POLY_INI.replace(old, new))
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    # the value is read before any solve
+    assert not (tmp_path / "steady.csv").exists()
+
+
+def test_malformed_config_is_usage_error(tmp_path):
+    cfg = _write_config(tmp_path / "bad.ini", POLY_INI + "mass = 2.0\n[solve]\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def _custom_ini(tmp_path, table_text, model_lines):
+    table = tmp_path / "table.csv"
+    if table_text is not None:
+        table.write_text(table_text)
+    return _write_config(tmp_path / "custom.ini",
+                         "[model]\nkind = custom\ntable = %s\n%s" % (table, model_lines))
+
+
+def _f_cubed_table():
+    f = np.linspace(0.0, 6.0, 200)
+    return "".join("%.17g,%.17g\n" % (x, x ** 3) for x in f)
+
+
+def test_custom_without_mu1_is_usage_error(tmp_path):
+    cfg = _custom_ini(tmp_path, "f,Q\n" + _f_cubed_table(), "mu2 = 0.5\nmu3 = 0.5\n")
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_missing_custom_table_is_usage_error(tmp_path):
+    cfg = _custom_ini(tmp_path, None, "mu1 = 0.5\nmu2 = 0.5\nmu3 = 0.5\n")
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_custom_table_with_comment_before_header(tmp_path):
+    cfg = _custom_ini(tmp_path, "# Q = f^3\nf,Q\n" + _f_cubed_table(),
+                      "mu1 = 0.5\nmu2 = 0.5\nmu3 = 0.5\n")
+    # the table is read (at 200 nodes Q1-Q3 and Q5 miss between the nodes)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    payload = json.loads((tmp_path / "validate.json").read_text())
+    assert payload["assumptions"]["Q4"]["passed"] is True
+
+
+def test_state_artifact_of_another_model_fails(solved_dir, tmp_path):
+    base, _ = solved_dir
+    ini = POLY_INI.replace("c = 57.0", "c = 1.0").replace(
+        "[split]", "[split]\nstate = %s" % (base / "steady"))
+    cfg = _write_config(tmp_path / "split.ini", ini)
+    assert main(["split", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "split.json").exists()
+
+
+def test_state_artifact_without_model_fails(solved_dir, tmp_path):
+    base, _ = solved_dir
+    side = json.loads((base / "steady.json").read_text())
+    assert side["model"]["terms"] == [[57.0, 0.5]]
+    del side["model"]
+    (tmp_path / "old.csv").write_bytes((base / "steady.csv").read_bytes())
+    (tmp_path / "old.json").write_text(json.dumps(side))
+    ini = POLY_INI.replace("[split]", "[split]\nstate = %s" % (tmp_path / "old"))
+    cfg = _write_config(tmp_path / "split.ini", ini)
+    assert main(["split", "--config", cfg, "--out", str(tmp_path)]) == 1
