@@ -118,7 +118,7 @@ def _model_from_config(cp: configparser.ConfigParser) -> CasimirModel:
         mu1, mu2, c1, c2 = (_get(cp, "model", k) for k in ("mu1", "mu2", "c1", "c2"))
         return CasimirModel.double_power(mu1, mu2, c1, c2, F0=F0)
     if kind == "custom":
-        table = read_csv(_get(cp, "model", "table", type_=str))
+        table = read_csv(_get(cp, "model", "table", type_=str), ("f", "Q"))
         mu1, mu2, mu3 = (_get(cp, "model", k) for k in ("mu1", "mu2", "mu3"))
         return CasimirModel.custom(table[0], table[1], F0=F0,
                                    mu1=mu1, mu2=mu2, mu3=mu3)
@@ -173,7 +173,7 @@ def _read_state(prefix, model) -> SteadyState:
     for p in (csv_path, json_path):
         if not os.path.exists(p):
             raise InputError(f"steady-state artifact {p!r} not found")
-    data = read_csv(csv_path)
+    data = read_csv(csv_path, ("r", "rho", "U"))
     with open(json_path) as fh:
         side = json.load(fh)
     grid = RadialGrid(data[0])
@@ -346,8 +346,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="INI config path")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored: outputs do not depend on it; "
-                             "set thread caps in the environment before launch")
+                        help="accepted and ignored: the particle maps use one "
+                             "thread per CPU in the process's affinity set, and "
+                             "outputs do not depend on the thread count")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed override")
     try:

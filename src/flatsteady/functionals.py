@@ -14,11 +14,16 @@ phase-space histogram in the reduced coordinates (r, |v|^2/2), the dominant
 error term of the ensemble path.  The particle sums of one diagnostics row
 share one binning of the radii (``RadialGrid.locate``): the cloud-in-cell
 deposit, its self-energy and the U0 lookup read the same cells and
-fractions, and the histogram is built once.
+fractions, and the histogram is built once.  Their per-particle maps run in
+chunks on a thread pool (``_map_chunks``); every reduction runs on the
+whole array, so no result depends on the worker count or the chunk size.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +41,61 @@ __all__ = ["FunctionalReport", "ScalingParams", "evaluate_steady",
            "alpha_from_mu3", "proof_scaling_params"]
 
 _GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
+
+# Particles per task of ``_map_chunks``: large enough that a task's numpy
+# calls outweigh its dispatch, small enough that its temporaries stay in
+# cache and add little to the peak memory.
+_CHUNK = 65536
+
+
+@functools.cache
+def _pool() -> tuple:
+    """(executor, workers) for the particle maps, built on first use.
+
+    One worker per CPU the process may run on, the calling thread included;
+    no executor with one CPU.
+    """
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        workers = os.cpu_count() or 1
+    return (ThreadPoolExecutor(workers - 1) if workers > 1 else None), workers
+
+
+def _workers() -> int:
+    """Threads the particle maps run on, the calling thread included."""
+    return _pool()[1]
+
+
+def _map_chunks(fn, n: int) -> None:
+    """Call ``fn(lo, hi)`` on consecutive ``_CHUNK``-long slices of [0, n).
+
+    The calling thread and the pool's threads take slices from one shared
+    iterator until none are left.  ``fn`` must read and write only its
+    slice of the particle arrays; numpy releases the GIL in its ufuncs and
+    fancy indexing, so slices run in parallel.  An exception in a slice is
+    raised once every thread that took a slice has stopped.
+    """
+    pool, workers = _pool()
+    starts = iter(range(0, n, _CHUNK))  # next() on it is atomic under the GIL
+
+    def drain():
+        for lo in starts:
+            fn(lo, min(lo + _CHUNK, n))
+
+    if pool is None or n <= _CHUNK:
+        drain()
+        return
+    helpers = [pool.submit(drain) for _ in range(workers - 1)]
+    try:
+        drain()
+    finally:
+        # a helper that has not started would find nothing left: cancel it
+        # rather than wait for a free thread (a forked child has none)
+        started = [h for h in helpers if not h.cancel()]
+        wait(started)
+    for h in started:
+        h.result()
 
 
 @dataclass
@@ -125,6 +185,13 @@ def evaluate_steady(model: CasimirModel, ss: SteadyState,
 
 # -- ensemble path ---------------------------------------------------------
 
+def _radii(x: np.ndarray) -> np.ndarray:
+    """|x| of each particle position."""
+    r = np.empty(x.shape[0])
+    _map_chunks(lambda a, b: np.hypot(x[a:b, 0], x[a:b, 1], out=r[a:b]), r.size)
+    return r
+
+
 def _bin(grid: RadialGrid, radii: np.ndarray, masses: np.ndarray) -> tuple:
     """One binning of the particles on grid, shared by every layer that needs it.
 
@@ -133,10 +200,21 @@ def _bin(grid: RadialGrid, radii: np.ndarray, masses: np.ndarray) -> tuple:
     outside the grid; and the cloud-in-cell masses each particle gives the
     two nodes of its cell, zero for particles outside.
     """
-    idx, frac = grid.locate(radii)
-    outside = radii > grid.r_max
-    kept = np.where(outside, 0.0, masses)
-    return idx, frac, outside, kept * (1.0 - frac), kept * frac
+    n = radii.size
+    idx = np.empty(n, dtype=np.intp)
+    frac, lo, hi = np.empty(n), np.empty(n), np.empty(n)
+    outside = np.empty(n, dtype=bool)
+
+    def chunk(a, b):
+        r = radii[a:b]
+        idx[a:b], frac[a:b] = grid._locate(r)
+        kept = np.where(np.greater(r, grid.r_max, out=outside[a:b]), 0.0,
+                        masses[a:b])
+        np.multiply(kept, 1.0 - frac[a:b], out=lo[a:b])
+        np.multiply(kept, frac[a:b], out=hi[a:b])
+
+    _map_chunks(chunk, n)
+    return idx, frac, outside, lo, hi
 
 
 def _ring_density(grid: RadialGrid, idx, lo, hi) -> np.ndarray:
@@ -154,10 +232,16 @@ def _self_energy(op, idx, lo, hi) -> float:
     """Sum of per-particle deposit self-energies (to subtract from E_pot)."""
     ringw = op.grid.ring_weights
     safe = np.where(ringw > 0.0, ringw, np.inf)
-    wa = lo / safe[idx]
-    wb = hi / safe[1:][idx]
-    quad = (wa * wa * op.smat_diag[idx] + 2.0 * wa * wb * op.smat_super[idx]
-            + wb * wb * op.smat_diag[1:][idx])
+    quad = np.empty(idx.size)
+
+    def chunk(a, b):
+        i = idx[a:b]
+        wa = lo[a:b] / safe[i]
+        wb = hi[a:b] / safe[1:][i]
+        quad[a:b] = (wa * wa * op.smat_diag[i] + 2.0 * wa * wb * op.smat_super[i]
+                     + wb * wb * op.smat_diag[1:][i])
+
+    _map_chunks(chunk, idx.size)
     return 0.5 * float(np.sum(quad))
 
 
@@ -167,9 +251,15 @@ def _interp(values: np.ndarray, idx, frac, outside) -> np.ndarray:
     Matches ``RadialProfile.__call__`` (``np.interp`` with right=0) to
     rounding.
     """
-    v = values[idx]
-    v += frac * np.diff(values)[idx]
-    v[outside] = 0.0
+    slope = np.diff(values)
+    v = np.empty(idx.size)
+
+    def chunk(a, b):
+        i = idx[a:b]
+        np.add(values[i], frac[a:b] * slope[i], out=v[a:b])
+        v[a:b][outside[a:b]] = 0.0
+
+    _map_chunks(chunk, idx.size)
     return v
 
 
@@ -185,6 +275,64 @@ def deposit_density(grid: RadialGrid, radii: np.ndarray,
     return _ring_density(grid, idx, lo, hi)
 
 
+def _uniform_edges(x: np.ndarray, nb: int) -> np.ndarray:
+    """``np.histogramdd``'s edges of nb equal bins over [min(x), max(x)],
+    widened by 1/2 on each side for a constant column."""
+    lo, hi = x.min(), x.max()
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    return np.linspace(lo, hi, nb + 1)
+
+
+def _uniform_cell(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of each x in [edges[0], edges[-1]], by ``np.histogramdd``'s rule.
+
+    Bin i holds edges[i] <= x < edges[i + 1], and the last bin also holds
+    x == edges[-1].  A scaled floor gives a first guess and one comparison
+    on each side corrects it, as in ``RadialGrid.locate``; that suffices
+    while the edges' rounding is far below a bin width, and ``searchsorted``
+    takes over where it is not.
+    """
+    nb = edges.size - 1
+    if nb == 1:
+        return np.zeros(x.size, dtype=np.intp)
+    lo, hi = edges[0], edges[-1]
+    upper = np.append(edges[1:-1], np.inf)
+    scale = nb / (hi - lo)
+    if not (np.isfinite(scale) and 1.0 / scale > 1e-12 * max(abs(lo), abs(hi))):
+        return np.searchsorted(upper, x, "right")
+    i = np.minimum(((x - lo) * scale).astype(np.intp), nb - 1)
+    i -= x < edges[i]
+    i += x >= upper[i]
+    return i
+
+
+def _phase_histogram(r: np.ndarray, w: np.ndarray, weights: np.ndarray) -> tuple:
+    """(hist, r_edges, w_edges): the weighted (r, w) histogram with Scott's
+    rule bin counts per dimension, equal bit for bit to ``np.histogramdd``'s
+    without its two ``searchsorted`` calls."""
+    n = r.size
+    edges = []
+    for x in (r, w):
+        sig = float(np.std(x))
+        nb = 1
+        if sig != 0.0:
+            h = sig * n ** (-1.0 / 6.0)
+            nb = int(np.clip(np.ceil((x.max() - x.min()) / h), 1, 512))
+        edges.append(_uniform_edges(x, nb))
+    r_edges, w_edges = edges
+    nb_w = w_edges.size - 1
+    cell = np.empty(n, dtype=np.intp)
+
+    def chunk(a, b):
+        np.add(_uniform_cell(r[a:b], r_edges) * nb_w,
+               _uniform_cell(w[a:b], w_edges), out=cell[a:b])
+
+    _map_chunks(chunk, n)
+    hist = np.bincount(cell, weights=weights, minlength=(r_edges.size - 1) * nb_w)
+    return hist.reshape(-1, nb_w), r_edges, w_edges
+
+
 def _histogram_casimir(model: CasimirModel, r: np.ndarray, w: np.ndarray,
                        weights: np.ndarray) -> float:
     """C(f) from a histogram density estimate on phase-space cells.
@@ -198,17 +346,7 @@ def _histogram_casimir(model: CasimirModel, r: np.ndarray, w: np.ndarray,
     2*pi^2*(r2^2 - r1^2)*dw.  This estimate remains the dominant error of
     the ensemble path.
     """
-    n = r.size
-    nb = []
-    for x in (r, w):
-        sig = float(np.std(x))
-        if sig == 0.0:
-            nb.append(1)
-            continue
-        h = sig * n ** (-1.0 / 6.0)
-        nb.append(int(np.clip(np.ceil((x.max() - x.min()) / h), 1, 512)))
-    hist, (r_edges, w_edges) = np.histogramdd(
-        np.column_stack([r, w]), bins=nb, weights=weights, density=False)
+    hist, r_edges, w_edges = _phase_histogram(r, w, weights)
     ann = np.pi * (r_edges[1:] ** 2 - r_edges[:-1] ** 2)
     dw = np.diff(w_edges)
     vol = 2.0 * np.pi * ann[:, None] * dw[None, :]
@@ -228,17 +366,28 @@ def _ensemble_terms(model: CasimirModel, ens, grid: RadialGrid,
     (d(f, f0), with U0 interpolated through the binning) and epot_diff
     (E_pot(rho_f - rho0)).
     """
-    w = ens.weights
-    v2 = np.sum(ens.velocities ** 2, axis=1)
-    radii = np.hypot(ens.positions[:, 0], ens.positions[:, 1])
+    w, v = ens.weights, ens.velocities
+    n = w.size
+    radii = _radii(ens.positions)
+    w_kin, wv2 = np.empty(n), np.empty(n)
+
+    def kinetic(a, b):
+        # |v|^2 as the sum over axis 1 of v**2, bit for bit, without its
+        # per-row loop
+        v2 = np.square(v[a:b, 0])
+        v2 += np.square(v[a:b, 1])
+        np.multiply(0.5, v2, out=w_kin[a:b])
+        np.multiply(w[a:b], v2, out=wv2[a:b])
+
+    _map_chunks(kinetic, n)
     mass = float(np.sum(w))
     idx, frac, outside, lo, hi = _bin(grid, radii, w)
     op = operator_for(grid)
     rho = _ring_density(grid, idx, lo, hi)
     self_e = _self_energy(op, idx, lo, hi)
     del lo, hi  # two particle arrays fewer at the row's memory peak
-    casimir = _histogram_casimir(model, radii, 0.5 * v2, w)
-    out = {"mass": mass, "e_kin": 0.5 * float(np.sum(w * v2)),
+    casimir = _histogram_casimir(model, radii, w_kin, w)
+    out = {"mass": mass, "e_kin": 0.5 * float(np.sum(wv2)),
            "e_pot": op.potential_energy(rho) - self_e, "casimir": casimir,
            "max_r": float(np.max(radii)),
            "mass_past_grid": float(np.sum(w[outside])) / mass}
@@ -248,8 +397,14 @@ def _ensemble_terms(model: CasimirModel, ens, grid: RadialGrid,
     ringw = grid.ring_weights
     s = np.maximum(ss.s_values, 0.0)
     c_f0 = float(np.sum(ringw * 2.0 * np.pi * inv.GQ(s)))
-    U0_at = _interp(ss.U0.values, idx, frac, outside)
-    e_moment_f = float(np.sum(w * (0.5 * v2 + U0_at - ss.E0)))
+    # w * (E - E0) per particle, with U0 interpolated through the binning
+    e_f = _interp(ss.U0.values, idx, frac, outside)
+
+    def energy(a, b):
+        np.multiply(w[a:b], (w_kin[a:b] + e_f[a:b]) - ss.E0, out=e_f[a:b])
+
+    _map_chunks(energy, n)
+    e_moment_f = float(np.sum(e_f))
     # iint (E - E0) f0 = sum ringw * [2 pi G2(s) - s * 2 pi G(s)]
     e_moment_f0 = float(np.sum(ringw * 2.0 * np.pi * (inv.G2(s) - s * inv.G(s))))
     out["d_dist"] = (casimir - c_f0) + (e_moment_f - e_moment_f0)

@@ -133,6 +133,11 @@ class RadialGrid:
         clipped into [nodes[0], r_max].  A table of uniform buckets gives a
         first guess, and one comparison on each side corrects it.
         """
+        return self._locate(r)
+
+    def _locate(self, r):
+        # the body of ``locate``: the particle maps call it from pool threads,
+        # and bench/tracer.py keeps its span stack for public calls on one thread
         r = np.clip(r, self.nodes[0], self.r_max)
         if np.isnan(r).any():
             raise InputError("RadialGrid.locate: NaN radius")
@@ -205,7 +210,7 @@ class RadialProfile:
 
     @staticmethod
     def from_csv(path, nonnegative: bool = False) -> "RadialProfile":
-        data = read_csv(path)
+        data = read_csv(path, ("r", "value"))
         return RadialProfile(RadialGrid(data[0]), data[1],
                              require_nonnegative=nonnegative)
 
@@ -226,12 +231,14 @@ def write_csv(path, header: dict, names, columns):
             fh.write("".join(row % tuple(r) for r in block.tolist()))
 
 
-def read_csv(path) -> np.ndarray:
+def read_csv(path, columns=()) -> np.ndarray:
     """Columns of a CSV file as rows of a 2-d array.
 
     ``#`` lines and blank lines are skipped anywhere; the first other line
     is the column-name row.  An unreadable file, a missing name row,
-    malformed rows or a file without data rows raise ``InputError``.
+    malformed rows, a file without data rows or one with fewer columns than
+    the names in ``columns`` (the columns the caller reads) raise
+    ``InputError``.
     """
     try:
         with open(path) as fh:
@@ -250,4 +257,7 @@ def read_csv(path) -> np.ndarray:
         data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
     except ValueError as exc:
         raise InputError(f"CSV {str(path)!r} has a malformed row ({exc})") from exc
+    if data.shape[1] < len(columns):
+        raise InputError(f"CSV {str(path)!r} has {data.shape[1]} column(s); "
+                         f"expected {', '.join(columns)}")
     return data.T.copy()

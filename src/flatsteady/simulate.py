@@ -9,8 +9,12 @@ with Plummer softening.  The grid force bins the particles once per
 position update and reuses that binning for the deposit and for gathering
 the spline derivative of the kernel potential; each diagnostics row bins
 its snapshot once for all of its particle sums.
-All randomness flows through one counter-based generator (Philox) seeded
-explicitly, so runs are bit-reproducible across thread counts.
+The per-particle maps of the force step, the leapfrog updates and the
+diagnostics rows run in chunks on a pool of threads, one per CPU in the
+process's affinity set; sums, deposits and the spline stay whole-array on
+one thread, so results are bit-reproducible for any worker count.  Sampling
+and direct summation run on one thread.  All randomness flows through one
+counter-based generator (Philox) seeded explicitly.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import InputError
-from .functionals import _bin, _ensemble_terms, _ring_density, stability_distance
+from .functionals import (_bin, _ensemble_terms, _map_chunks, _radii,
+                          _ring_density, _workers, stability_distance)
 from .grids import RadialGrid
 from .potential import operator_for
 from .steady import SteadyState
@@ -145,24 +150,33 @@ def sample(ss: SteadyState, n: int, seed: int) -> ParticleEnsemble:
 
 
 def _grid_accel_arrays(x: np.ndarray, weights: np.ndarray,
-                       grid: RadialGrid) -> np.ndarray:
+                       grid: RadialGrid, out: np.ndarray = None) -> np.ndarray:
     """Axisymmetrized force from one binning of the particles.
 
     Deposit, kernel potential, and the derivative of its not-a-knot cubic
     spline gathered at each particle's cell; the force is held at its r_max
     value past the grid.  The derivative is summed in scipy's PPoly order,
     so it equals ``CubicSpline(nodes, U).derivative()(r)`` bit for bit.
+    Writes into ``out`` when given.
     """
-    radii = np.hypot(x[:, 0], x[:, 1])
-    idx, _, outside, lo, hi = _bin(grid, radii, weights)
+    radii = _radii(x)
+    idx, frac, outside, lo, hi = _bin(grid, radii, weights)
     U = operator_for(grid).potential(_ring_density(grid, idx, lo, hi))
+    del frac, lo, hi  # three particle arrays fewer while the gather runs
     dc = CubicSpline(grid.nodes, U).derivative().c
-    t = np.where(outside, grid.r_max, radii) - grid.nodes[idx]
-    dU = dc[2][idx] + dc[1][idx] * t + dc[0][idx] * (t * t)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = -dU / radii
-    scale[radii == 0.0] = 0.0  # no direction at the origin
-    return scale[:, None] * x
+    acc = np.empty_like(x) if out is None else out
+
+    def gather(a, b):
+        r, i = radii[a:b], idx[a:b]
+        t = np.where(outside[a:b], grid.r_max, r) - grid.nodes[i]
+        dU = dc[2][i] + dc[1][i] * t + dc[0][i] * (t * t)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale = -dU / r
+        scale[r == 0.0] = 0.0  # no direction at the origin
+        np.multiply(scale[:, None], x[a:b], out=acc[a:b])
+
+    _map_chunks(gather, x.shape[0])
+    return acc
 
 
 def _direct_accel_arrays(x: np.ndarray, w: np.ndarray,
@@ -184,11 +198,11 @@ def _direct_accel_arrays(x: np.ndarray, w: np.ndarray,
     return acc
 
 
-def _accel_arrays(x, weights, method, grid, eps_soft):
+def _accel_arrays(x, weights, method, grid, eps_soft, out=None):
     if method == "grid":
         if grid is None:
             raise InputError("accelerations: grid method needs a RadialGrid")
-        return _grid_accel_arrays(x, weights, grid)
+        return _grid_accel_arrays(x, weights, grid, out)
     if method == "direct":
         return _direct_accel_arrays(x, weights, eps_soft)
     raise InputError(f"accelerations: unknown method {method!r}")
@@ -274,11 +288,15 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
 
     Returns {"rows": [...], "ensemble": final, "eps_mc": noise floor,
     "escaped": count, "mass_past_grid": largest fraction of mass past the
-    grid's r_max over the rows}; rows carry the CSV columns
-    t, e_kin, e_pot, casimir, D, d_dist, epot_diff, L3, max_r.
+    grid's r_max over the rows, "clamped": sampled stragglers moved to
+    r = 0, "workers": threads of the particle maps}; rows carry the CSV
+    columns t, e_kin, e_pot, casimir, D, d_dist, epot_diff, L3, max_r.
     """
     model = model or ss.model
     ens = sample(ss, cfg.n_particles, cfg.seed)
+    # sample puts its stragglers at r = 0; any other draw lands there only
+    # for a uniform variate of exactly 0 (probability 2**-53)
+    clamped = int(np.count_nonzero(_radii(ens.positions) == 0.0))
     ens = _apply_perturbation(ens, perturbation, delta)
 
     eps_soft = cfg.eps_soft if cfg.eps_soft > 0.0 else 0.01 * ss.support_radius
@@ -298,19 +316,34 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     w = ens.weights
     t0 = ens.time
     dt = cfg.dt
+    # between passes acc holds the half kick 0.5*dt*a, which the opening
+    # kick reuses; the drift then takes it as scratch, since the force step
+    # overwrites it
     acc = _accel_arrays(x, w, cfg.method, grid, eps_soft)
+    acc *= 0.5 * dt
+
+    def kick_drift(a, b):
+        h = acc[a:b]
+        v[a:b] += h
+        x[a:b] += np.multiply(v[a:b], dt, out=h)
+
+    def kick(a, b):
+        h = acc[a:b]
+        h *= 0.5 * dt
+        v[a:b] += h
+
     for k in range(1, n_steps + 1):
-        v += 0.5 * dt * acc
-        x += dt * v
-        acc = _accel_arrays(x, w, cfg.method, grid, eps_soft)
-        v += 0.5 * dt * acc
+        _map_chunks(kick_drift, w.size)
+        acc = _accel_arrays(x, w, cfg.method, grid, eps_soft, out=acc)
+        _map_chunks(kick, w.size)
         if k % cfg.output_every == 0 or k == n_steps:
             ens = ParticleEnsemble(x.copy(), v.copy(), w, time=t0 + k * dt)
-            far = int(np.count_nonzero(ens.radii() > escape_r))
+            far = int(np.count_nonzero(_radii(x) > escape_r))
             if far > escaped:
                 escaped = far
             row, past = _diagnostics_row(model, ss, ens)
             rows.append(row)
             mass_past_grid = max(mass_past_grid, past)
     return {"rows": rows, "ensemble": ens, "eps_mc": eps_mc,
-            "escaped": escaped, "mass_past_grid": mass_past_grid}
+            "escaped": escaped, "mass_past_grid": mass_past_grid,
+            "clamped": clamped, "workers": _workers()}

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from flatsteady import (CasimirModel, RadialGrid, RadialProfile, SimConfig,
@@ -100,6 +101,18 @@ def test_criterion_06_scaling_identity(poly_half, ss_half):
         expected_mass = a * b ** -2 * c ** -2 * res["base"]["mass"]
         assert res["predicted"]["mass"] == pytest.approx(expected_mass,
                                                          rel=1e-12)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.tuples(*3 * [st.floats(np.log(0.2), np.log(5.0))]))
+def test_scaling_identity_for_random_factors(poly_half, ss_half, log_abc):
+    # criterion 06 over log-uniform (a, b, c) in [0.2, 5]^3
+    a, b, c = np.exp(log_abc)
+    res = rescale_steady(poly_half, ss_half, ScalingParams(a, b, c))
+    for key in ("mass", "e_kin", "e_pot", "casimir"):
+        rel = abs(res["direct"][key] - res["predicted"][key]) \
+            / abs(res["predicted"][key])
+        assert rel <= 1e-6, (key, a, b, c, rel)
 
 
 def test_criterion_07_scaling_inequality():

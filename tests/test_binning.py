@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from flatsteady import (RadialGrid, RadialProfile, SimConfig, evaluate_ensemble,
+from flatsteady import (CasimirModel, RadialGrid, RadialProfile, SimConfig,
+                        evaluate_ensemble,
                         run, sample, stability_distance)
 from flatsteady import grids
 from flatsteady.functionals import _bin, _interp, deposit_density
@@ -162,12 +163,20 @@ def _ref_self_energy(op, grid, radii, masses):
 def _ref_histogram_casimir(model, ens):
     r = np.hypot(ens.positions[:, 0], ens.positions[:, 1])
     w = 0.5 * np.sum(ens.velocities ** 2, axis=1)
+    return _ref_histogram_casimir_rw(model, r, w, ens.weights)
+
+
+def _ref_histogram_casimir_rw(model, r, w, weights):
     nb = []
     for x in (r, w):
-        h = float(np.std(x)) * r.size ** (-1.0 / 6.0)
+        sig = float(np.std(x))
+        if sig == 0.0:
+            nb.append(1)
+            continue
+        h = sig * r.size ** (-1.0 / 6.0)
         nb.append(int(np.clip(np.ceil((x.max() - x.min()) / h), 1, 512)))
     hist, (re, we) = np.histogramdd(np.column_stack([r, w]), bins=nb,
-                                    weights=ens.weights)
+                                    weights=weights)
     vol = 2.0 * np.pi * (np.pi * (re[1:] ** 2 - re[:-1] ** 2))[:, None] \
         * np.diff(we)[None, :]
     occ = hist > 0.0
@@ -225,6 +234,8 @@ def test_fused_row_matches_separate_paths(poly_wide, ss_wide, ens_edge):
     ref = _ref_row(poly_wide, ss_wide, ens_edge)
     for key, value in ref.items():
         assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+    # the kinetic sum and the histogram Casimir keep their arithmetic
+    assert (row["e_kin"], row["casimir"]) == (ref["e_kin"], ref["casimir"])
     d, epot_diff = stability_distance(poly_wide, ss_wide, ens_edge)
     assert (d, epot_diff) == (row["d_dist"], row["epot_diff"])
     rep = evaluate_ensemble(poly_wide, ens_edge, grid=ss_wide.grid)
@@ -257,3 +268,80 @@ def test_run_reports_mass_past_grid(poly_wide, ss_wide):
     frac0 = np.mean(6.0 * start.radii() > ss_wide.grid.r_max)
     assert frac0 > 0.0
     assert out["mass_past_grid"] >= frac0 - 1e-12
+
+
+# -- the histogram Casimir's direct bin index ------------------------------------
+
+@st.composite
+def hist_columns(draw):
+    """(r, w) samples with repeated values, a constant column or one only a
+    few ulps wide now and then, and the extremes placed more than once."""
+    n = draw(st.integers(2, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cols = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["uniform", "lattice", "constant", "skewed",
+                                     "narrow"]))
+        scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+        if kind == "uniform":
+            x = rng.random(n) * scale
+        elif kind == "narrow":  # a spread of a few ulps: bins below rounding
+            x = scale * (1.0 + rng.integers(0, 50, n) * 2.0 ** -52)
+        elif kind == "lattice":  # many values on exact multiples of a step
+            x = rng.integers(0, draw(st.integers(1, 64)), n) * (scale / 8.0)
+        elif kind == "constant":
+            x = np.full(n, scale)
+        else:
+            x = rng.exponential(scale, n) + draw(st.floats(-1e3, 1e3))
+        x[rng.integers(0, n, 3)] = x.max()
+        cols.append(x)
+    return cols[0], cols[1], rng.random(n) + 0.5
+
+
+def _place_edges(x, edges, rng):
+    """Put exact bin edges in x without moving its min or max."""
+    interior = np.nonzero((x > x.min()) & (x < x.max()))[0]
+    k = min(interior.size, edges.size - 2)
+    if k > 0:
+        x[rng.choice(interior, k, replace=False)] = rng.permutation(edges[1:-1])[:k]
+
+
+@settings(max_examples=80, deadline=None)
+@given(hist_columns(), st.integers(1, 512), st.integers(0, 2 ** 32 - 1))
+def test_uniform_cell_matches_histogramdd_rule(cols, nb, seed):
+    from flatsteady.functionals import _uniform_cell, _uniform_edges
+    x = cols[0].copy()
+    edges = _uniform_edges(x, nb)
+    _place_edges(x, edges, np.random.default_rng(seed))
+    ref_counts, ref_edges = np.histogramdd(x[:, None], bins=[nb])
+    assert np.array_equal(edges, ref_edges[0])
+    cell = _uniform_cell(x, edges)
+    assert np.array_equal(np.bincount(cell, minlength=nb), ref_counts)
+    ref_cell = np.searchsorted(edges, x, "right") - 1
+    ref_cell[x == edges[-1]] -= 1
+    assert np.array_equal(cell, ref_cell)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hist_columns(), st.integers(0, 2 ** 32 - 1))
+def test_phase_histogram_matches_histogramdd(cols, seed):
+    from flatsteady.functionals import _histogram_casimir, _phase_histogram
+    r, w, weights = cols
+    hist, r_edges, w_edges = _phase_histogram(r, w, weights)
+    # exact edges in both columns; the bin counts depend only on std, min and
+    # max, so redraw once with the edges in place
+    rng = np.random.default_rng(seed)
+    r, w = r.copy(), w.copy()
+    _place_edges(r, r_edges, rng)
+    _place_edges(w, w_edges, rng)
+    hist, r_edges, w_edges = _phase_histogram(r, w, weights)
+    ref, (ref_r, ref_w) = np.histogramdd(np.column_stack([r, w]),
+                                         bins=hist.shape, weights=weights)
+    assert np.array_equal(r_edges, ref_r) and np.array_equal(w_edges, ref_w)
+    assert hist.tobytes() == ref.tobytes()
+    model = CasimirModel.polytrope(0.5, c=57.0)
+    r, w = np.abs(r), np.abs(w)  # radii and kinetic energies
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero-area ring
+        got = _histogram_casimir(model, r, w, weights)
+        ref = _ref_histogram_casimir_rw(model, r, w, weights)
+    assert np.float64(got).tobytes() == np.float64(ref).tobytes()

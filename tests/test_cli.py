@@ -271,3 +271,35 @@ def test_state_artifact_without_model_fails(solved_dir, tmp_path):
     ini = POLY_INI.replace("[split]", "[split]\nstate = %s" % (tmp_path / "old"))
     cfg = _write_config(tmp_path / "split.ini", ini)
     assert main(["split", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
+def _one_column(path):
+    path.write_text("# one column only\nr\n0.0\n0.5\n1.0\n")
+    return path
+
+
+def test_one_column_density_table_is_usage_error(tmp_path, capsys):
+    src = _one_column(tmp_path / "density.csv")
+    cfg = _write_config(tmp_path / "table.ini",
+                        "[model]\nkind = polytrope\nmu = 0.5\n"
+                        "[table]\ndensity = %s\n" % src)
+    assert main(["potential-table", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "expected r, value" in capsys.readouterr().err
+
+
+def test_one_column_custom_table_is_usage_error(tmp_path, capsys):
+    cfg = _custom_ini(tmp_path, "f\n" + "".join("%d\n" % k for k in range(200)),
+                      "mu1 = 0.5\nmu2 = 0.5\nmu3 = 0.5\n")
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "expected f, Q" in capsys.readouterr().err
+
+
+def test_one_column_state_artifact_is_usage_error(solved_dir, tmp_path, capsys):
+    base, _ = solved_dir
+    _one_column(tmp_path / "cut.csv")
+    (tmp_path / "cut.json").write_bytes((base / "steady.json").read_bytes())
+    ini = POLY_INI.replace("[split]", "[split]\nstate = %s" % (tmp_path / "cut"))
+    cfg = _write_config(tmp_path / "split.ini", ini)
+    assert main(["split", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "expected r, rho, U" in capsys.readouterr().err
+    assert not (tmp_path / "split.json").exists()

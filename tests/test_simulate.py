@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -223,3 +225,37 @@ def test_ensemble_validation():
     with pytest.raises(InputError):
         ParticleEnsemble(np.array([[np.nan, 0.0]]), np.zeros((1, 2)),
                          np.ones(1))
+
+
+def _state_with_mass_outside(ss):
+    """ss with extra density on nodes past the support, where E0 - U0 <= 0."""
+    from flatsteady import RadialProfile
+    r = ss.grid.nodes
+    band = (r > 1.2 * ss.support_radius) & (r < 1.5 * ss.support_radius)
+    assert np.all(ss.s_values[band] <= 0.0)
+    rho = ss.rho0.values + np.where(band, 0.2 * ss.rho0.values.max(), 0.0)
+    return dataclasses.replace(ss, rho0=RadialProfile(ss.grid, rho))
+
+
+def test_run_counts_clamped_stragglers(poly_wide, ss_wide):
+    ss = _state_with_mass_outside(ss_wide)
+    cfg = SimConfig(n_particles=4000, dt=0.01, t_end=0.0, seed=6)
+    out = run(ss, cfg, model=poly_wide)
+    at_origin = int(np.count_nonzero(sample(ss, 4000, seed=6).radii() == 0.0))
+    assert out["clamped"] == at_origin > 100
+    # the same count from the radius draw itself: draws where E0 - U0 is
+    # not above sample's floor
+    r = ss.grid.nodes
+    g = 2.0 * np.pi * r * ss.rho0.values
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(r) * (g[:-1] + g[1:]))])
+    u = np.random.Generator(np.random.Philox(6)).random(4000)
+    s_at = np.maximum(ss.E0 - ss.U0(np.interp(u, cdf / cdf[-1], r)), 0.0)
+    assert out["clamped"] == np.count_nonzero(s_at <= 1e-12 * s_at.max())
+
+
+def test_run_reports_no_clamping_and_the_pool_size(poly_wide, ss_wide):
+    from flatsteady.functionals import _pool
+    cfg = SimConfig(n_particles=4000, dt=0.01, t_end=0.02, seed=6)
+    out = run(ss_wide, cfg, model=poly_wide)
+    assert out["clamped"] == 0
+    assert out["workers"] == _pool()[1] >= 1
