@@ -34,6 +34,14 @@ _GL_U = 0.5 * (_GL_NODES + 1.0)   # nodes on [0, 1]
 _GL_W = 0.5 * _GL_WEIGHTS
 
 
+def _substituted_quadrature(s, g):
+    """int_0^s g(t) dt for each s > 0 by the 64-point rule in t = s*u^2,
+    which flattens the t^mu endpoint behaviour of q; g maps a flat array."""
+    t = s[:, None] * (_GL_U ** 2)[None, :]
+    gt = g(t.ravel()).reshape(t.shape)
+    return 2.0 * s * np.sum(_GL_W * _GL_U * gt, axis=1)
+
+
 @dataclass(frozen=True)
 class CasimirModel:
     """Convex Casimir function Q with declared assumption constants.
@@ -272,11 +280,7 @@ class InverseQ:
                 mu = self._mu
                 out[pos] = self._kappa * np.power(sp, mu + 1.0) / (mu + 1.0)
             else:
-                # t = s*u^2 flattens the t^mu endpoint behaviour
-                u2 = _GL_U ** 2
-                t = sp[:, None] * u2[None, :]
-                qt = np.atleast_2d(self.q(t.ravel()).reshape(t.shape))
-                out[pos] = 2.0 * sp * np.sum(_GL_W * _GL_U * qt, axis=1)
+                out[pos] = _substituted_quadrature(sp, self.q)
         return float(out[0]) if scalar else out
 
     def G2(self, s):
@@ -293,10 +297,7 @@ class InverseQ:
                 out[pos] = (self._kappa * np.power(sp, mu + 2.0)
                             / ((mu + 1.0) * (mu + 2.0)))
             else:
-                u2 = _GL_U ** 2
-                t = sp[:, None] * u2[None, :]
-                gt = self.G(t.ravel()).reshape(t.shape)
-                out[pos] = 2.0 * sp * np.sum(_GL_W * _GL_U * gt, axis=1)
+                out[pos] = _substituted_quadrature(sp, self.G)
         return float(out[0]) if scalar else out
 
     def GQ(self, s):
@@ -311,12 +312,8 @@ class InverseQ:
         out = np.zeros_like(sv)
         pos = sv > 0.0
         if np.any(pos):
-            sp = sv[pos]
-            u2 = _GL_U ** 2
-            t = sp[:, None] * u2[None, :]
-            qt = self.q(t.ravel())
-            integ = self.model.Q(amp * qt).reshape(t.shape)
-            out[pos] = 2.0 * sp * np.sum(_GL_W * _GL_U * integ, axis=1)
+            out[pos] = _substituted_quadrature(
+                sv[pos], lambda t: self.model.Q(amp * self.q(t)))
         return float(out[0]) if np.ndim(s) == 0 else out
 
 

@@ -11,12 +11,12 @@ so only 1D radial quadratures remain.  Ensembles are evaluated directly:
 kinetic energy particle-wise, potential energy through the deposited ring
 density with per-particle self energies removed, and the Casimir through a
 phase-space histogram in the reduced coordinates (r, |v|^2/2), the dominant
-error term of the ensemble path.  The particle sums of one diagnostics row
-share one binning of the radii (``RadialGrid.locate``): the cloud-in-cell
-deposit, its self-energy and the U0 lookup read the same cells and
-fractions, and the histogram is built once.  Their per-particle maps run in
-chunks on a thread pool (``_map_chunks``); every reduction runs on the
-whole array, so no result depends on the worker count or the chunk size.
+error term of the ensemble path.  ``_bin`` is the one particle-to-grid
+step (radii, ``RadialGrid.locate`` cells and the deposit); one binning per
+position update serves the grid force, every particle sum of a diagnostics
+row and ``run``'s counts.  The per-particle maps run in chunks on a thread
+pool (``_map_chunks``); every reduction runs on the whole array, so no
+result depends on the worker count or the chunk size.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .casimir import CasimirModel
+from .casimir import _GL_U, _GL_W, CasimirModel
 from .errors import InputError
 from .grids import RadialGrid, RadialProfile
 from .potential import FlatPotentialOperator, lp_norm, operator_for
@@ -39,8 +40,6 @@ __all__ = ["FunctionalReport", "ScalingParams", "evaluate_steady",
            "split_diagnostic", "stability_distance", "bilinearity_check",
            "lower_bound_check", "interpolation_check", "deposit_density",
            "alpha_from_mu3", "proof_scaling_params"]
-
-_GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
 
 # Particles per task of ``_map_chunks``: large enough that a task's numpy
 # calls outweigh its dispatch, small enough that its temporaries stay in
@@ -185,59 +184,69 @@ def evaluate_steady(model: CasimirModel, ss: SteadyState,
 
 # -- ensemble path ---------------------------------------------------------
 
-def _radii(x: np.ndarray) -> np.ndarray:
-    """|x| of each particle position."""
-    r = np.empty(x.shape[0])
-    _map_chunks(lambda a, b: np.hypot(x[a:b, 0], x[a:b, 1], out=r[a:b]), r.size)
-    return r
+class _Binning(NamedTuple):
+    """One binning of particle positions on a grid; built by ``_bin``."""
+
+    grid: RadialGrid
+    radii: np.ndarray    # |x| of each particle
+    idx: np.ndarray      # cell, from ``grid.locate``
+    frac: np.ndarray     # in-cell fraction, from ``grid.locate``
+    outside: np.ndarray  # r > r_max: the one definition of outside the grid
+    rho: np.ndarray      # cloud-in-cell node density
 
 
-def _bin(grid: RadialGrid, radii: np.ndarray, masses: np.ndarray) -> tuple:
-    """One binning of the particles on grid, shared by every layer that needs it.
+def _cic_masses(frac, outside, masses, lo=None, hi=None) -> tuple:
+    """Cloud-in-cell masses the particles give the lower and upper node of
+    their cells; zero for particles outside the grid."""
+    kept = np.where(outside, 0.0, masses)
+    return (np.multiply(kept, 1.0 - frac, out=lo),
+            np.multiply(kept, frac, out=hi))
 
-    Returns (idx, frac, outside, lo, hi): the cell and in-cell fraction from
-    ``grid.locate``; the mask of particles past r_max, the one definition of
-    outside the grid; and the cloud-in-cell masses each particle gives the
-    two nodes of its cell, zero for particles outside.
+
+def _bin(grid: RadialGrid, x: np.ndarray, masses: np.ndarray) -> _Binning:
+    """The one particle-to-grid binning, shared by every layer that needs it.
+
+    ``x`` holds positions (N, 2) or radii (N,).  One chunked pass computes
+    each radius, its cell and fraction, the outside mask and the
+    cloud-in-cell node masses; two whole-array ``bincount`` calls sum the
+    node masses into the ring density rho, and the node masses are dropped.
     """
-    n = radii.size
+    n = masses.size
+    radii = np.empty(n) if x.ndim == 2 else x
     idx = np.empty(n, dtype=np.intp)
     frac, lo, hi = np.empty(n), np.empty(n), np.empty(n)
     outside = np.empty(n, dtype=bool)
 
     def chunk(a, b):
+        if x.ndim == 2:
+            np.hypot(x[a:b, 0], x[a:b, 1], out=radii[a:b])
         r = radii[a:b]
         idx[a:b], frac[a:b] = grid._locate(r)
-        kept = np.where(np.greater(r, grid.r_max, out=outside[a:b]), 0.0,
-                        masses[a:b])
-        np.multiply(kept, 1.0 - frac[a:b], out=lo[a:b])
-        np.multiply(kept, frac[a:b], out=hi[a:b])
+        _cic_masses(frac[a:b], np.greater(r, grid.r_max, out=outside[a:b]),
+                    masses[a:b], lo[a:b], hi[a:b])
 
     _map_chunks(chunk, n)
-    return idx, frac, outside, lo, hi
-
-
-def _ring_density(grid: RadialGrid, idx, lo, hi) -> np.ndarray:
-    """Node density of the cloud-in-cell node masses: mass / ring weight."""
-    ringw = grid.ring_weights
     rho = np.bincount(idx, weights=lo, minlength=grid.n)
     # the node above cell i is i + 1: shift instead of a second index array
     rho[1:] += np.bincount(idx, weights=hi, minlength=grid.n)[:-1]
+    ringw = grid.ring_weights
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = np.where(ringw > 0.0, rho / np.where(ringw > 0.0, ringw, 1.0), 0.0)
-    return rho
+    return _Binning(grid, radii, idx, frac, outside, rho)
 
 
-def _self_energy(op, idx, lo, hi) -> float:
+def _self_energy(op, binned: _Binning, masses: np.ndarray) -> float:
     """Sum of per-particle deposit self-energies (to subtract from E_pot)."""
     ringw = op.grid.ring_weights
     safe = np.where(ringw > 0.0, ringw, np.inf)
+    idx = binned.idx
     quad = np.empty(idx.size)
 
     def chunk(a, b):
         i = idx[a:b]
-        wa = lo[a:b] / safe[i]
-        wb = hi[a:b] / safe[1:][i]
+        wa, wb = _cic_masses(binned.frac[a:b], binned.outside[a:b], masses[a:b])
+        wa /= safe[i]
+        wb /= safe[1:][i]
         quad[a:b] = (wa * wa * op.smat_diag[i] + 2.0 * wa * wb * op.smat_super[i]
                      + wb * wb * op.smat_diag[1:][i])
 
@@ -245,12 +254,13 @@ def _self_energy(op, idx, lo, hi) -> float:
     return 0.5 * float(np.sum(quad))
 
 
-def _interp(values: np.ndarray, idx, frac, outside) -> np.ndarray:
+def _interp(values: np.ndarray, binned: _Binning) -> np.ndarray:
     """Node values interpolated linearly through the binning; 0 outside.
 
     Matches ``RadialProfile.__call__`` (``np.interp`` with right=0) to
     rounding.
     """
+    idx, frac, outside = binned.idx, binned.frac, binned.outside
     slope = np.diff(values)
     v = np.empty(idx.size)
 
@@ -271,8 +281,7 @@ def deposit_density(grid: RadialGrid, radii: np.ndarray,
     mass equals the retained particle mass, less the share assigned to a
     node of zero ring weight (a first node at r = 0).
     """
-    idx, _, _, lo, hi = _bin(grid, radii, masses)
-    return _ring_density(grid, idx, lo, hi)
+    return _bin(grid, radii, masses).rho
 
 
 def _uniform_edges(x: np.ndarray, nb: int) -> np.ndarray:
@@ -355,20 +364,18 @@ def _histogram_casimir(model: CasimirModel, r: np.ndarray, w: np.ndarray,
     return float(np.sum(model.Q(f_hat) * vol[occ]))
 
 
-def _ensemble_terms(model: CasimirModel, ens, grid: RadialGrid,
+def _ensemble_terms(model: CasimirModel, ens, binned: _Binning,
                     ss: SteadyState = None) -> dict:
-    """Every particle sum of one diagnostics row, from one pass.
+    """Every particle sum of one diagnostics row, from ``binned``, the
+    binning of the ensemble.
 
-    The radii, the binning, the deposit, its self-energy and the histogram
-    Casimir are computed once.  Returns mass, e_kin, e_pot (self-energies
-    removed, not yet clamped at 0), casimir, max_r and mass_past_grid (the
-    fraction of mass past r_max); with a steady state ss on grid also d_dist
-    (d(f, f0), with U0 interpolated through the binning) and epot_diff
-    (E_pot(rho_f - rho0)).
+    Returns mass, e_kin, e_pot (self-energies removed, not yet clamped at
+    0), casimir, max_r and mass_past_grid (the fraction of mass past r_max);
+    with a steady state ss on the binning's grid also d_dist (d(f, f0), with
+    U0 interpolated through the binning) and epot_diff (E_pot(rho_f - rho0)).
     """
     w, v = ens.weights, ens.velocities
     n = w.size
-    radii = _radii(ens.positions)
     w_kin, wv2 = np.empty(n), np.empty(n)
 
     def kinetic(a, b):
@@ -381,16 +388,14 @@ def _ensemble_terms(model: CasimirModel, ens, grid: RadialGrid,
 
     _map_chunks(kinetic, n)
     mass = float(np.sum(w))
-    idx, frac, outside, lo, hi = _bin(grid, radii, w)
+    grid = binned.grid
     op = operator_for(grid)
-    rho = _ring_density(grid, idx, lo, hi)
-    self_e = _self_energy(op, idx, lo, hi)
-    del lo, hi  # two particle arrays fewer at the row's memory peak
-    casimir = _histogram_casimir(model, radii, w_kin, w)
+    self_e = _self_energy(op, binned, w)
+    casimir = _histogram_casimir(model, binned.radii, w_kin, w)
     out = {"mass": mass, "e_kin": 0.5 * float(np.sum(wv2)),
-           "e_pot": op.potential_energy(rho) - self_e, "casimir": casimir,
-           "max_r": float(np.max(radii)),
-           "mass_past_grid": float(np.sum(w[outside])) / mass}
+           "e_pot": op.potential_energy(binned.rho) - self_e,
+           "casimir": casimir, "max_r": float(np.max(binned.radii)),
+           "mass_past_grid": float(np.sum(w[binned.outside])) / mass}
     if ss is None:
         return out
     inv = ss.inv
@@ -398,7 +403,7 @@ def _ensemble_terms(model: CasimirModel, ens, grid: RadialGrid,
     s = np.maximum(ss.s_values, 0.0)
     c_f0 = float(np.sum(ringw * 2.0 * np.pi * inv.GQ(s)))
     # w * (E - E0) per particle, with U0 interpolated through the binning
-    e_f = _interp(ss.U0.values, idx, frac, outside)
+    e_f = _interp(ss.U0.values, binned)
 
     def energy(a, b):
         np.multiply(w[a:b], (w_kin[a:b] + e_f[a:b]) - ss.E0, out=e_f[a:b])
@@ -408,7 +413,7 @@ def _ensemble_terms(model: CasimirModel, ens, grid: RadialGrid,
     # iint (E - E0) f0 = sum ringw * [2 pi G2(s) - s * 2 pi G(s)]
     e_moment_f0 = float(np.sum(ringw * 2.0 * np.pi * (inv.G2(s) - s * inv.G(s))))
     out["d_dist"] = (casimir - c_f0) + (e_moment_f - e_moment_f0)
-    out["epot_diff"] = op.potential_energy(rho - ss.rho0.values) - self_e
+    out["epot_diff"] = op.potential_energy(binned.rho - ss.rho0.values) - self_e
     return out
 
 
@@ -425,7 +430,7 @@ def evaluate_ensemble(model: CasimirModel, ens,
         radii = np.hypot(ens.positions[:, 0], ens.positions[:, 1])
         r_out = max(1.5 * float(np.max(radii)), 1e-6)
         grid = RadialGrid.hybrid(0.75 * r_out, r_out, 256)
-    t = _ensemble_terms(model, ens, grid)
+    t = _ensemble_terms(model, ens, _bin(grid, ens.positions, ens.weights))
     return FunctionalReport(mass=t["mass"], e_kin=t["e_kin"],
                             e_pot=min(t["e_pot"], 0.0), casimir=t["casimir"])
 
@@ -445,9 +450,7 @@ def _velocity_moment_direct(inv, s, c, kind, amp):
     if not np.any(pos):
         return out
     sp = s[pos]
-    t = 0.5 * (_GL64_X + 1.0)
-    wt = 0.5 * _GL64_W
-    tt = t[None, :]
+    tt = _GL_U[None, :]
     q_t = inv.q(sp[:, None] * tt ** 2)
     jac = 2.0 * sp[:, None] * tt / c ** 2
     if kind == "kinetic":
@@ -457,7 +460,7 @@ def _velocity_moment_direct(inv, s, c, kind, amp):
         vals = inv.model.Q(amp * q_t)
     else:
         raise InputError(f"unknown velocity moment kind {kind!r}")
-    out[pos] = 2.0 * np.pi * np.sum(wt[None, :] * vals * jac, axis=1)
+    out[pos] = 2.0 * np.pi * np.sum(_GL_W[None, :] * vals * jac, axis=1)
     return out
 
 
@@ -588,7 +591,7 @@ def stability_distance(model: CasimirModel, ss: SteadyState, ens) -> tuple:
     """
     if ens.positions.shape[0] == 0:
         raise InputError("stability_distance: empty ensemble")
-    t = _ensemble_terms(model, ens, ss.grid, ss)
+    t = _ensemble_terms(model, ens, _bin(ss.grid, ens.positions, ens.weights), ss)
     return t["d_dist"], t["epot_diff"]
 
 

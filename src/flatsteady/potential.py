@@ -252,18 +252,15 @@ def lp_norm(rho: RadialProfile, p: float) -> float:
     return float(np.sum(rho.grid.ring_weights * rho.values ** p) ** (1.0 / p))
 
 
-def _outer_integral(rho: RadialProfile, U: np.ndarray, R: float) -> float:
-    """-2*pi int_R^rmax r rho U dr with the lower endpoint interpolated."""
-    r = rho.grid.nodes
-    g = -2.0 * np.pi * r * rho.values * U
+def _outer_integral(r: np.ndarray, g: np.ndarray, R: float) -> float:
+    """int_R^rmax g dr by the trapezoid rule with g interpolated at R."""
     if R <= r[0]:
         return float(np.trapezoid(g, r))
     if R >= r[-1]:
         return 0.0
-    gR = float(np.interp(R, r, g))
     mask = r > R
     rr = np.concatenate([[R], r[mask]])
-    gg = np.concatenate([[gR], g[mask]])
+    gg = np.concatenate([[float(np.interp(R, r, g))], g[mask]])
     return float(np.trapezoid(gg, rr))
 
 
@@ -278,17 +275,10 @@ def outer_potential_energy(rho: RadialProfile, R: float, C: float | None = None,
     r = rho.grid.nodes
     if not (r[0] <= R <= r[-1]):
         raise InputError("outer_potential_energy: R outside grid span")
-    op = operator_for(rho.grid)
-    U = op.potential(rho.values)
-    value = _outer_integral(rho, U, R)
-    g_mass = 2.0 * np.pi * r * rho.values
-    if R >= r[-1]:
-        outer_mass = 0.0
-    else:
-        mask = r > R
-        rr = np.concatenate([[R], r[mask]])
-        gg = np.concatenate([[float(np.interp(R, r, g_mass))], g_mass[mask]])
-        outer_mass = float(np.trapezoid(gg, rr))
+    U = operator_for(rho.grid).potential(rho.values)
+    g_energy = -2.0 * np.pi * r * rho.values * U
+    value = _outer_integral(r, g_energy, R)
+    outer_mass = _outer_integral(r, 2.0 * np.pi * r * rho.values, R)
     norm43 = lp_norm(rho, 4.0 / 3.0)
     report = {
         "R": float(R),
@@ -302,7 +292,7 @@ def outer_potential_energy(rho: RadialProfile, R: float, C: float | None = None,
         report["bound_holds"] = bool(value <= rhs * (1.0 + 1e-12))
     if R_sequence is not None:
         Rs = np.asarray(R_sequence, dtype=float)
-        vals = np.array([_outer_integral(rho, U, Rk) for Rk in Rs])
+        vals = np.array([_outer_integral(r, g_energy, Rk) for Rk in Rs])
         if np.any(vals <= 0.0):
             report["decay_exponent"] = -np.inf
         else:

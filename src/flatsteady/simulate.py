@@ -5,10 +5,10 @@ draw of the radius from 2*pi*r*rho0(r), a rejection draw of the kinetic
 energy w = |v|^2/2 from q(E0 - U0(r) - w) with the constant envelope
 q(E0 - U0(r)), and uniform angles.  Evolution is kick-drift-kick leapfrog
 under either the axisymmetrized grid force or direct pairwise summation
-with Plummer softening.  The grid force bins the particles once per
-position update and reuses that binning for the deposit and for gathering
-the spline derivative of the kernel potential; each diagnostics row bins
-its snapshot once for all of its particle sums.
+with Plummer softening.  ``run`` bins the particles once per position
+update, whatever the force method; that binning serves the grid force (its
+deposit and the gather of the potential's spline derivative), the
+diagnostics row, and the escape and clamped counts.
 The per-particle maps of the force step, the leapfrog updates and the
 diagnostics rows run in chunks on a pool of threads, one per CPU in the
 process's affinity set; sums, deposits and the spline stay whole-array on
@@ -20,14 +20,14 @@ counter-based generator (Philox) seeded explicitly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import InputError
-from .functionals import (_bin, _ensemble_terms, _map_chunks, _radii,
-                          _ring_density, _workers, stability_distance)
+from .functionals import (_bin, _ensemble_terms, _map_chunks, _workers,
+                          stability_distance)
 from .grids import RadialGrid
 from .potential import operator_for
 from .steady import SteadyState
@@ -149,21 +149,20 @@ def sample(ss: SteadyState, n: int, seed: int) -> ParticleEnsemble:
     return ParticleEnsemble(positions, velocities, weights)
 
 
-def _grid_accel_arrays(x: np.ndarray, weights: np.ndarray,
-                       grid: RadialGrid, out: np.ndarray = None) -> np.ndarray:
-    """Axisymmetrized force from one binning of the particles.
+def _grid_accel_arrays(x: np.ndarray, binned,
+                       out: np.ndarray = None) -> np.ndarray:
+    """Axisymmetrized force at positions x from their binning.
 
-    Deposit, kernel potential, and the derivative of its not-a-knot cubic
-    spline gathered at each particle's cell; the force is held at its r_max
-    value past the grid.  The derivative is summed in scipy's PPoly order,
-    so it equals ``CubicSpline(nodes, U).derivative()(r)`` bit for bit.
-    Writes into ``out`` when given.
+    Kernel potential of the binning's deposit, and the derivative of its
+    not-a-knot cubic spline gathered at each particle's cell; the force is
+    held at its r_max value past the grid.  The derivative is summed in
+    scipy's PPoly order, so it equals ``CubicSpline(nodes, U).derivative()(r)``
+    bit for bit.  Writes into ``out`` when given.
     """
-    radii = _radii(x)
-    idx, frac, outside, lo, hi = _bin(grid, radii, weights)
-    U = operator_for(grid).potential(_ring_density(grid, idx, lo, hi))
-    del frac, lo, hi  # three particle arrays fewer while the gather runs
+    grid = binned.grid
+    U = operator_for(grid).potential(binned.rho)
     dc = CubicSpline(grid.nodes, U).derivative().c
+    radii, idx, outside = binned.radii, binned.idx, binned.outside
     acc = np.empty_like(x) if out is None else out
 
     def gather(a, b):
@@ -198,11 +197,15 @@ def _direct_accel_arrays(x: np.ndarray, w: np.ndarray,
     return acc
 
 
-def _accel_arrays(x, weights, method, grid, eps_soft, out=None):
+def _accel_arrays(x, weights, method, grid, eps_soft, binned=None, out=None):
+    """Accelerations at x; the grid force reads ``binned``, the binning of x
+    and weights on grid, and bins them itself when it is not given."""
     if method == "grid":
         if grid is None:
             raise InputError("accelerations: grid method needs a RadialGrid")
-        return _grid_accel_arrays(x, weights, grid, out)
+        if binned is None:
+            binned = _bin(grid, x, weights)
+        return _grid_accel_arrays(x, binned, out)
     if method == "direct":
         return _direct_accel_arrays(x, weights, eps_soft)
     raise InputError(f"accelerations: unknown method {method!r}")
@@ -247,13 +250,15 @@ def _apply_perturbation(ens: ParticleEnsemble, kind: str,
     if kind == "velocity-scale":
         return replace(ens, velocities=(1.0 + delta) * ens.velocities)
     if kind == "radius-scale":
+        if 1.0 + delta <= 0.0:
+            raise InputError("radius-scale perturbation: 1 + delta must be > 0")
         return replace(ens, positions=(1.0 + delta) * ens.positions)
     raise InputError(f"unknown perturbation kind {kind!r}")
 
 
-def _diagnostics_row(model, ss, ens) -> tuple:
-    """One time-series row, and the fraction of mass past the grid."""
-    t = _ensemble_terms(model, ens, ss.grid, ss)
+def _diagnostics_row(model, ss, ens, binned) -> tuple:
+    """One time-series row and the fraction of mass past the grid."""
+    t = _ensemble_terms(model, ens, binned, ss)
     e_pot = min(t["e_pot"], 0.0)
     row = {
         "t": ens.time,
@@ -293,19 +298,19 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     columns t, e_kin, e_pot, casimir, D, d_dist, epot_diff, L3, max_r.
     """
     model = model or ss.model
-    ens = sample(ss, cfg.n_particles, cfg.seed)
-    # sample puts its stragglers at r = 0; any other draw lands there only
-    # for a uniform variate of exactly 0 (probability 2**-53)
-    clamped = int(np.count_nonzero(_radii(ens.positions) == 0.0))
-    ens = _apply_perturbation(ens, perturbation, delta)
-
-    eps_soft = cfg.eps_soft if cfg.eps_soft > 0.0 else 0.01 * ss.support_radius
+    ens = _apply_perturbation(sample(ss, cfg.n_particles, cfg.seed),
+                              perturbation, delta)
+    w = ens.weights
     grid = ss.grid
-
-    row, mass_past_grid = _diagnostics_row(model, ss, ens)
+    binned = _bin(grid, ens.positions, w)
+    # sample's stragglers sit at r = 0, where a radius scale keeps them; any
+    # other draw lands there only for a uniform variate of exactly 0 (2**-53)
+    clamped = int(np.count_nonzero(binned.radii == 0.0))
+    row, mass_past_grid = _diagnostics_row(model, ss, ens, binned)
     rows = [row]
     eps_mc = _noise_floor(model, ss, ens, row["d_dist"])
 
+    eps_soft = cfg.eps_soft if cfg.eps_soft > 0.0 else 0.01 * ss.support_radius
     escape_r = cfg.escape_factor * ss.support_radius
     escaped = 0
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -313,13 +318,13 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     # only at diagnostic times
     x = ens.positions.copy()
     v = ens.velocities.copy()
-    w = ens.weights
     t0 = ens.time
     dt = cfg.dt
     # between passes acc holds the half kick 0.5*dt*a, which the opening
     # kick reuses; the drift then takes it as scratch, since the force step
     # overwrites it
-    acc = _accel_arrays(x, w, cfg.method, grid, eps_soft)
+    acc = _accel_arrays(x, w, cfg.method, grid, eps_soft, binned)
+    del binned  # no particle arrays kept across the kicks
     acc *= 0.5 * dt
 
     def kick_drift(a, b):
@@ -334,16 +339,16 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
 
     for k in range(1, n_steps + 1):
         _map_chunks(kick_drift, w.size)
-        acc = _accel_arrays(x, w, cfg.method, grid, eps_soft, out=acc)
+        binned = _bin(grid, x, w)
+        acc = _accel_arrays(x, w, cfg.method, grid, eps_soft, binned, acc)
         _map_chunks(kick, w.size)
         if k % cfg.output_every == 0 or k == n_steps:
             ens = ParticleEnsemble(x.copy(), v.copy(), w, time=t0 + k * dt)
-            far = int(np.count_nonzero(_radii(x) > escape_r))
-            if far > escaped:
-                escaped = far
-            row, past = _diagnostics_row(model, ss, ens)
+            escaped = max(escaped, int(np.count_nonzero(binned.radii > escape_r)))
+            row, past = _diagnostics_row(model, ss, ens, binned)
             rows.append(row)
             mass_past_grid = max(mass_past_grid, past)
+        del binned
     return {"rows": rows, "ensemble": ens, "eps_mc": eps_mc,
             "escaped": escaped, "mass_past_grid": mass_past_grid,
             "clamped": clamped, "workers": _workers()}

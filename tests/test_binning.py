@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline
 from flatsteady import (CasimirModel, RadialGrid, RadialProfile, SimConfig,
                         evaluate_ensemble,
                         run, sample, stability_distance)
-from flatsteady import grids
+from flatsteady import functionals, grids, simulate
 from flatsteady.functionals import _bin, _interp, deposit_density
 from flatsteady.potential import operator_for
 from flatsteady.simulate import (ParticleEnsemble, _diagnostics_row,
@@ -122,8 +122,7 @@ def test_interp_through_binning_matches_profile(data):
     r = data.draw(radii_on(grid))
     rng = np.random.default_rng(grid.n)
     U = -0.5 - rng.random(grid.n)          # potential-like: negative, O(1)
-    idx, frac, outside, _, _ = _bin(grid, r, np.ones_like(r))
-    got = _interp(U, idx, frac, outside)
+    got = _interp(U, _bin(grid, r, np.ones_like(r)))
     ref = RadialProfile(grid, U)(r)
     assert np.all(got[r > grid.r_max] == 0.0)
     np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
@@ -224,13 +223,15 @@ def test_force_gather_matches_spline_derivative(ss_wide, ens_edge):
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(radii > 0.0, -dU / np.where(radii > 0.0, radii, 1.0), 0.0)
     ref = scale[:, None] * x
-    got = _grid_accel_arrays(x, w, grid)
+    got = _grid_accel_arrays(x, _bin(grid, x, w))
     np.testing.assert_allclose(got, ref, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_fused_row_matches_separate_paths(poly_wide, ss_wide, ens_edge):
-    row, past = _diagnostics_row(poly_wide, ss_wide, ens_edge)
+    row, past = _diagnostics_row(poly_wide, ss_wide, ens_edge,
+                                 _bin(ss_wide.grid, ens_edge.positions,
+                                      ens_edge.weights))
     ref = _ref_row(poly_wide, ss_wide, ens_edge)
     for key, value in ref.items():
         assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
@@ -243,6 +244,28 @@ def test_fused_row_matches_separate_paths(poly_wide, ss_wide, ens_edge):
     assert past == pytest.approx(50 / ens_edge.n, rel=1e-12)
 
 
+@pytest.mark.parametrize("method,output_every",
+                         [("grid", 1), ("grid", 3), ("direct", 1)])
+def test_run_bins_once_per_position_update(monkeypatch, poly_wide, ss_wide,
+                                           method, output_every):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _bin(*args)
+
+    monkeypatch.setattr(functionals, "_bin", counted)
+    monkeypatch.setattr(simulate, "_bin", counted)
+    t_dyn = ss_wide.dynamical_time()
+    cfg = SimConfig(n_particles=2000, dt=0.01 * t_dyn, t_end=0.1 * t_dyn,
+                    method=method, seed=3, output_every=output_every)
+    out = run(ss_wide, cfg, model=poly_wide)
+    assert len(out["rows"]) == 1 + -(-10 // output_every)
+    # t = 0 and each of the 10 drifts, plus the two halves of eps_mc: the
+    # force, the rows, the escape count and clamped share these
+    assert len(calls) == 10 + 1 + 2
+
+
 # -- one definition of outside the grid ----------------------------------------
 
 def test_particle_past_grid_is_counted_and_not_deposited(poly_wide, ss_wide):
@@ -251,7 +274,8 @@ def test_particle_past_grid_is_counted_and_not_deposited(poly_wide, ss_wide):
     far = ParticleEnsemble(np.vstack([ens.positions, [[2.0 * grid.r_max, 0.0]]]),
                            np.vstack([ens.velocities, [[0.0, 0.1]]]),
                            np.append(ens.weights, 0.25))
-    _, past = _diagnostics_row(poly_wide, ss_wide, far)
+    _, past = _diagnostics_row(poly_wide, ss_wide, far,
+                               _bin(grid, far.positions, far.weights))
     assert past == pytest.approx(0.25 / far.mass, rel=1e-12)
     rho_far = deposit_density(grid, far.radii(), far.weights)
     assert np.array_equal(rho_far, deposit_density(grid, ens.radii(), ens.weights))

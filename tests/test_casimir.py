@@ -164,3 +164,49 @@ def test_inverse_roundtrip_custom_tables(model_terms, n, f_max, share):
                             mu1=0.5, mu2=0.5, mu3=0.5)
     f = share * f_max
     assert abs(m.inverse().q(m.Qp(f)) - f) <= 1e-9 * f_max
+
+
+# G, G2, GQ and GQ_scaled(amp = 0.7) at s = 0.05, 0.3, 1.0, 2.5 on the two
+# quadrature paths, as float.hex: pinned so that a change to the quadrature's
+# operation order shows
+_QUADRATURE_PINS = {
+    "double_power": {
+        "G": ["0x1.ab6c33418de95p-10", "0x1.4d773d4c365b4p-5",
+              "0x1.306b5d700b28bp-2", "0x1.3cbfcfda9cc2ap+0"],
+        "G2": ["0x1.dca111d2034f4p-16", "0x1.2319df2330ca0p-8",
+               "0x1.cf3568153f68ap-4", "0x1.364c6f549455ep+0"],
+        "GQ": ["0x1.9e7e8060f2b28p-16", "0x1.b43b434774f44p-9",
+               "0x1.2342a595add18p-4", "0x1.568d51f2be758p-1"],
+        "GQ_scaled": ["0x1.822924020e677p-17", "0x1.81106559e4969p-10",
+                      "0x1.dab98f25d8e00p-6", "0x1.0313643da106cp-2"],
+    },
+    "custom": {
+        "G": ["0x1.8f9caf9782210p-9", "0x1.6e65559f57510p-5",
+              "0x1.16b89f950c09ap-2", "0x1.13729e8cb761ep+0"],
+        "G2": ["0x1.fe17638c39825p-15", "0x1.5fb910635f26fp-8",
+               "0x1.bdeb2645f3cbcp-4", "0x1.1368a4e4262c6p+0"],
+        "GQ": ["0x1.02936acc60986p-15", "0x1.5fcef308f34f8p-9",
+               "0x1.be186390911e0p-5", "0x1.139a852efc380p-1"],
+        "GQ_scaled": ["0x1.6872b26555f83p-17", "0x1.e2da8acd74cf6p-11",
+                      "0x1.31e2aa28e2e35p-6", "0x1.79f44ca6e540dp-3"],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_QUADRATURE_PINS))
+def test_quadrature_moments_are_pinned(name):
+    if name == "double_power":
+        model = CasimirModel.double_power(0.4, 0.9, 1.0, 0.5, F0=2.0)
+    else:
+        f = np.linspace(0.0, 6.0, 200)[1:]
+        model = CasimirModel.custom(f, CasimirModel.polytrope(0.5, c=2.0).Q(f),
+                                    F0=1.0, mu1=0.5, mu2=0.5, mu3=0.5)
+    inv = model.inverse()
+    s = np.array([0.0, 0.05, 0.3, 1.0, 2.5])
+    got = {"G": inv.G(s), "G2": inv.G2(s), "GQ": inv.GQ(s),
+           "GQ_scaled": inv.GQ_scaled(s, 0.7)}
+    for fn, pins in _QUADRATURE_PINS[name].items():
+        assert got[fn][0] == 0.0, fn
+        assert [float(v).hex() for v in got[fn][1:]] == pins, fn
+    # scalars take the same path
+    assert inv.G(0.3) == got["G"][2] and inv.GQ_scaled(0.3, 0.7) == got["GQ_scaled"][2]

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from flatsteady import SimConfig, accelerations, run, sample, step
 from flatsteady import functionals
 from flatsteady.errors import InputError
+from flatsteady.functionals import _bin
 from flatsteady.simulate import ParticleEnsemble, _grid_accel_arrays
 
 # no chunk boundary of the default size falls on a multiple of a smaller one
@@ -105,7 +106,7 @@ def test_nan_radius_in_a_later_chunk_raises(monkeypatch, ss_wide, ens_pool):
         with monkeypatch.context() as m:
             pool = _use_pool(m, workers)
             with pytest.raises(InputError, match="NaN radius"):
-                _grid_accel_arrays(x, ens_pool.weights, ss_wide.grid)
+                _grid_accel_arrays(x, _bin(ss_wide.grid, x, ens_pool.weights))
             if pool is not None:
                 pool.shutdown()
 

@@ -183,6 +183,11 @@ def test_perturbation_kinds(ss_wide):
     assert same is ens
     with pytest.raises(InputError):
         _apply_perturbation(ens, "squeeze", 0.1)
+    # a radius scale by a factor <= 0 is no scale: it would put every
+    # particle at the origin or reflect it through it
+    for delta in (-1.0, -1.5):
+        with pytest.raises(InputError):
+            _apply_perturbation(ens, "radius-scale", delta)
 
 
 def test_run_emits_rows_and_noise_floor(poly_wide, ss_wide):
@@ -251,6 +256,10 @@ def test_run_counts_clamped_stragglers(poly_wide, ss_wide):
     u = np.random.Generator(np.random.Philox(6)).random(4000)
     s_at = np.maximum(ss.E0 - ss.U0(np.interp(u, cdf / cdf[-1], r)), 0.0)
     assert out["clamped"] == np.count_nonzero(s_at <= 1e-12 * s_at.max())
+    # a radius scale keeps the stragglers at r = 0 and moves no one there
+    squeezed = run(ss, cfg, perturbation="radius-scale", delta=-0.5,
+                   model=poly_wide)
+    assert squeezed["clamped"] == out["clamped"]
 
 
 def test_run_reports_no_clamping_and_the_pool_size(poly_wide, ss_wide):
