@@ -209,18 +209,23 @@ class InverseQ:
     def __call__(self, eps):
         return self.q(eps)
 
+    def _positive(self, name, s, fn):
+        """fn on the entries s > 0 and 0 elsewhere; a float for a scalar s.
+
+        Raises InputError, naming the method, on a non-finite s.
+        """
+        sv = np.atleast_1d(np.asarray(s, dtype=float))
+        if not np.all(np.isfinite(sv)):
+            raise InputError(f"{name}: non-finite argument")
+        out = np.zeros_like(sv)
+        pos = sv > 0.0
+        if np.any(pos):
+            out[pos] = fn(sv[pos])
+        return float(out[0]) if np.ndim(s) == 0 else out
+
     def q(self, eps):
         """Phase-space density q(eps); exactly 0 for eps <= 0."""
-        e = np.asarray(eps, dtype=float)
-        if not np.all(np.isfinite(e)):
-            raise InputError("q: non-finite argument")
-        scalar = np.ndim(eps) == 0
-        e = np.atleast_1d(e).astype(float)
-        out = np.zeros_like(e)
-        pos = e > 0.0
-        if np.any(pos):
-            out[pos] = self._q_positive(e[pos])
-        return float(out[0]) if scalar else out
+        return self._positive("q", eps, self._q_positive)
 
     def _q_positive(self, eps):
         if self._n_terms == 1:
@@ -267,54 +272,37 @@ class InverseQ:
 
     def G(self, s):
         """G(s) = int_0^s q(t) dt; 0 for s <= 0."""
-        sv = np.asarray(s, dtype=float)
-        if not np.all(np.isfinite(sv)):
-            raise InputError("G: non-finite argument")
-        scalar = np.ndim(s) == 0
-        sv = np.atleast_1d(sv).astype(float)
-        out = np.zeros_like(sv)
-        pos = sv > 0.0
-        if np.any(pos):
-            sp = sv[pos]
-            if self._n_terms == 1:
-                mu = self._mu
-                out[pos] = self._kappa * np.power(sp, mu + 1.0) / (mu + 1.0)
-            else:
-                out[pos] = _substituted_quadrature(sp, self.q)
-        return float(out[0]) if scalar else out
+        def g(sp):
+            if self._n_terms != 1:
+                return _substituted_quadrature(sp, self.q)
+            mu = self._mu
+            return self._kappa * np.power(sp, mu + 1.0) / (mu + 1.0)
+
+        return self._positive("G", s, g)
 
     def G2(self, s):
-        """G2(s) = int_0^s G(u) du = int_0^s (s-t) q(t) dt."""
-        sv = np.asarray(s, dtype=float)
-        scalar = np.ndim(s) == 0
-        sv = np.atleast_1d(sv).astype(float)
-        out = np.zeros_like(sv)
-        pos = sv > 0.0
-        if np.any(pos):
-            sp = sv[pos]
-            if self._n_terms == 1:
-                mu = self._mu
-                out[pos] = (self._kappa * np.power(sp, mu + 2.0)
-                            / ((mu + 1.0) * (mu + 2.0)))
-            else:
-                out[pos] = _substituted_quadrature(sp, self.G)
-        return float(out[0]) if scalar else out
+        """G2(s) = int_0^s G(u) du = int_0^s (s-t) q(t) dt; 0 for s <= 0."""
+        def g2(sp):
+            if self._n_terms != 1:
+                return _substituted_quadrature(sp, self.G)
+            mu = self._mu
+            return (self._kappa * np.power(sp, mu + 2.0)
+                    / ((mu + 1.0) * (mu + 2.0)))
+
+        return self._positive("G2", s, g2)
 
     def GQ(self, s):
         """int_0^s Q(q(t)) dt, via the identity Q(q(t)) = t*q(t) - G(t)."""
-        sv = np.atleast_1d(np.asarray(s, dtype=float))
-        out = sv * self.G(sv) - 2.0 * self.G2(sv)
-        return float(out[0]) if np.ndim(s) == 0 else out
+        return self._positive("GQ", s,
+                              lambda sp: sp * self.G(sp) - 2.0 * self.G2(sp))
 
     def GQ_scaled(self, s, amp):
         """int_0^s Q(amp * q(t)) dt by quadrature (used for rescaled states)."""
-        sv = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.zeros_like(sv)
-        pos = sv > 0.0
-        if np.any(pos):
-            out[pos] = _substituted_quadrature(
-                sv[pos], lambda t: self.model.Q(amp * self.q(t)))
-        return float(out[0]) if np.ndim(s) == 0 else out
+        def gq(sp):
+            return _substituted_quadrature(
+                sp, lambda t: self.model.Q(amp * self.q(t)))
+
+        return self._positive("GQ_scaled", s, gq)
 
 
 @dataclass

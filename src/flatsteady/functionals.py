@@ -12,9 +12,11 @@ kinetic energy particle-wise, potential energy through the deposited ring
 density with per-particle self energies removed, and the Casimir through a
 phase-space histogram in the reduced coordinates (r, |v|^2/2), the dominant
 error term of the ensemble path.  ``_bin`` is the one particle-to-grid
-step (radii, ``RadialGrid.locate`` cells and the deposit); one binning per
-position update serves the grid force, every particle sum of a diagnostics
-row and ``run``'s counts.  The per-particle maps run in chunks on a thread
+step (radii, ``RadialGrid.locate`` cells and the deposit) of particle
+positions; one binning per position update serves the grid force, every
+particle sum of a diagnostics row and ``run``'s counts.  ``_ensemble_row``
+builds that row, and ``evaluate_ensemble`` and ``stability_distance`` read
+theirs from it.  The per-particle maps run in chunks on a thread
 pool (``_map_chunks``); every reduction runs on the whole array, so no
 result depends on the worker count or the chunk size.
 """
@@ -38,8 +40,8 @@ from .steady import SteadyState
 __all__ = ["FunctionalReport", "ScalingParams", "evaluate_steady",
            "evaluate_ensemble", "rescale_steady", "scaling_inequality_check",
            "split_diagnostic", "stability_distance", "bilinearity_check",
-           "lower_bound_check", "interpolation_check", "deposit_density",
-           "alpha_from_mu3", "proof_scaling_params"]
+           "lower_bound_check", "interpolation_check", "alpha_from_mu3",
+           "proof_scaling_params"]
 
 # Particles per task of ``_map_chunks``: large enough that a task's numpy
 # calls outweigh its dispatch, small enough that its temporaries stay in
@@ -206,21 +208,20 @@ def _cic_masses(frac, outside, masses, lo=None, hi=None) -> tuple:
 def _bin(grid: RadialGrid, x: np.ndarray, masses: np.ndarray) -> _Binning:
     """The one particle-to-grid binning, shared by every layer that needs it.
 
-    ``x`` holds positions (N, 2) or radii (N,).  One chunked pass computes
-    each radius, its cell and fraction, the outside mask and the
-    cloud-in-cell node masses; two whole-array ``bincount`` calls sum the
-    node masses into the ring density rho, and the node masses are dropped.
+    One chunked pass over the positions x (N, 2) computes each radius, its
+    cell and fraction, the outside mask and the cloud-in-cell node masses;
+    two whole-array ``bincount`` calls sum the node masses into the ring
+    density rho, and the node masses are dropped.  Mass past r_max is not
+    deposited, and the share of a node of zero ring weight (a first node at
+    r = 0) drops out of rho.
     """
     n = masses.size
-    radii = np.empty(n) if x.ndim == 2 else x
-    idx = np.empty(n, dtype=np.intp)
+    radii, idx = np.empty(n), np.empty(n, dtype=np.intp)
     frac, lo, hi = np.empty(n), np.empty(n), np.empty(n)
     outside = np.empty(n, dtype=bool)
 
     def chunk(a, b):
-        if x.ndim == 2:
-            np.hypot(x[a:b, 0], x[a:b, 1], out=radii[a:b])
-        r = radii[a:b]
+        r = np.hypot(x[a:b, 0], x[a:b, 1], out=radii[a:b])
         idx[a:b], frac[a:b] = grid._locate(r)
         _cic_masses(frac[a:b], np.greater(r, grid.r_max, out=outside[a:b]),
                     masses[a:b], lo[a:b], hi[a:b])
@@ -271,17 +272,6 @@ def _interp(values: np.ndarray, binned: _Binning) -> np.ndarray:
 
     _map_chunks(chunk, idx.size)
     return v
-
-
-def deposit_density(grid: RadialGrid, radii: np.ndarray,
-                    masses: np.ndarray) -> np.ndarray:
-    """Cloud-in-cell ring deposit; returns node density values.
-
-    Mass beyond the last node is dropped (escapers); total deposited ring
-    mass equals the retained particle mass, less the share assigned to a
-    node of zero ring weight (a first node at r = 0).
-    """
-    return _bin(grid, radii, masses).rho
 
 
 def _uniform_edges(x: np.ndarray, nb: int) -> np.ndarray:
@@ -364,15 +354,15 @@ def _histogram_casimir(model: CasimirModel, r: np.ndarray, w: np.ndarray,
     return float(np.sum(model.Q(f_hat) * vol[occ]))
 
 
-def _ensemble_terms(model: CasimirModel, ens, binned: _Binning,
-                    ss: SteadyState = None) -> dict:
-    """Every particle sum of one diagnostics row, from ``binned``, the
-    binning of the ensemble.
+def _ensemble_row(model: CasimirModel, ens, binned: _Binning,
+                  ss: SteadyState = None) -> tuple:
+    """(row, mass_past_grid): one diagnostics row of the ensemble from
+    ``binned``, its binning, and the fraction of its mass past r_max.
 
-    Returns mass, e_kin, e_pot (self-energies removed, not yet clamped at
-    0), casimir, max_r and mass_past_grid (the fraction of mass past r_max);
-    with a steady state ss on the binning's grid also d_dist (d(f, f0), with
-    U0 interpolated through the binning) and epot_diff (E_pot(rho_f - rho0)).
+    The row holds t, e_kin, e_pot (self-energies removed, clamped at 0),
+    casimir, D; with a steady state ss on the binning's grid also d_dist
+    (d(f, f0), with U0 interpolated through the binning) and epot_diff
+    (E_pot(rho_f - rho0)); then L3 and max_r.
     """
     w, v = ens.weights, ens.velocities
     n = w.size
@@ -392,29 +382,36 @@ def _ensemble_terms(model: CasimirModel, ens, binned: _Binning,
     op = operator_for(grid)
     self_e = _self_energy(op, binned, w)
     casimir = _histogram_casimir(model, binned.radii, w_kin, w)
-    out = {"mass": mass, "e_kin": 0.5 * float(np.sum(wv2)),
-           "e_pot": op.potential_energy(binned.rho) - self_e,
-           "casimir": casimir, "max_r": float(np.max(binned.radii)),
-           "mass_past_grid": float(np.sum(w[binned.outside])) / mass}
-    if ss is None:
-        return out
-    inv = ss.inv
-    ringw = grid.ring_weights
-    s = np.maximum(ss.s_values, 0.0)
-    c_f0 = float(np.sum(ringw * 2.0 * np.pi * inv.GQ(s)))
-    # w * (E - E0) per particle, with U0 interpolated through the binning
-    e_f = _interp(ss.U0.values, binned)
+    e_kin = 0.5 * float(np.sum(wv2))
+    e_pot = min(op.potential_energy(binned.rho) - self_e, 0.0)
+    row = {"t": ens.time, "e_kin": e_kin, "e_pot": e_pot, "casimir": casimir,
+           "D": (e_kin + casimir) + e_pot}
+    if ss is not None:
+        inv = ss.inv
+        ringw = grid.ring_weights
+        s = np.maximum(ss.s_values, 0.0)
+        c_f0 = float(np.sum(ringw * 2.0 * np.pi * inv.GQ(s)))
+        # w * (E - E0) per particle, with U0 interpolated through the binning
+        e_f = _interp(ss.U0.values, binned)
 
-    def energy(a, b):
-        np.multiply(w[a:b], (w_kin[a:b] + e_f[a:b]) - ss.E0, out=e_f[a:b])
+        def energy(a, b):
+            np.multiply(w[a:b], (w_kin[a:b] + e_f[a:b]) - ss.E0, out=e_f[a:b])
 
-    _map_chunks(energy, n)
-    e_moment_f = float(np.sum(e_f))
-    # iint (E - E0) f0 = sum ringw * [2 pi G2(s) - s * 2 pi G(s)]
-    e_moment_f0 = float(np.sum(ringw * 2.0 * np.pi * (inv.G2(s) - s * inv.G(s))))
-    out["d_dist"] = (casimir - c_f0) + (e_moment_f - e_moment_f0)
-    out["epot_diff"] = op.potential_energy(binned.rho - ss.rho0.values) - self_e
-    return out
+        _map_chunks(energy, n)
+        e_moment_f = float(np.sum(e_f))
+        del e_f
+        # iint (E - E0) f0 = sum ringw * [2 pi G2(s) - s * 2 pi G(s)]
+        e_moment_f0 = float(np.sum(ringw * 2.0 * np.pi
+                                   * (inv.G2(s) - s * inv.G(s))))
+        row["d_dist"] = (casimir - c_f0) + (e_moment_f - e_moment_f0)
+        row["epot_diff"] = (op.potential_energy(binned.rho - ss.rho0.values)
+                            - self_e)
+    # the particle arrays go first, so L3's temporaries take their memory
+    # rather than raise the peak
+    del w_kin, wv2
+    row["L3"] = ens.angular_momentum()
+    row["max_r"] = float(np.max(binned.radii))
+    return row, float(np.sum(w[binned.outside])) / mass
 
 
 def evaluate_ensemble(model: CasimirModel, ens,
@@ -430,9 +427,9 @@ def evaluate_ensemble(model: CasimirModel, ens,
         radii = np.hypot(ens.positions[:, 0], ens.positions[:, 1])
         r_out = max(1.5 * float(np.max(radii)), 1e-6)
         grid = RadialGrid.hybrid(0.75 * r_out, r_out, 256)
-    t = _ensemble_terms(model, ens, _bin(grid, ens.positions, ens.weights))
-    return FunctionalReport(mass=t["mass"], e_kin=t["e_kin"],
-                            e_pot=min(t["e_pot"], 0.0), casimir=t["casimir"])
+    row, _ = _ensemble_row(model, ens, _bin(grid, ens.positions, ens.weights))
+    return FunctionalReport(mass=ens.mass, e_kin=row["e_kin"],
+                            e_pot=row["e_pot"], casimir=row["casimir"])
 
 
 # -- scaling ---------------------------------------------------------------
@@ -591,8 +588,9 @@ def stability_distance(model: CasimirModel, ss: SteadyState, ens) -> tuple:
     """
     if ens.positions.shape[0] == 0:
         raise InputError("stability_distance: empty ensemble")
-    t = _ensemble_terms(model, ens, _bin(ss.grid, ens.positions, ens.weights), ss)
-    return t["d_dist"], t["epot_diff"]
+    row, _ = _ensemble_row(model, ens, _bin(ss.grid, ens.positions,
+                                            ens.weights), ss)
+    return row["d_dist"], row["epot_diff"]
 
 
 # -- structural checks -----------------------------------------------------

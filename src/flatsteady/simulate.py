@@ -5,10 +5,12 @@ draw of the radius from 2*pi*r*rho0(r), a rejection draw of the kinetic
 energy w = |v|^2/2 from q(E0 - U0(r) - w) with the constant envelope
 q(E0 - U0(r)), and uniform angles.  Evolution is kick-drift-kick leapfrog
 under either the axisymmetrized grid force or direct pairwise summation
-with Plummer softening.  ``run`` bins the particles once per position
-update, whatever the force method; that binning serves the grid force (its
+with Plummer softening; ``_kdk`` is the one leapfrog, which ``step`` and
+``run`` both call.  ``run`` bins the particles once per position update,
+whatever the force method; that binning serves the grid force (its
 deposit and the gather of the potential's spline derivative), the
-diagnostics row, and the escape and clamped counts.
+diagnostics row (``functionals._ensemble_row``), and the escape and
+clamped counts.
 The per-particle maps of the force step, the leapfrog updates and the
 diagnostics rows run in chunks on a pool of threads, one per CPU in the
 process's affinity set; sums, deposits and the spline stay whole-array on
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import InputError
-from .functionals import (_bin, _ensemble_terms, _map_chunks, _workers,
+from .functionals import (_bin, _ensemble_row, _map_chunks, _workers,
                           stability_distance)
 from .grids import RadialGrid
 from .potential import operator_for
@@ -178,12 +180,15 @@ def _grid_accel_arrays(x: np.ndarray, binned,
     return acc
 
 
-def _direct_accel_arrays(x: np.ndarray, w: np.ndarray,
-                         eps_soft: float) -> np.ndarray:
-    """Pairwise softened sum a_i = -sum_j w_j (x_i-x_j)/(|..|^2+eps^2)^1.5."""
+def _direct_accel_arrays(x: np.ndarray, w: np.ndarray, eps_soft: float,
+                         out: np.ndarray = None) -> np.ndarray:
+    """Pairwise softened sum a_i = -sum_j w_j (x_i-x_j)/(|..|^2+eps^2)^1.5.
+
+    Writes into ``out`` when given.
+    """
     if eps_soft <= 0.0:
         raise InputError("direct summation requires eps_soft > 0")
-    acc = np.zeros_like(x)
+    acc = np.empty_like(x) if out is None else out
     block = 2048
     eps2 = eps_soft * eps_soft
     for lo in range(0, x.shape[0], block):
@@ -207,7 +212,7 @@ def _accel_arrays(x, weights, method, grid, eps_soft, binned=None, out=None):
             binned = _bin(grid, x, weights)
         return _grid_accel_arrays(x, binned, out)
     if method == "direct":
-        return _direct_accel_arrays(x, weights, eps_soft)
+        return _direct_accel_arrays(x, weights, eps_soft, out)
     raise InputError(f"accelerations: unknown method {method!r}")
 
 
@@ -220,6 +225,31 @@ def accelerations(ens: ParticleEnsemble, method: str = "grid",
     return _accel_arrays(ens.positions, ens.weights, method, grid, eps_soft)
 
 
+def _kdk(x: np.ndarray, v: np.ndarray, kick: np.ndarray, dt: float, force):
+    """One kick-drift-kick step of x and v in place: the one leapfrog.
+
+    ``kick`` holds the opening half kick 0.5*dt*a at x.  The drift takes it
+    as scratch once v has it; ``force(x, kick)`` then writes the
+    acceleration at the new x into it, and the closing kick scales it in
+    place, so on return ``kick`` holds the next step's half kick.  Returns
+    what ``force`` returned.  The updates run in chunks and allocate nothing.
+    """
+    def kick_drift(a, b):
+        h = kick[a:b]
+        v[a:b] += h
+        x[a:b] += np.multiply(v[a:b], dt, out=h)
+
+    def close(a, b):
+        h = kick[a:b]
+        h *= 0.5 * dt
+        v[a:b] += h
+
+    _map_chunks(kick_drift, v.shape[0])
+    result = force(x, kick)
+    _map_chunks(close, v.shape[0])
+    return result
+
+
 def step(ens: ParticleEnsemble, dt: float, method: str = "grid",
          grid: RadialGrid = None, eps_soft: float = 0.0,
          acc: np.ndarray = None) -> tuple:
@@ -230,17 +260,19 @@ def step(ens: ParticleEnsemble, dt: float, method: str = "grid",
     """
     if acc is None:
         acc = accelerations(ens, method, grid, eps_soft)
-    v_half = ens.velocities + 0.5 * dt * acc
-    x_new = ens.positions + dt * v_half
-    acc_new = _accel_arrays(x_new, ens.weights, method, grid, eps_soft)
-    v_new = v_half + 0.5 * dt * acc_new
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
-        bad = np.nonzero(~(np.isfinite(x_new).all(axis=1)
-                           & np.isfinite(v_new).all(axis=1)))[0]
+    x, v, w = ens.positions.copy(), ens.velocities.copy(), ens.weights
+
+    def force(x, out):
+        # a copy, since the closing kick scales the buffer in place
+        return _accel_arrays(x, w, method, grid, eps_soft, out=out).copy()
+
+    acc_new = _kdk(x, v, 0.5 * dt * acc, dt, force)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+        bad = np.nonzero(~(np.isfinite(x).all(axis=1)
+                           & np.isfinite(v).all(axis=1)))[0]
         raise InputError(f"step: non-finite coordinates for particle index "
                          f"{int(bad[0])} after dt={dt:g}")
-    out = ParticleEnsemble(x_new, v_new, ens.weights, time=ens.time + dt)
-    return out, acc_new
+    return ParticleEnsemble(x, v, w, time=ens.time + dt), acc_new
 
 
 def _apply_perturbation(ens: ParticleEnsemble, kind: str,
@@ -254,24 +286,6 @@ def _apply_perturbation(ens: ParticleEnsemble, kind: str,
             raise InputError("radius-scale perturbation: 1 + delta must be > 0")
         return replace(ens, positions=(1.0 + delta) * ens.positions)
     raise InputError(f"unknown perturbation kind {kind!r}")
-
-
-def _diagnostics_row(model, ss, ens, binned) -> tuple:
-    """One time-series row and the fraction of mass past the grid."""
-    t = _ensemble_terms(model, ens, binned, ss)
-    e_pot = min(t["e_pot"], 0.0)
-    row = {
-        "t": ens.time,
-        "e_kin": t["e_kin"],
-        "e_pot": e_pot,
-        "casimir": t["casimir"],
-        "D": (t["e_kin"] + t["casimir"]) + e_pot,
-        "d_dist": t["d_dist"],
-        "epot_diff": t["epot_diff"],
-        "L3": ens.angular_momentum(),
-        "max_r": t["max_r"],
-    }
-    return row, t["mass_past_grid"]
 
 
 def _noise_floor(model, ss, ens, d0: float) -> float:
@@ -306,7 +320,7 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     # sample's stragglers sit at r = 0, where a radius scale keeps them; any
     # other draw lands there only for a uniform variate of exactly 0 (2**-53)
     clamped = int(np.count_nonzero(binned.radii == 0.0))
-    row, mass_past_grid = _diagnostics_row(model, ss, ens, binned)
+    row, mass_past_grid = _ensemble_row(model, ens, binned, ss)
     rows = [row]
     eps_mc = _noise_floor(model, ss, ens, row["d_dist"])
 
@@ -314,38 +328,27 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     escape_r = cfg.escape_factor * ss.support_radius
     escaped = 0
     n_steps = int(round(cfg.t_end / cfg.dt))
-    # tight kick-drift-kick loop on raw arrays; ensembles are materialized
-    # only at diagnostic times
+    # the leapfrog steps raw arrays in place; ensembles are materialized only
+    # at diagnostic times
     x = ens.positions.copy()
     v = ens.velocities.copy()
     t0 = ens.time
     dt = cfg.dt
-    # between passes acc holds the half kick 0.5*dt*a, which the opening
-    # kick reuses; the drift then takes it as scratch, since the force step
-    # overwrites it
-    acc = _accel_arrays(x, w, cfg.method, grid, eps_soft, binned)
-    del binned  # no particle arrays kept across the kicks
-    acc *= 0.5 * dt
+    kick = _accel_arrays(x, w, cfg.method, grid, eps_soft, binned)
+    del binned  # no particle arrays kept across the steps
+    kick *= 0.5 * dt
 
-    def kick_drift(a, b):
-        h = acc[a:b]
-        v[a:b] += h
-        x[a:b] += np.multiply(v[a:b], dt, out=h)
-
-    def kick(a, b):
-        h = acc[a:b]
-        h *= 0.5 * dt
-        v[a:b] += h
+    def force(x, out):
+        binned = _bin(grid, x, w)
+        _accel_arrays(x, w, cfg.method, grid, eps_soft, binned, out)
+        return binned
 
     for k in range(1, n_steps + 1):
-        _map_chunks(kick_drift, w.size)
-        binned = _bin(grid, x, w)
-        acc = _accel_arrays(x, w, cfg.method, grid, eps_soft, binned, acc)
-        _map_chunks(kick, w.size)
+        binned = _kdk(x, v, kick, dt, force)
         if k % cfg.output_every == 0 or k == n_steps:
             ens = ParticleEnsemble(x.copy(), v.copy(), w, time=t0 + k * dt)
             escaped = max(escaped, int(np.count_nonzero(binned.radii > escape_r)))
-            row, past = _diagnostics_row(model, ss, ens, binned)
+            row, past = _ensemble_row(model, ens, binned, ss)
             rows.append(row)
             mass_past_grid = max(mass_past_grid, past)
         del binned

@@ -33,6 +33,9 @@ __all__ = ["SteadyState", "SolverOptions", "solve", "density_from_potential",
            "regularity_report"]
 
 _SUPPORT_CUT = 1e-14  # rho below this fraction of its max counts as zero
+_E0_BRACKET = (-1e12, -1e-15)  # a converged cutoff energy lies inside
+_OUTER_TOL = 1e-10  # |A - 1| at which the outer edge iteration stops
+_MAX_OUTER = 40  # outer edge iterations before giving up
 
 
 @dataclass
@@ -41,19 +44,14 @@ class SolverOptions:
     max_iters: int = 400
     residual_tol: float = 1e-11
     mass_tol: float = 1e-9
-    e0_bracket: tuple = (-1e12, -1e-15)
     n: int = 384
     r_edge_seed: float = 1.0
-    outer_tol: float = 1e-10
-    max_outer: int = 40
 
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
             raise InputError("SolverOptions: damping must lie in (0, 1]")
-        if self.residual_tol <= 0 or self.mass_tol <= 0 or self.outer_tol <= 0:
+        if self.residual_tol <= 0 or self.mass_tol <= 0:
             raise InputError("SolverOptions: tolerances must be positive")
-        if self.e0_bracket[1] >= 0 or self.e0_bracket[0] >= self.e0_bracket[1]:
-            raise InputError("SolverOptions: E0 bracket must be negative and ordered")
         if self.r_edge_seed <= 0:
             raise InputError("SolverOptions: edge seed radius must be positive")
 
@@ -157,14 +155,14 @@ def solve(model: CasimirModel, M: float, opts: Optional[SolverOptions] = None) -
     grid, (rho, U, E0, A1, res, inner_it) = evaluate(R1)
     # first jump assumes A ~ R^(-1/2) (exact for the mu3 = 1/2 scaling
     # family, a good local model otherwise), then secant in log-log
-    R2 = R1 if abs(A1 - 1.0) < opts.outer_tol else R1 * A1 ** 2
+    R2 = R1 if abs(A1 - 1.0) < _OUTER_TOL else R1 * A1 ** 2
     A = A1
-    for outer in range(opts.max_outer):
-        if abs(A - 1.0) < opts.outer_tol:
+    for outer in range(_MAX_OUTER):
+        if abs(A - 1.0) < _OUTER_TOL:
             break
         R2 = min(max(R2, 0.25 * R1), 4.0 * R1)
         grid, (rho, U, E0, A2, res, inner_it) = evaluate(R2)
-        if abs(A2 - 1.0) < opts.outer_tol:
+        if abs(A2 - 1.0) < _OUTER_TOL:
             A = A2
             break
         dlog = np.log(A2 / A1)
@@ -177,7 +175,7 @@ def solve(model: CasimirModel, M: float, opts: Optional[SolverOptions] = None) -
         R2 = R2 * np.exp(-np.log(A2) / p)
     else:
         raise ConvergenceError(
-            f"no outer convergence in {opts.max_outer} edge iterations "
+            f"no outer convergence in {_MAX_OUTER} edge iterations "
             f"(renormalization defect {A - 1.0:.3e})")
 
     ringw = grid.ring_weights
@@ -186,10 +184,10 @@ def solve(model: CasimirModel, M: float, opts: Optional[SolverOptions] = None) -
     mass = float(np.sum(ringw * rho))
     if abs(mass - M) > opts.mass_tol * M:
         raise ConvergenceError(f"mass defect {abs(mass - M):.3e} exceeds tolerance")
-    if not (opts.e0_bracket[0] < E0 < opts.e0_bracket[1]):
+    if not (_E0_BRACKET[0] < E0 < _E0_BRACKET[1]):
         raise ConvergenceError(
             f"converged cutoff energy E0={E0:g} falls outside the bracket "
-            f"{opts.e0_bracket}")
+            f"{_E0_BRACKET}")
 
     r = grid.nodes
     nz = np.nonzero(rho > _SUPPORT_CUT * np.max(rho))[0]

@@ -16,14 +16,18 @@ from flatsteady import (CasimirModel, RadialGrid, RadialProfile, SimConfig,
                         evaluate_ensemble,
                         run, sample, stability_distance)
 from flatsteady import functionals, grids, simulate
-from flatsteady.functionals import _bin, _interp, deposit_density
+from flatsteady.functionals import _bin, _ensemble_row, _interp
 from flatsteady.potential import operator_for
-from flatsteady.simulate import (ParticleEnsemble, _diagnostics_row,
-                                 _grid_accel_arrays)
+from flatsteady.simulate import ParticleEnsemble, _grid_accel_arrays
 
 
 def _searchsorted_cells(grid, r):
     return np.clip(np.searchsorted(grid.nodes, r, "right") - 1, 0, grid.n - 2)
+
+
+def _on_axis(r):
+    """Positions (r, 0): their binning has the radii r exactly."""
+    return np.column_stack([r, np.zeros_like(r)])
 
 
 @st.composite
@@ -102,7 +106,7 @@ def test_deposit_keeps_the_retained_mass(data):
     grid = data.draw(grids_any())
     r = data.draw(radii_on(grid))
     m = np.random.default_rng(r.size).random(r.size) + 0.5
-    rho = deposit_density(grid, r, m)
+    rho = _bin(grid, _on_axis(r), m).rho
     inside = r <= grid.r_max
     retained = float(np.sum(m[inside]))
     # a node of zero ring weight (r = 0) holds no density: the share of
@@ -122,7 +126,7 @@ def test_interp_through_binning_matches_profile(data):
     r = data.draw(radii_on(grid))
     rng = np.random.default_rng(grid.n)
     U = -0.5 - rng.random(grid.n)          # potential-like: negative, O(1)
-    got = _interp(U, _bin(grid, r, np.ones_like(r)))
+    got = _interp(U, _bin(grid, _on_axis(r), np.ones_like(r)))
     ref = RadialProfile(grid, U)(r)
     assert np.all(got[r > grid.r_max] == 0.0)
     np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
@@ -229,9 +233,11 @@ def test_force_gather_matches_spline_derivative(ss_wide, ens_edge):
 
 
 def test_fused_row_matches_separate_paths(poly_wide, ss_wide, ens_edge):
-    row, past = _diagnostics_row(poly_wide, ss_wide, ens_edge,
-                                 _bin(ss_wide.grid, ens_edge.positions,
-                                      ens_edge.weights))
+    row, past = _ensemble_row(poly_wide, ens_edge,
+                              _bin(ss_wide.grid, ens_edge.positions,
+                                   ens_edge.weights), ss_wide)
+    assert list(row) == ["t", "e_kin", "e_pot", "casimir", "D", "d_dist",
+                         "epot_diff", "L3", "max_r"]
     ref = _ref_row(poly_wide, ss_wide, ens_edge)
     for key, value in ref.items():
         assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
@@ -274,11 +280,11 @@ def test_particle_past_grid_is_counted_and_not_deposited(poly_wide, ss_wide):
     far = ParticleEnsemble(np.vstack([ens.positions, [[2.0 * grid.r_max, 0.0]]]),
                            np.vstack([ens.velocities, [[0.0, 0.1]]]),
                            np.append(ens.weights, 0.25))
-    _, past = _diagnostics_row(poly_wide, ss_wide, far,
-                               _bin(grid, far.positions, far.weights))
+    binned = _bin(grid, far.positions, far.weights)
+    _, past = _ensemble_row(poly_wide, far, binned, ss_wide)
     assert past == pytest.approx(0.25 / far.mass, rel=1e-12)
-    rho_far = deposit_density(grid, far.radii(), far.weights)
-    assert np.array_equal(rho_far, deposit_density(grid, ens.radii(), ens.weights))
+    assert np.array_equal(binned.rho,
+                          _bin(grid, ens.positions, ens.weights).rho)
 
 
 def test_run_reports_mass_past_grid(poly_wide, ss_wide):

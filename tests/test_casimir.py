@@ -210,3 +210,21 @@ def test_quadrature_moments_are_pinned(name):
         assert [float(v).hex() for v in got[fn][1:]] == pins, fn
     # scalars take the same path
     assert inv.G(0.3) == got["G"][2] and inv.GQ_scaled(0.3, 0.7) == got["GQ_scaled"][2]
+
+
+@pytest.mark.parametrize("kind", ["polytrope", "double_power", "custom"])
+@pytest.mark.parametrize("method", ["q", "G", "G2", "GQ", "GQ_scaled"])
+def test_inverse_rejects_non_finite_arguments(kind, method):
+    f = np.linspace(0.0, 3.0, 40)
+    model = {"polytrope": CasimirModel.polytrope(0.5, c=1.0),
+             "double_power": CasimirModel.double_power(0.4, 0.9, 1.0, 0.5),
+             "custom": CasimirModel.custom(f, f ** 3, F0=1.0, mu1=0.5,
+                                           mu2=0.5, mu3=0.5)}[kind]
+    fn = getattr(model.inverse(), method)
+    extra = (0.7,) if method == "GQ_scaled" else ()
+    for bad in (np.array([0.1, np.nan]), np.nan, np.array([np.inf, 0.1])):
+        with pytest.raises(InputError, match=f"^{method}: non-finite"):
+            fn(bad, *extra)
+    # negative and zero arguments give exactly 0, and a scalar a float
+    assert fn(-0.5, *extra) == 0.0 and fn(0.0, *extra) == 0.0
+    assert isinstance(fn(0.1, *extra), float)

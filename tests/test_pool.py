@@ -78,25 +78,35 @@ def test_outputs_do_not_depend_on_workers_or_chunks(monkeypatch, poly_wide,
             assert value.tobytes() == res[key].tobytes(), (label, key)
 
 
-def test_run_leapfrog_matches_whole_array_updates(monkeypatch, poly_wide, ss_wide):
+@pytest.mark.parametrize("method", ["grid", "direct"])
+def test_run_leapfrog_matches_whole_array_updates(monkeypatch, poly_wide,
+                                                  ss_wide, method):
     # the chunked kicks reuse the half kick and the force buffer; the
-    # positions and velocities still equal the plain kick-drift-kick
+    # positions and velocities still equal the plain kick-drift-kick, and
+    # k calls of step give the same bytes as run's k steps
     _use_pool(monkeypatch, 2, chunk=997)
+    n = 5000 if method == "grid" else 2000
     t_dyn = ss_wide.dynamical_time()
-    cfg = SimConfig(n_particles=5000, dt=0.01 * t_dyn, t_end=0.04 * t_dyn,
-                    seed=2, output_every=4)
+    cfg = SimConfig(n_particles=n, dt=0.01 * t_dyn, t_end=0.04 * t_dyn,
+                    method=method, seed=2, output_every=4)
     out = run(ss_wide, cfg, model=poly_wide)
-    ens = sample(ss_wide, 5000, seed=2)
+    eps_soft = 0.01 * ss_wide.support_radius
+    ens = sample(ss_wide, n, seed=2)
     x, v, dt = ens.positions.copy(), ens.velocities.copy(), cfg.dt
-    acc = accelerations(ens, "grid", ss_wide.grid)
+    acc = accelerations(ens, method, ss_wide.grid, eps_soft)
+    stepped, acc_step = ens, acc
     for _ in range(4):
         v += 0.5 * dt * acc
         x += dt * v
-        acc = accelerations(ParticleEnsemble(x, v, ens.weights), "grid",
-                            ss_wide.grid)
+        acc = accelerations(ParticleEnsemble(x, v, ens.weights), method,
+                            ss_wide.grid, eps_soft)
         v += 0.5 * dt * acc
-    assert out["ensemble"].positions.tobytes() == x.tobytes()
-    assert out["ensemble"].velocities.tobytes() == v.tobytes()
+        stepped, acc_step = step(stepped, dt, method, ss_wide.grid, eps_soft,
+                                 acc=acc_step)
+    for final in (out["ensemble"], stepped):
+        assert final.positions.tobytes() == x.tobytes()
+        assert final.velocities.tobytes() == v.tobytes()
+    assert acc_step.tobytes() == acc.tobytes()
 
 
 def test_nan_radius_in_a_later_chunk_raises(monkeypatch, ss_wide, ens_pool):

@@ -66,8 +66,6 @@ def test_solver_options_validation():
         SolverOptions(damping=0.0)
     with pytest.raises(InputError):
         SolverOptions(residual_tol=-1.0)
-    with pytest.raises(InputError):
-        SolverOptions(e0_bracket=(-1.0, 1.0))
 
 
 def test_double_power_state_converges():
