@@ -80,6 +80,21 @@ def _stamp(cfg_path, seed=None, grid: RadialGrid = None) -> dict:
 
 _REQUIRED = object()
 
+# The keys each section may hold.  One file serves every command, so every
+# command accepts all of them; any other section or key is a usage error.
+_STATE_KEYS = {"state", "mass"}
+_KEYS = {
+    "model": {"kind", "f0", "mu", "c", "mu1", "mu2", "mu3", "c1", "c2", "table"},
+    "solver": {"n"},
+    "solve": {"mass"},
+    "scaling": {"m1", "m2"},
+    "split": {"radius", "radius_fraction", "c"} | _STATE_KEYS,
+    "evolve": {"seed", "n_particles", "dt_over_tdyn", "t_end_over_tdyn",
+               "method", "eps_soft", "output_every", "perturbation",
+               "delta"} | _STATE_KEYS,
+    "table": {"density"},
+}
+
 
 def _load_config(path) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
@@ -89,12 +104,21 @@ def _load_config(path) -> configparser.ConfigParser:
         raise InputError(f"config file {path!r} is malformed ({exc})") from exc
     if not read:
         raise InputError(f"config file {path!r} not found or unreadable")
+    if cp.defaults():
+        raise InputError(f"config: unknown section [{cp.default_section}]")
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise InputError(f"config: unknown section [{section}]")
+        for key in cp.options(section):
+            if key not in _KEYS[section]:
+                raise InputError(f"config: unknown key {key!r} in [{section}]")
     return cp
 
 
 def _get(cp, section, key, default=_REQUIRED, type_=float):
     """``[section] key`` converted by ``type_``; InputError if it is malformed
     or, without a default, missing."""
+    assert key in _KEYS[section], f"[{section}] {key} is not declared in _KEYS"
     if not cp.has_option(section, key):
         if default is _REQUIRED:
             raise InputError(f"config: [{section}] needs {key}")
@@ -126,14 +150,7 @@ def _model_from_config(cp: configparser.ConfigParser) -> CasimirModel:
 
 
 def _solver_opts(cp: configparser.ConfigParser) -> SolverOptions:
-    return SolverOptions(
-        damping=_get(cp, "solver", "damping", 0.5),
-        max_iters=_get(cp, "solver", "max_iters", 400, int),
-        residual_tol=_get(cp, "solver", "residual_tol", 1e-11),
-        mass_tol=_get(cp, "solver", "mass_tol", 1e-9),
-        n=_get(cp, "solver", "n", 384, int),
-        r_edge_seed=_get(cp, "solver", "r_edge_seed", 1.0),
-    )
+    return SolverOptions(n=_get(cp, "solver", "n", 384, int))
 
 
 # -- steady-state artifacts ------------------------------------------------

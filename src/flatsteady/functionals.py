@@ -173,11 +173,7 @@ def evaluate_steady(model: CasimirModel, ss: SteadyState,
         raise InputError(
             f"evaluate_steady: state residual {ss.residual:.3e} exceeds "
             f"{residual_cap:.1e}; not a converged steady state")
-    inv = ss.inv
-    ringw = ss.grid.ring_weights
-    s = np.maximum(ss.s_values, 0.0)
-    e_kin = float(np.sum(ringw * 2.0 * np.pi * inv.G2(s)))
-    casimir = float(np.sum(ringw * 2.0 * np.pi * inv.GQ(s)))
+    e_kin, casimir, _ = ss.moments
     op = operator_for(ss.grid)
     e_pot = op.potential_energy(ss.rho0.values)
     return FunctionalReport(mass=ss.mass, e_kin=e_kin, e_pot=min(e_pot, 0.0),
@@ -387,10 +383,7 @@ def _ensemble_row(model: CasimirModel, ens, binned: _Binning,
     row = {"t": ens.time, "e_kin": e_kin, "e_pot": e_pot, "casimir": casimir,
            "D": (e_kin + casimir) + e_pot}
     if ss is not None:
-        inv = ss.inv
-        ringw = grid.ring_weights
-        s = np.maximum(ss.s_values, 0.0)
-        c_f0 = float(np.sum(ringw * 2.0 * np.pi * inv.GQ(s)))
+        _, c_f0, e_moment_f0 = ss.moments
         # w * (E - E0) per particle, with U0 interpolated through the binning
         e_f = _interp(ss.U0.values, binned)
 
@@ -400,9 +393,6 @@ def _ensemble_row(model: CasimirModel, ens, binned: _Binning,
         _map_chunks(energy, n)
         e_moment_f = float(np.sum(e_f))
         del e_f
-        # iint (E - E0) f0 = sum ringw * [2 pi G2(s) - s * 2 pi G(s)]
-        e_moment_f0 = float(np.sum(ringw * 2.0 * np.pi
-                                   * (inv.G2(s) - s * inv.G(s))))
         row["d_dist"] = (casimir - c_f0) + (e_moment_f - e_moment_f0)
         row["epot_diff"] = (op.potential_energy(binned.rho - ss.rho0.values)
                             - self_e)

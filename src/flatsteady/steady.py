@@ -13,14 +13,17 @@ trial edge radius R the inner sweep sets E0 = U(R), applies the map and
 renormalizes to the target mass, which removes the unstable amplitude and
 scale modes.  The renormalization factor A(R) at the inner fixed point is
 smooth and monotone in R, and A(R*) = 1 exactly at the self-consistent
-state; an outer log-log secant iteration drives A to one, rescaling the
-grid around each trial R so the support always sits well inside it.
+state.  The outer iteration drives A to one, rescaling the grid around
+each trial R so the support sits well inside it: a first jump R*A^2 from
+R = 1, then the unclamped log-log secant through the last two (R, A)
+pairs.  One power term has A ~ R^(mu-1) exactly, so two evaluations fix
+the slope and the secant lands: a polytrope takes at most three.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -33,27 +36,18 @@ __all__ = ["SteadyState", "SolverOptions", "solve", "density_from_potential",
            "regularity_report"]
 
 _SUPPORT_CUT = 1e-14  # rho below this fraction of its max counts as zero
-_E0_BRACKET = (-1e12, -1e-15)  # a converged cutoff energy lies inside
+_DAMPING = 0.5  # weight of the mapped density in each inner sweep
+_MAX_SWEEPS = 400  # inner sweeps per trial edge radius before giving up
+_RESIDUAL_TOL = 1e-11  # relative inner residual at which a sweep stops
+_MASS_TOL = 1e-9  # relative mass defect a converged state may carry
+_R_SEED = 1.0  # first trial edge radius
 _OUTER_TOL = 1e-10  # |A - 1| at which the outer edge iteration stops
-_MAX_OUTER = 40  # outer edge iterations before giving up
+_MAX_OUTER = 40  # outer edge evaluations before giving up
 
 
 @dataclass
 class SolverOptions:
-    damping: float = 0.5
-    max_iters: int = 400
-    residual_tol: float = 1e-11
-    mass_tol: float = 1e-9
-    n: int = 384
-    r_edge_seed: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.damping <= 1.0):
-            raise InputError("SolverOptions: damping must lie in (0, 1]")
-        if self.residual_tol <= 0 or self.mass_tol <= 0:
-            raise InputError("SolverOptions: tolerances must be positive")
-        if self.r_edge_seed <= 0:
-            raise InputError("SolverOptions: edge seed radius must be positive")
+    n: int = 384  # nodes of each trial grid
 
 
 @dataclass
@@ -80,6 +74,16 @@ class SteadyState:
         """E0 - U0 at the nodes (positive on the support)."""
         return self.E0 - self.U0.values
 
+    @functools.cached_property
+    def moments(self) -> tuple:
+        """(kinetic energy, Casimir, iint (E - E0) f0) of f0, computed once."""
+        ringw = self.grid.ring_weights
+        s = np.maximum(self.s_values, 0.0)
+        g, g2 = self.inv.G(s), self.inv.G2(s)
+        return (float(np.sum(ringw * 2.0 * np.pi * g2)),
+                float(np.sum(ringw * 2.0 * np.pi * (s * g - 2.0 * g2))),
+                float(np.sum(ringw * 2.0 * np.pi * (g2 - s * g))))
+
     def dynamical_time(self) -> float:
         return 2.0 * np.pi * np.sqrt(self.support_radius ** 3 / self.mass)
 
@@ -92,8 +96,7 @@ def density_from_potential(model: CasimirModel, E0: float,
                          require_nonnegative=True)
 
 
-def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
-                 opts: SolverOptions):
+def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float):
     """Edge-pinned, mass-renormalized fixed point for a trial edge radius R.
 
     Returns (rho, U, E0, A, residual, iterations) where A is the factor that
@@ -105,97 +108,92 @@ def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
     rho = M * a_seed / (2.0 * np.pi * (r ** 2 + a_seed ** 2) ** 1.5)
     rho *= M / np.sum(ringw * rho)
 
-    lam = opts.damping
     grow_count = 0
     prev_res = np.inf
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, _MAX_SWEEPS + 1):
         U = op.potential(rho)
+        if not np.all(np.isfinite(U)):
+            raise ConvergenceError(
+                f"the potential at edge radius R={R:g} leaves the float64 range")
         E0 = float(np.interp(R, r, U))
         raw = 2.0 * np.pi * inv.G(E0 - U)
         raw_mass = float(np.sum(ringw * raw))
-        if raw_mass <= 0.0:
+        if not 0.0 < raw_mass < np.inf:
             raise ConvergenceError(
-                f"edge-pinned map produced zero mass at R={R:g}")
+                f"edge-pinned map produced mass {raw_mass:g} at R={R:g}")
         A = M / raw_mass
         rho_map = A * raw
         res = float(np.max(np.abs(rho_map - rho)) / np.max(rho_map))
-        if res <= opts.residual_tol:
+        if res <= _RESIDUAL_TOL:
             return rho_map, U, E0, A, res, it
         if res > prev_res * (1.0 + 1e-12):
             grow_count += 1
             if grow_count >= 10:
                 raise ConvergenceError(
                     f"inner residual grew for 10 consecutive sweeps at "
-                    f"R={R:g} (residual {res:.3e}); try a smaller damping factor")
+                    f"R={R:g} (residual {res:.3e})")
         else:
             grow_count = 0
         prev_res = res
-        rho = (1.0 - lam) * rho + lam * rho_map
+        rho = (1.0 - _DAMPING) * rho + _DAMPING * rho_map
     raise ConvergenceError(
-        f"no inner convergence in {opts.max_iters} sweeps at R={R:g} "
+        f"no inner convergence in {_MAX_SWEEPS} sweeps at R={R:g} "
         f"(residual {res:.3e})")
 
 
-def solve(model: CasimirModel, M: float, opts: Optional[SolverOptions] = None) -> SteadyState:
+def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> SteadyState:
     """Compute the steady state of total mass M for the given Casimir model."""
     if M <= 0:
         raise InputError("solve: target mass must be positive")
-    opts = opts or SolverOptions()
+    n = (opts or SolverOptions()).n
     inv = model.inverse()
     # uniform core covers the support with margin; short log tail for the
     # edge interpolation of U.  Exact multiples of one shape share one
     # operator assembly (see potential.operator_for).
-    unit = RadialGrid.hybrid(0.25, 1.0, opts.n).shape().nodes
+    unit = RadialGrid.hybrid(0.25, 1.0, n).shape().nodes
 
-    def evaluate(R):
-        g = RadialGrid(5.0 * R * unit, scheme="hybrid")
-        return g, _inner_sweep(inv, operator_for(g), g, M, R, opts)
-
-    R1 = opts.r_edge_seed
-    grid, (rho, U, E0, A1, res, inner_it) = evaluate(R1)
-    # first jump assumes A ~ R^(-1/2) (exact for the mu3 = 1/2 scaling
-    # family, a good local model otherwise), then secant in log-log
-    R2 = R1 if abs(A1 - 1.0) < _OUTER_TOL else R1 * A1 ** 2
-    A = A1
-    for outer in range(_MAX_OUTER):
+    R, R_prev, A_prev = _R_SEED, None, None
+    for _ in range(_MAX_OUTER):
+        grid = RadialGrid(5.0 * R * unit, scheme="hybrid")
+        rho, U, E0, A, _, inner_it = _inner_sweep(inv, operator_for(grid), grid, M, R)
         if abs(A - 1.0) < _OUTER_TOL:
             break
-        R2 = min(max(R2, 0.25 * R1), 4.0 * R1)
-        grid, (rho, U, E0, A2, res, inner_it) = evaluate(R2)
-        if abs(A2 - 1.0) < _OUTER_TOL:
-            A = A2
-            break
-        dlog = np.log(A2 / A1)
-        if dlog == 0.0 or R2 == R1:
+        if R_prev is not None:
+            dlog = np.log(A / A_prev)
+            if dlog == 0.0 or R == R_prev:
+                raise ConvergenceError(
+                    "outer edge iteration stalled: the mass renormalization "
+                    "factor does not respond to the edge radius")
+            p = dlog / np.log(R / R_prev)  # local log-log slope of A(R)
+        R_next = R * (np.float64(A) ** 2 if R_prev is None
+                      else np.exp(-np.log(A) / p))
+        if not 0.0 < R_next < np.inf:
             raise ConvergenceError(
-                "outer edge iteration stalled: the mass renormalization "
-                "factor does not respond to the edge radius")
-        p = dlog / np.log(R2 / R1)
-        R1, A1, A = R2, A2, A2
-        R2 = R2 * np.exp(-np.log(A2) / p)
+                f"outer edge step from R={R:g} (renormalization defect "
+                f"{A - 1.0:.3e}) leaves the float64 range")
+        R_prev, A_prev, R = R, A, R_next
     else:
         raise ConvergenceError(
-            f"no outer convergence in {_MAX_OUTER} edge iterations "
+            f"no outer convergence in {_MAX_OUTER} edge evaluations "
             f"(renormalization defect {A - 1.0:.3e})")
 
     ringw = grid.ring_weights
     rho_check = 2.0 * np.pi * inv.G(E0 - U)
     residual = float(np.max(np.abs(rho_check - rho)) / np.max(rho))
     mass = float(np.sum(ringw * rho))
-    if abs(mass - M) > opts.mass_tol * M:
+    if abs(mass - M) > _MASS_TOL * M:
         raise ConvergenceError(f"mass defect {abs(mass - M):.3e} exceeds tolerance")
-    if not (_E0_BRACKET[0] < E0 < _E0_BRACKET[1]):
+    if not (np.isfinite(E0) and E0 < 0.0):
         raise ConvergenceError(
-            f"converged cutoff energy E0={E0:g} falls outside the bracket "
-            f"{_E0_BRACKET}")
+            f"converged cutoff energy E0={E0:g} is not that of a bound state")
 
     r = grid.nodes
     nz = np.nonzero(rho > _SUPPORT_CUT * np.max(rho))[0]
     support_radius = float(r[nz[-1]]) if nz.size else 0.0
     if nz.size and nz[-1] >= r.size - 2:
         raise GridTooSmallError(
-            f"support reaches the grid edge (r_max={grid.r_max:g}); rerun with "
-            "a larger r_max")
+            f"support reaches the grid edge (r_max={grid.r_max:g}, edge "
+            f"radius R={R:g}, residual {residual:.3e})")
 
     return SteadyState(
         model=model, E0=float(E0), grid=grid,

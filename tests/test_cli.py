@@ -215,6 +215,27 @@ def test_non_numeric_value_is_usage_error(tmp_path, command, old, new):
     assert not (tmp_path / "steady.csv").exists()
 
 
+@pytest.mark.parametrize("old,new,named", [
+    ("n_particles = 5000", "n_partciles = 10", "'n_partciles' in [evolve]"),
+    ("n = 192", "n = 192\ndamping = 0.3", "'damping' in [solver]"),
+    ("[split]", "[splitt]", "[splitt]"),
+    ("[model]", "[DEFAULT]\nmass = 1.0\n[model]", "[DEFAULT]"),
+])
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, old, new, named):
+    cfg = _write_config(tmp_path / "bad.ini", POLY_INI.replace(old, new))
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "validate.json").exists()
+
+
+def test_solve_past_float64_exits_1(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "edge.ini",
+                        "[model]\nkind = polytrope\nmu = 0.999\n[solver]\nn = 128\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "float64" in capsys.readouterr().err
+    assert not (tmp_path / "steady.json").exists()
+
+
 def test_malformed_config_is_usage_error(tmp_path):
     cfg = _write_config(tmp_path / "bad.ini", POLY_INI + "mass = 2.0\n[solve]\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2

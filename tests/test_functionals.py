@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from flatsteady import (CasimirModel, ScalingParams, SolverOptions,
+from flatsteady import (CasimirModel, ScalingParams, SolverOptions, solve,
                         evaluate_ensemble, evaluate_steady, rescale_steady,
                         sample, scaling_inequality_check, split_diagnostic,
                         stability_distance)
-from flatsteady.functionals import (alpha_from_mu3, bilinearity_check,
+from flatsteady.functionals import (_bin, _ensemble_row, _interp,
+                                    alpha_from_mu3, bilinearity_check,
                                     calibrate_lower_bound, interpolation_check,
                                     lower_bound_check, proof_scaling_params)
 from flatsteady.simulate import ParticleEnsemble
@@ -165,3 +168,37 @@ def test_stability_distance_consistency(poly_wide, ss_wide):
     # near-exact sample: d small and nonnegative up to Monte-Carlo noise
     assert d >= -0.01 * abs(rep_s.d)
     assert abs(d) < 0.05 * abs(rep_s.d)
+
+
+def _states(poly_wide, ss_wide):
+    """A polytrope, a double-power and a custom-table state."""
+    dp = CasimirModel.double_power(0.4, 0.9, 1.0, 0.5, F0=2.0)
+    f = np.linspace(0.0, 6.0, 200)
+    custom = CasimirModel.custom(f, f ** 3, F0=1.0, mu1=0.5, mu2=0.5, mu3=0.5)
+    return [(poly_wide, ss_wide), (dp, solve(dp, 1.0, SolverOptions(n=192))),
+            # the custom model on the polytrope's potential: the sums need
+            # only E0, U0 and q, not a self-consistent state
+            (custom, dataclasses.replace(ss_wide, model=custom, inv=None))]
+
+
+def test_moment_sums_match_inline_expressions(poly_wide, ss_wide):
+    # the ring sums the functionals built inline before SteadyState.moments
+    for model, ss in _states(poly_wide, ss_wide):
+        inv, ringw = ss.inv, ss.grid.ring_weights
+        s = np.maximum(ss.s_values, 0.0)
+        e_kin = float(np.sum(ringw * 2.0 * np.pi * inv.G2(s)))
+        c_f0 = float(np.sum(ringw * 2.0 * np.pi * inv.GQ(s)))
+        e_moment_f0 = float(np.sum(ringw * 2.0 * np.pi
+                                   * (inv.G2(s) - s * inv.G(s))))
+        assert ss.moments == (e_kin, c_f0, e_moment_f0)
+        rep = evaluate_steady(model, ss)
+        assert (rep.e_kin, rep.casimir) == (e_kin, c_f0)
+
+        ens = sample(ss, 2000, seed=5)
+        binned = _bin(ss.grid, ens.positions, ens.weights)
+        row, _ = _ensemble_row(model, ens, binned, ss)
+        w, v = ens.weights, ens.velocities
+        e_f = _interp(ss.U0.values, binned)
+        w_kin = 0.5 * (np.square(v[:, 0]) + np.square(v[:, 1]))
+        e_moment_f = float(np.sum(w * ((w_kin + e_f) - ss.E0)))
+        assert row["d_dist"] == (row["casimir"] - c_f0) + (e_moment_f - e_moment_f0)

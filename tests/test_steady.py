@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatsteady import (CasimirModel, RadialGrid, RadialProfile,
                         SolverOptions, density_from_potential,
-                        regularity_report, solve)
-from flatsteady.errors import InputError
+                        regularity_report, solve, steady)
+from flatsteady.errors import ConvergenceError, InputError
 
 
 def test_density_from_potential_oracle(poly_half):
@@ -61,13 +62,6 @@ def test_solver_rejects_nonpositive_mass(poly_half):
         solve(poly_half, -1.0)
 
 
-def test_solver_options_validation():
-    with pytest.raises(InputError):
-        SolverOptions(damping=0.0)
-    with pytest.raises(InputError):
-        SolverOptions(residual_tol=-1.0)
-
-
 def test_double_power_state_converges():
     model = CasimirModel.double_power(0.4, 0.9, 1.0, 0.5, F0=2.0)
     ss = solve(model, 1.0, SolverOptions(n=192))
@@ -90,3 +84,71 @@ def test_regularity_edge_exponent(ss_half):
 
 def test_dynamical_time_positive(ss_half):
     assert ss_half.dynamical_time() > 0.0
+
+
+# -- the outer edge iteration at the edges of the model family --------------
+
+def _counted_solve(model, M, n):
+    """(state, outer evaluations) of solve(model, M) on n-node grids."""
+    evals = [0]
+
+    def counted(*args):
+        evals[0] += 1
+        return sweep(*args)
+
+    sweep = steady._inner_sweep
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(steady, "_inner_sweep", counted)
+        ss = solve(model, M, SolverOptions(n=n))
+    return ss, evals[0]
+
+
+def _assert_converged(ss, M):
+    assert np.isfinite(ss.E0) and ss.E0 < 0.0
+    assert abs(ss.mass - M) <= 1e-9 * M
+    assert ss.residual <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.05, 0.95), st.floats(-2.0, 4.0), st.floats(-2.0, 2.0))
+def test_polytrope_solves_in_three_outer_evaluations(mu, log_c, log_m):
+    # one power term has A ~ R^(mu - 1) exactly, so the first secant lands
+    M = 10.0 ** log_m
+    ss, evals = _counted_solve(CasimirModel.polytrope(mu, c=10.0 ** log_c), M, 128)
+    _assert_converged(ss, M)
+    assert evals <= 3
+
+
+@pytest.mark.parametrize("mu,c,M", [(0.8, 0.01, 1.0), (0.95, 57.0, 0.01)])
+def test_polytrope_far_from_unit_scales_converges(mu, c, M):
+    # E0 = -3.9e12 and R = 9.3e51: no absolute bracket holds these states
+    ss, evals = _counted_solve(CasimirModel.polytrope(mu, c=c), M, 192)
+    _assert_converged(ss, M)
+    assert evals <= 3
+
+
+@pytest.mark.parametrize("mus", [(0.1, 0.9), (0.9, 0.2)])
+@pytest.mark.parametrize("M", [0.01, 100.0])
+def test_double_power_extreme_mass_converges(mus, M):
+    ss, _ = _counted_solve(CasimirModel.double_power(*mus), M, 192)
+    _assert_converged(ss, M)
+
+
+@pytest.mark.parametrize("mu", [0.999, 0.995])
+def test_state_past_float64_is_convergence_error(mu):
+    # the edge radius is near 1e-1000 at mu = 0.999: the secant step leaves
+    # float64; near 1e-200 at mu = 0.995: the trial potential does
+    with pytest.raises(ConvergenceError, match="float64"):
+        solve(CasimirModel.polytrope(mu), 1.0, SolverOptions(n=128))
+
+
+def test_renormalization_that_ignores_r_stalls(monkeypatch, poly_half):
+    sweep = steady._inner_sweep
+
+    def deaf(*args):
+        rho, U, E0, A, res, it = sweep(*args)
+        return rho, U, E0, 2.0, res, it
+
+    monkeypatch.setattr(steady, "_inner_sweep", deaf)
+    with pytest.raises(ConvergenceError, match="stalled"):
+        solve(poly_half, 1.0, SolverOptions(n=128))
