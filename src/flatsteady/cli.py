@@ -2,10 +2,14 @@
 
 Commands: validate, solve, scaling, split, evolve, potential-table.
 Configs are INI files with one section per concern ([model], [solver],
-[scaling], [split], [evolve], [table]); every output embeds the tool
-version, the SHA-256 of the config file, the RNG seed, and the grid hash,
-so a rerun with the same inputs reproduces the bytes exactly.  Exit codes:
-0 success, 1 numerical or check failure, 2 usage or config error.
+[solve], [scaling], [split], [evolve], [table]).  The JSON outputs carry
+the tool version and a prefix of the config file's SHA-256, plus the grid
+hash when they describe a state and the RNG seed for evolve; steady.csv and
+potential.csv carry the version and grid hash, timeseries.csv the version,
+seed and grid hash, snapshot.csv the seed, N, dt and method.  A rerun with
+the same inputs reproduces the bytes exactly.  Exit codes: 0 success, 1
+numerical or check failure (a stale state artifact included), 2 usage or
+config error (an inadmissible model included).
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from .functionals import (evaluate_steady, scaling_inequality_check,
                           split_diagnostic)
 from .grids import RadialGrid, RadialProfile, read_csv, write_csv
 from .potential import potential_from_density
-from .steady import SolverOptions, SteadyState, regularity_report, solve
+from .steady import (_MASS_TOL, SolverOptions, SteadyState, regularity_report,
+                     solve)
 from .simulate import SimConfig, run
 
 __all__ = ["main"]
@@ -82,9 +87,15 @@ _REQUIRED = object()
 
 # The keys each section may hold.  One file serves every command, so every
 # command accepts all of them; any other section or key is a usage error.
+# [model] holds kind, f0 and the keys of its kind only.
+_MODEL_KEYS = {
+    "polytrope": {"mu", "c", "mu3"},
+    "double_power": {"mu1", "mu2", "c1", "c2"},
+    "custom": {"table", "mu1", "mu2", "mu3"},
+}
 _STATE_KEYS = {"state", "mass"}
 _KEYS = {
-    "model": {"kind", "f0", "mu", "c", "mu1", "mu2", "mu3", "c1", "c2", "table"},
+    "model": {"kind", "f0"}.union(*_MODEL_KEYS.values()),
     "solver": {"n"},
     "solve": {"mass"},
     "scaling": {"m1", "m2"},
@@ -133,6 +144,12 @@ def _model_from_config(cp: configparser.ConfigParser) -> CasimirModel:
     if "model" not in cp:
         raise InputError("config: missing [model] section")
     kind = _get(cp, "model", "kind", "polytrope", str)
+    if kind not in _MODEL_KEYS:
+        raise InputError(f"config: unknown model kind {kind!r}")
+    unread = set(cp.options("model")) - {"kind", "f0"} - _MODEL_KEYS[kind]
+    if unread:
+        raise InputError(f"config: [model] kind = {kind} does not read "
+                         f"{', '.join(map(repr, sorted(unread)))}")
     F0 = _get(cp, "model", "f0", 1.0)
     if kind == "polytrope":
         return CasimirModel.polytrope(
@@ -141,12 +158,10 @@ def _model_from_config(cp: configparser.ConfigParser) -> CasimirModel:
     if kind == "double_power":
         mu1, mu2, c1, c2 = (_get(cp, "model", k) for k in ("mu1", "mu2", "c1", "c2"))
         return CasimirModel.double_power(mu1, mu2, c1, c2, F0=F0)
-    if kind == "custom":
-        table = read_csv(_get(cp, "model", "table", type_=str), ("f", "Q"))
-        mu1, mu2, mu3 = (_get(cp, "model", k) for k in ("mu1", "mu2", "mu3"))
-        return CasimirModel.custom(table[0], table[1], F0=F0,
-                                   mu1=mu1, mu2=mu2, mu3=mu3)
-    raise InputError(f"config: unknown model kind {kind!r}")
+    table = read_csv(_get(cp, "model", "table", type_=str), ("f", "Q"))
+    mu1, mu2, mu3 = (_get(cp, "model", k) for k in ("mu1", "mu2", "mu3"))
+    return CasimirModel.custom(table[0], table[1], F0=F0,
+                               mu1=mu1, mu2=mu2, mu3=mu3)
 
 
 def _solver_opts(cp: configparser.ConfigParser) -> SolverOptions:
@@ -212,11 +227,26 @@ def _read_state(prefix, model) -> SteadyState:
 
 
 def _state_for(cp, args, model, out_dir):
-    """Load the referenced artifact if configured, else solve in-process."""
+    """Load the referenced artifact if configured, else solve in-process.
+
+    A configured mass or ``[solver] n`` that the artifact does not match
+    marks it stale, like another model's artifact.
+    """
     prefix = _get(cp, args.command, "state", None, str)
+    mass = _get(cp, args.command, "mass", None)
     if prefix:
-        return _read_state(prefix, model)
-    ss = solve(model, _get(cp, args.command, "mass", 1.0), _solver_opts(cp))
+        ss = _read_state(prefix, model)
+        if mass is not None and abs(mass - ss.mass) > _MASS_TOL * ss.mass:
+            raise FlatSteadyError(
+                f"stale artifact: {prefix!r} has mass {ss.mass:.17g}, the "
+                f"config asks for [{args.command}] mass = {mass:g}")
+        n = _get(cp, "solver", "n", None, int)
+        if n is not None and n != ss.grid.n:
+            raise FlatSteadyError(
+                f"stale artifact: {prefix!r} has {ss.grid.n} nodes, the "
+                f"config asks for [solver] n = {n}")
+        return ss
+    ss = solve(model, 1.0 if mass is None else mass, _solver_opts(cp))
     _write_state(out_dir, "steady", ss, args.config, model)
     return ss
 

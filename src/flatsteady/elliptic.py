@@ -3,8 +3,10 @@
 K enters the in-plane potential of a razor-thin axisymmetric density via the
 kernel argument xi = 2*sqrt(r*s)/(r+s), which tends to 1 (and K diverges
 logarithmically) as the two radii coincide.  K is evaluated with the
-arithmetic-geometric mean iteration, K = pi / (2*AGM(1, sqrt(1-xi^2))),
-which converges quadratically.
+arithmetic-geometric mean iteration, K = pi / (2*AGM(1, kp)), which
+converges quadratically; kp = sqrt(1-xi^2) is the complementary modulus.
+``elliptic_k`` takes xi; the potential kernel passes kp = |r-s|/(r+s)
+directly, which stays exact as s -> r where xi rounds towards 1.
 """
 
 from __future__ import annotations
@@ -15,6 +17,15 @@ from .errors import InputError
 
 __all__ = ["elliptic_k", "kbound_check"]
 
+
+def _k_complementary(kp):
+    """K from the complementary modulus kp = sqrt(1 - xi^2) in (0, 1], by the AGM."""
+    a, b = np.ones_like(kp), kp
+    # quadratic convergence; 12 sweeps reach machine precision down to
+    # kp = 1e-200 and the iteration is stationary once a == b
+    for _ in range(12):
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    return np.pi / (2.0 * a)
 
 
 def elliptic_k(xi):
@@ -28,14 +39,8 @@ def elliptic_k(xi):
         raise InputError("elliptic_k: non-finite modulus")
     if np.any(x < 0.0) or np.any(x >= 1.0):
         raise InputError("elliptic_k: modulus must lie in [0, 1)")
-    a = np.ones_like(x)
     # 1 - xi^2 factored to preserve precision for xi near 1
-    b = np.sqrt((1.0 - x) * (1.0 + x))
-    # quadratic convergence; 12 sweeps reach machine precision from any
-    # admissible modulus and the iteration is stationary once a == b
-    for _ in range(12):
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    out = np.pi / (2.0 * a)
+    out = _k_complementary(np.sqrt((1.0 - x) * (1.0 + x)))
     if np.isscalar(xi) or np.ndim(xi) == 0:
         return float(out)
     return out

@@ -9,7 +9,7 @@ class InputError(FlatSteadyError):
     """Invalid argument (non-finite value, bad range, empty input)."""
 
 
-class ModelDefinitionError(FlatSteadyError):
+class ModelDefinitionError(InputError):
     """A Casimir model definition is inconsistent (e.g. non-monotone Q')."""
 
 

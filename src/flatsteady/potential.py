@@ -5,9 +5,12 @@ The potential of a flat density rho(s) at planar radius r is
     U(r) = -4 * int_0^inf s/(r+s) * rho(s) * K(2*sqrt(r*s)/(r+s)) ds,
 
 with K the complete elliptic integral of the first kind.  The kernel is
-logarithmically singular at s = r; panels touching the singularity are
-integrated by splitting K into a smooth remainder plus ln|r-s|, whose
-moments against local polynomials are known in closed form.
+logarithmically singular at s = r.  Every panel is integrated by
+Gauss-Legendre: 8 points on a panel away from the node, and on the two
+panels touching it a 16-point rule graded towards the node, |s - r| =
+h*u^4 for u in [0, 1], which turns the endpoint logarithm into a smooth
+integrand in u.  The AGM takes the complementary modulus |r-s|/(r+s),
+which stays exact as s -> r.
 
 The discrete operator is a dense matrix U = Kmat @ rho (density
 interpolated by local quadratics between nodes).  The kernel is homogeneous
@@ -23,7 +26,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .elliptic import elliptic_k
+from .elliptic import _k_complementary
 from .errors import InputError
 from .grids import RadialGrid, RadialProfile
 
@@ -37,15 +40,18 @@ __all__ = [
 
 _ROW_BLOCK = 128  # rows assembled per vectorized block (memory cap)
 _GL8 = np.polynomial.legendre.leggauss(8)  # Gauss-Legendre rule per regular panel
+# 16-point rule for the panels touching a node: u in [0, 1], |s - r_i| =
+# h*u^4, so ds = 4*h*u^3 du and the weights below take h as a factor
+_NODES16, _WEIGHTS16 = np.polynomial.legendre.leggauss(16)
+_GRADED_U = 0.5 * (_NODES16 + 1.0)
+_GRADED_W = 2.0 * _WEIGHTS16 * _GRADED_U ** 3
 _CACHE_SIZE = 8   # operators kept by operator_for, least recently used dropped
 
 
 def _kern(r, s):
     """Kernel -4*s/(r+s) * K(xi), vectorized; r and s broadcastable, r != s."""
     denom = r + s
-    xi = 2.0 * np.sqrt(np.maximum(r * s, 0.0)) / np.where(denom > 0, denom, 1.0)
-    xi = np.minimum(xi, 1.0 - 1e-15)
-    return -4.0 * s / np.where(denom > 0, denom, 1.0) * elliptic_k(xi)
+    return -4.0 * s / denom * _k_complementary(np.abs(r - s) / denom)
 
 
 def _lagrange3(s, x0, x1, x2):
@@ -53,39 +59,6 @@ def _lagrange3(s, x0, x1, x2):
     return np.stack([(s - x1) * (s - x2) / ((x0 - x1) * (x0 - x2)),
                      (s - x0) * (s - x2) / ((x1 - x0) * (x1 - x2)),
                      (s - x0) * (s - x1) / ((x2 - x0) * (x2 - x1))], axis=-1)
-
-
-def _log_moments(h):
-    """M_k = int_0^h u^k ln(u) du for k = 0, 1, 2."""
-    lh = np.log(h)
-    return (h * (lh - 1.0),
-            0.5 * h * h * (lh - 0.5),
-            h ** 3 / 3.0 * (lh - 1.0 / 3.0))
-
-
-def _quad_log_integral(psi, h):
-    """int_0^h psi(u) ln(u) du for smooth psi (vectorized over trailing axes).
-
-    The inner eighth [0, h/8] uses a local quadratic fit against the exact
-    log moments; on [h/8, h] the logarithm is mild and Gauss-Legendre
-    suffices.  psi(u) must accept an array of u and return (u.size, ...)
-    """
-    h0 = h / 8.0
-    y = psi(np.array([0.0, 0.5 * h0, h0]))
-    m0, m1, m2 = _log_moments(h0)
-    i0 = (2.0 / h0 ** 2) * (m2 - 1.5 * h0 * m1 + 0.5 * h0 * h0 * m0)
-    i1 = (-4.0 / h0 ** 2) * (m2 - h0 * m1)
-    i2 = (2.0 / h0 ** 2) * (m2 - 0.5 * h0 * m1)
-    inner = y[0] * i0 + y[1] * i1 + y[2] * i2
-    xg, wg = _GL16
-    u = 0.5 * (h0 + h) + 0.5 * (h - h0) * xg
-    w = 0.5 * (h - h0) * wg
-    vals = psi(u)
-    outer = np.tensordot(w * np.log(u), vals, axes=(0, 0))
-    return inner + outer
-
-
-_GL16 = np.polynomial.legendre.leggauss(16)
 
 
 class FlatPotentialOperator:
@@ -133,61 +106,31 @@ class FlatPotentialOperator:
         # w * B collapsed once: contribution tensor awaits kernel values
         wB = w[:, :, None] * B                               # (n-1, m, 3)
         kmat = np.zeros((n, n))
-        cols = np.stack([j0, j0 + 1, j0 + 2], axis=1)        # (n-1, 3)
+        cols = j0[:, None] + np.arange(3)                    # (n-1, 3)
+        panels = np.arange(n - 1)
         for lo in range(0, n, _ROW_BLOCK):
             hi = min(lo + _ROW_BLOCK, n)
-            rr = r[lo:hi][:, None, None]
-            kern = _kern(rr, s[None, :, :])                  # (blk, n-1, m)
+            rows = np.arange(lo, hi)[:, None]
+            kern = _kern(r[lo:hi][:, None, None], s[None, :, :])  # (blk, n-1, m)
+            # the panels touching row i's node go to the graded rule below
+            kern[(panels == rows) | (panels == rows - 1)] = 0.0
             contrib = np.einsum("ipg,pgl->ipl", kern, wB)    # (blk, n-1, 3)
-            rows = np.arange(lo, hi)[:, None, None]
-            flat = (rows * n + cols[None, :, :]).ravel()
+            flat = (rows[:, :, None] * n + cols[None, :, :]).ravel()
             kmat += np.bincount(flat, weights=contrib.ravel(),
                                 minlength=n * n).reshape(n, n)
-        self._fix_singular_panels(kmat, s, w, B, j0)
+        # (node, touching panel) pairs: panel i right of node i, i-1 left of it
+        node = np.concatenate([panels, panels + 1])
+        pan = np.concatenate([panels, panels])
+        h = np.diff(r)[pan][:, None]
+        side = np.where(node == pan, 1.0, -1.0)[:, None]
+        rn = r[node][:, None]
+        sg = rn + side * h * _GRADED_U ** 4                  # (2(n-1), 16)
+        Bg = _lagrange3(sg, *(r[j0[pan] + k][:, None] for k in range(3)))
+        contrib = np.einsum("pg,pgl->pl", _kern(rn, sg) * h * _GRADED_W, Bg)
+        flat = (node[:, None] * n + cols[pan]).ravel()
+        kmat += np.bincount(flat, weights=contrib.ravel(),
+                            minlength=n * n).reshape(n, n)
         return kmat
-
-    def _fix_singular_panels(self, kmat, s, w, B, j0):
-        r = self.grid.nodes
-        n = r.size
-        m16_x, m16_w = _GL16
-        for i in range(n):
-            ri = r[i]
-            if ri == 0.0:
-                continue
-            for p in (i - 1, i):
-                if p < 0 or p > n - 2:
-                    continue
-                a, b = r[p], r[p + 1]
-                h = b - a
-                tri = (j0[p], j0[p] + 1, j0[p] + 2)
-                x0, x1, x2 = r[tri[0]], r[tri[1]], r[tri[2]]
-
-                # naive panel contribution to subtract
-                old = (w[p][:, None] * _kern(ri, s[p])[:, None] * B[p]).sum(axis=0)
-
-                # smooth part: -4 s/(r+s) * (K(xi) + ln|r-s|) * B_l(s)
-                s16 = 0.5 * (a + b) + 0.5 * h * m16_x
-                w16 = 0.5 * h * m16_w
-                denom = ri + s16
-                xi = 2.0 * np.sqrt(ri * s16) / denom
-                xi = np.minimum(xi, 1.0 - 1e-15)
-                kk = elliptic_k(xi)
-                smooth = -4.0 * s16 / denom * (kk + np.log(np.abs(ri - s16)))
-                new = (w16[:, None] * smooth[:, None]
-                       * _lagrange3(s16, x0, x1, x2)).sum(axis=0)
-
-                # log part: + int 4 s/(r+s) B_l(s) ln|r-s| ds, u = |s - r_i|
-                sign = 1.0 if p == i else -1.0  # s = r_i + sign*u covers the panel
-
-                def psi(u):
-                    sv = ri + sign * u
-                    return (4.0 * sv[:, None] * _lagrange3(sv, x0, x1, x2)
-                            / (ri + sv)[:, None])
-
-                new += _quad_log_integral(psi, h)
-
-                for l, c in zip(range(3), tri):
-                    kmat[i, c] += new[l] - old[l]
 
     # -- evaluation --------------------------------------------------------
 

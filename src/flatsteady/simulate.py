@@ -262,16 +262,21 @@ def step(ens: ParticleEnsemble, dt: float, method: str = "grid",
         acc = accelerations(ens, method, grid, eps_soft)
     x, v, w = ens.positions.copy(), ens.velocities.copy(), ens.weights
 
+    def check_finite():
+        finite = np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1)
+        if not finite.all():
+            raise InputError(f"step: non-finite coordinates for particle index "
+                             f"{int(np.argmin(finite))} after dt={dt:g}")
+
     def force(x, out):
+        # before the force: a pairwise sum would pass a runaway's NaN pull
+        # to every particle
+        check_finite()
         # a copy, since the closing kick scales the buffer in place
         return _accel_arrays(x, w, method, grid, eps_soft, out=out).copy()
 
     acc_new = _kdk(x, v, 0.5 * dt * acc, dt, force)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-        bad = np.nonzero(~(np.isfinite(x).all(axis=1)
-                           & np.isfinite(v).all(axis=1)))[0]
-        raise InputError(f"step: non-finite coordinates for particle index "
-                         f"{int(bad[0])} after dt={dt:g}")
+    check_finite()
     return ParticleEnsemble(x, v, w, time=ens.time + dt), acc_new
 
 

@@ -104,9 +104,14 @@ def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float):
     """
     r = grid.nodes
     ringw = grid.ring_weights
-    a_seed = R / 3.0
-    rho = M * a_seed / (2.0 * np.pi * (r ** 2 + a_seed ** 2) ** 1.5)
-    rho *= M / np.sum(ringw * rho)
+    # a Kuzmin disc of scale R/3, written in r/R so that no power of R can
+    # leave float64; the grid's own mass integral still may, far from unit R
+    rho = (1.0 + (3.0 * r / R) ** 2) ** -1.5
+    seed_mass = np.sum(ringw * rho)
+    if not 0.0 < seed_mass < np.inf:
+        raise ConvergenceError(
+            f"the trial grid at edge radius R={R:g} leaves the float64 range")
+    rho *= M / seed_mass
 
     grow_count = 0
     prev_res = np.inf

@@ -273,6 +273,57 @@ def test_custom_table_with_comment_before_header(tmp_path):
     assert payload["assumptions"]["Q4"]["passed"] is True
 
 
+def _concave_table():
+    f = np.linspace(0.0, 4.0, 200)
+    Q = np.where(f < 2.0, f ** 3, 8.0 + 12.0 * (f - 2.0) - 0.1 * (f - 2.0) ** 2)
+    return "f,Q\n" + "".join("%.17g,%.17g\n" % pair for pair in zip(f, Q))
+
+
+@pytest.mark.parametrize("model_lines,table", [
+    ("kind = polytrope\nmu = 1.5\n", None),
+    ("kind = double_power\nmu1 = 0.5\nmu2 = 0.75\nc1 = -1\nc2 = 1\n", None),
+    ("kind = custom\nmu1 = 0.5\nmu2 = 0.5\nmu3 = 0.5\n", _concave_table()),
+], ids=["polytrope-mu", "double-power-c1", "custom-concave"])
+def test_bad_model_parameter_is_usage_error(tmp_path, capsys, model_lines, table):
+    if table is not None:
+        (tmp_path / "table.csv").write_text(table)
+        model_lines += "table = %s\n" % (tmp_path / "table.csv")
+    cfg = _write_config(tmp_path / "bad.ini", "[model]\n" + model_lines)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("model_lines,named", [
+    ("kind = double_power\nmu1 = 0.5\nmu2 = 0.75\nc1 = 1\nc2 = 1\n"
+     "mu = 0.3\nmu3 = 0.1\n", "'mu', 'mu3'"),
+    ("kind = polytrope\nmu = 0.5\nc2 = 1\n", "'c2'"),
+    ("kind = polytrope\nmu = 0.5\ntable = q.csv\n", "'table'"),
+    ("kind = custom\ntable = q.csv\nmu1 = 0.5\nmu2 = 0.5\nmu3 = 0.5\n"
+     "c = 2\n", "'c'"),
+], ids=["double-power-mu", "polytrope-c2", "polytrope-table", "custom-c"])
+def test_model_key_of_another_kind_is_usage_error(tmp_path, capsys,
+                                                  model_lines, named):
+    cfg = _write_config(tmp_path / "bad.ini", "[model]\n" + model_lines)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "validate.json").exists()
+
+
+@pytest.mark.parametrize("old,new", [
+    ("[split]", "[split]\nmass = 2.0"),
+    ("n = 192", "n = 384"),
+], ids=["mass", "n"])
+def test_state_artifact_of_another_mass_or_size_fails(solved_dir, tmp_path,
+                                                     capsys, old, new):
+    base, _ = solved_dir
+    ini = POLY_INI.replace(old, new).replace(
+        "[split]", "[split]\nstate = %s" % (base / "steady"))
+    cfg = _write_config(tmp_path / "split.ini", ini)
+    assert main(["split", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "stale artifact" in capsys.readouterr().err
+    assert not (tmp_path / "split.json").exists()
+
+
 def test_state_artifact_of_another_model_fails(solved_dir, tmp_path):
     base, _ = solved_dir
     ini = POLY_INI.replace("c = 57.0", "c = 1.0").replace(

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import ellipkm1
 
 from flatsteady import RadialGrid, RadialProfile, potential_from_density, lp_norm
-from flatsteady.potential import operator_for, outer_potential_energy
+from flatsteady.potential import (FlatPotentialOperator, operator_for,
+                                  outer_potential_energy)
 from flatsteady.errors import InputError
 
 
@@ -92,3 +95,42 @@ def test_outer_energy_bound_with_constant(kuzmin_on_grid):
 def test_operator_cache_returns_same_object():
     grid = RadialGrid.uniform(5.0, 64)
     assert operator_for(grid) is operator_for(RadialGrid.uniform(5.0, 64))
+
+
+def _reference_row(r, i):
+    """Row i of the operator by adaptive quadrature, panel by panel.
+
+    Each panel integrates the kernel -4 s/(r+s) K against the quadratic
+    Lagrange basis on its node triple (the panel's left neighbour, clipped
+    at the ends), with K from scipy's ellipkm1 of the complementary
+    parameter ((r-s)/(r+s))^2.
+    """
+    n = r.size
+    ri = r[i]
+    row = np.zeros(n)
+    for p in range(n - 1):
+        j = min(max(p - 1, 0), n - 3)
+        x = r[j:j + 3]
+        for l in range(3):
+            xo = np.delete(x, l)
+
+            def f(s):
+                basis = (s - xo[0]) * (s - xo[1]) / ((x[l] - xo[0]) * (x[l] - xo[1]))
+                kp2 = ((ri - s) / (ri + s)) ** 2
+                return -4.0 * s / (ri + s) * ellipkm1(kp2) * basis
+
+            row[j + l] += quad(f, r[p], r[p + 1], epsabs=0.0, epsrel=1e-13,
+                               limit=200)[0]
+    return row
+
+
+@pytest.mark.parametrize("grid", [RadialGrid.uniform(1.0, 48),
+                                  RadialGrid.hybrid(0.25, 1.0, 64),
+                                  RadialGrid.log(1e-2, 1.0, 48)],
+                         ids=["uniform", "hybrid", "log"])
+def test_operator_rows_match_adaptive_quadrature(grid):
+    kmat = FlatPotentialOperator(grid).kmat
+    n = grid.n
+    for i in (0, 1, 2, n // 2, n - 2, n - 1):
+        ref = _reference_row(grid.nodes, i)
+        assert np.max(np.abs(kmat[i] - ref)) <= 1e-8 * np.max(np.abs(ref))

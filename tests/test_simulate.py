@@ -115,20 +115,17 @@ def test_leapfrog_time_reversal(ss_wide):
     assert np.allclose(-back.velocities, ens.velocities, rtol=0.0, atol=1e-10)
 
 
-# the grid force leaves a particle past the grid out of its deposit, so only
-# the runaway goes non-finite; the pairwise sum passes its NaN pull to every
-# particle, so the first index reported may be any
-@pytest.mark.parametrize("method,first_bad",
-                         [("grid", "5"), ("direct", r"\d+")],
-                         ids=["grid", "direct"])
-def test_step_rejects_non_finite_coordinates(ss_wide, method, first_bad):
+# the drifted positions are checked before the force runs, so the direct
+# force's pairwise sum cannot pass the runaway's NaN pull to every particle
+@pytest.mark.parametrize("method", ["grid", "direct"])
+def test_step_rejects_non_finite_coordinates(ss_wide, method):
     ens = sample(ss_wide, 2000, seed=7)
     v = ens.velocities.copy()
     v[5] = [1e308, 0.0]  # drifts to infinity in one step of dt = 10
     fast = ParticleEnsemble(ens.positions, v, ens.weights)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            InputError, match=f"non-finite coordinates for particle index "
-                              f"{first_bad} after dt=10$"):
+            InputError, match="non-finite coordinates for particle index "
+                              "5 after dt=10$"):
         step(fast, 10.0, method, ss_wide.grid, eps_soft=0.01)
 
 

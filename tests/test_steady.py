@@ -134,10 +134,11 @@ def test_double_power_extreme_mass_converges(mus, M):
     _assert_converged(ss, M)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mu", [0.999, 0.995])
 def test_state_past_float64_is_convergence_error(mu):
     # the edge radius is near 1e-1000 at mu = 0.999: the secant step leaves
-    # float64; near 1e-200 at mu = 0.995: the trial potential does
+    # float64; near 1e-200 at mu = 0.995: the trial grid's ring weights do
     with pytest.raises(ConvergenceError, match="float64"):
         solve(CasimirModel.polytrope(mu), 1.0, SolverOptions(n=128))
 
