@@ -5,7 +5,9 @@ functional, together with the declared structural constants (mu1, mu2, mu3,
 C1..C4, F0) that the growth/scaling assumptions (Q1)-(Q5) refer to.  The
 inverse q of Q' is what shapes the steady state, f0 = q(E0 - E), and its
 antiderivative G(s) = int_0^s q gives the planar density through
-rho0(r) = 2*pi*G(E0 - U0(r)).
+rho0(r) = 2*pi*G(E0 - U0(r)).  G is the convex conjugate of Q,
+G(s) = s*q(s) - (Q(q(s)) - Q(0)): closed form for a polytrope, one q
+evaluation per argument for a sum of powers or a table.
 """
 
 from __future__ import annotations
@@ -186,7 +188,8 @@ class InverseQ:
 
     One power term (a polytrope) inverts in closed form, as do its G and
     G2; a sum of powers uses Newton's method from above, and a table a
-    bracketed bisection with a Newton polish.
+    bracketed bisection with a Newton polish.  For sums and tables G comes
+    from the Legendre identity and G2, GQ_scaled from a 64-point rule.
     """
 
     REL_TOL = 1e-12
@@ -245,8 +248,9 @@ class InverseQ:
             done = np.abs(f_new - f) <= self.REL_TOL * np.maximum(f_new, 1e-300)
             f = f_new
             if np.all(done):
-                break
-        return f
+                return f
+        bad = float(np.max(eps[~done]))
+        raise ConvergenceError(f"q: Newton did not converge for eps={bad:.6g}")
 
     def _q_bisect(self, eps):
         m = self.model
@@ -271,10 +275,17 @@ class InverseQ:
     # -- antiderivatives ---------------------------------------------------
 
     def G(self, s):
-        """G(s) = int_0^s q(t) dt; 0 for s <= 0."""
+        """G(s) = int_0^s q(t) dt; 0 for s <= 0.
+
+        Closed form for a polytrope.  Otherwise G is the convex conjugate
+        of Q, G(s) = s*q(s) - (Q(q(s)) - Q(0)): one q per argument, and
+        stationary in q(s), so q's solver tolerance enters only squared.
+        """
         def g(sp):
             if self._n_terms != 1:
-                return _substituted_quadrature(sp, self.q)
+                f = self.q(sp)
+                m = self.model
+                return sp * f - (m.Q(f) - m.Q(0.0))
             mu = self._mu
             return self._kappa * np.power(sp, mu + 1.0) / (mu + 1.0)
 

@@ -1,9 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
-from flatsteady import CasimirModel, validate_assumptions
-from flatsteady.errors import InputError, ModelDefinitionError
+from flatsteady import CasimirModel, InverseQ, validate_assumptions
+from flatsteady.casimir import _substituted_quadrature
+from flatsteady.errors import ConvergenceError, InputError, ModelDefinitionError
 
 F_GRID = np.linspace(0.0, 4.0, 256)
 
@@ -166,27 +169,27 @@ def test_inverse_roundtrip_custom_tables(model_terms, n, f_max, share):
     assert abs(m.inverse().q(m.Qp(f)) - f) <= 1e-9 * f_max
 
 
-# G, G2, GQ and GQ_scaled(amp = 0.7) at s = 0.05, 0.3, 1.0, 2.5 on the two
-# quadrature paths, as float.hex: pinned so that a change to the quadrature's
-# operation order shows
+# G, G2, GQ and GQ_scaled(amp = 0.7) at s = 0.05, 0.3, 1.0, 2.5 for a sum
+# and a table, as float.hex: pinned so that a change to the Legendre identity
+# behind G or to the quadrature behind G2 and GQ_scaled shows
 _QUADRATURE_PINS = {
     "double_power": {
-        "G": ["0x1.ab6c33418de95p-10", "0x1.4d773d4c365b4p-5",
-              "0x1.306b5d700b28bp-2", "0x1.3cbfcfda9cc2ap+0"],
-        "G2": ["0x1.dca111d2034f4p-16", "0x1.2319df2330ca0p-8",
-               "0x1.cf3568153f68ap-4", "0x1.364c6f549455ep+0"],
-        "GQ": ["0x1.9e7e8060f2b28p-16", "0x1.b43b434774f44p-9",
-               "0x1.2342a595add18p-4", "0x1.568d51f2be758p-1"],
+        "G": ["0x1.ab6c33418de59p-10", "0x1.4d773d4c36577p-5",
+              "0x1.306b5d700b23fp-2", "0x1.3cbfcfda9cbbdp+0"],
+        "G2": ["0x1.dca111d2034b0p-16", "0x1.2319df2330c6fp-8",
+               "0x1.cf3568153f623p-4", "0x1.364c6f54944fep+0"],
+        "GQ": ["0x1.9e7e8060f2af0p-16", "0x1.b43b434774ee4p-9",
+               "0x1.2342a595adcb6p-4", "0x1.568d51f2be6b8p-1"],
         "GQ_scaled": ["0x1.822924020e677p-17", "0x1.81106559e4969p-10",
                       "0x1.dab98f25d8e00p-6", "0x1.0313643da106cp-2"],
     },
     "custom": {
-        "G": ["0x1.8f9caf9782210p-9", "0x1.6e65559f57510p-5",
-              "0x1.16b89f950c09ap-2", "0x1.13729e8cb761ep+0"],
-        "G2": ["0x1.fe17638c39825p-15", "0x1.5fb910635f26fp-8",
-               "0x1.bdeb2645f3cbcp-4", "0x1.1368a4e4262c6p+0"],
-        "GQ": ["0x1.02936acc60986p-15", "0x1.5fcef308f34f8p-9",
-               "0x1.be186390911e0p-5", "0x1.139a852efc380p-1"],
+        "G": ["0x1.8f7fef7bfdd5ep-9", "0x1.6e65b5a8934c8p-5",
+              "0x1.16b2123349907p-2", "0x1.1369d6443ed24p+0"],
+        "G2": ["0x1.fe19432c8d300p-15", "0x1.5fb888d4151f0p-8",
+               "0x1.bdeb12fd825ecp-4", "0x1.1369925269503p+0"],
+        "GQ": ["0x1.0233ab33ab7fcp-15", "0x1.5fd2de3f3b598p-9",
+               "0x1.bde445a443088p-5", "0x1.136ae60b94da8p-1"],
         "GQ_scaled": ["0x1.6872b26555f83p-17", "0x1.e2da8acd74cf6p-11",
                       "0x1.31e2aa28e2e35p-6", "0x1.79f44ca6e540dp-3"],
     },
@@ -228,3 +231,103 @@ def test_inverse_rejects_non_finite_arguments(kind, method):
     # negative and zero arguments give exactly 0, and a scalar a float
     assert fn(-0.5, *extra) == 0.0 and fn(0.0, *extra) == 0.0
     assert isinstance(fn(0.1, *extra), float)
+
+
+# -- G against independent references ----------------------------------------
+
+def _quad_G(inv, s, knots=()):
+    """int_0^s q by adaptive quadrature in t = s*u^2, split at the knots t
+    where q has a kink."""
+    edges = np.sqrt([k / s for k in knots if 0.0 < k < s])
+    edges = np.concatenate([[0.0], edges, [1.0]])
+    return sum(quad(lambda u: 2.0 * s * u * inv.q(s * u * u), a, b,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.parametrize("args", [(0.5, 0.75), (0.1, 0.9), (0.9, 0.2, 3.0, 0.1)])
+def test_G_matches_reference(args):
+    inv = CasimirModel.double_power(*args).inverse()
+    s = np.geomspace(1e-8, 1e3, 40)
+    ref = np.array([_quad_G(inv, x) for x in s])
+    assert np.max(np.abs(inv.G(s) - ref) / ref) <= 1e-13
+
+
+_log_coefs = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), _log_coefs, _log_coefs,
+       st.floats(-8.0, 3.0).map(lambda e: 10.0 ** e))
+def test_G_matches_reference_for_random_power_sums(mu1, mu2, c1, c2, s):
+    model = CasimirModel.double_power(mu1, mu2, c1, c2)
+    inv = model.inverse()
+    terms = [(mpmath.mpf(c), mpmath.mpf(mu)) for c, mu in model.terms]
+
+    def q(t):
+        # Newton on Q'(f) = t at 30 digits from the double-precision root
+        f = mpmath.mpf(inv.q(float(t)))
+        for _ in range(3):
+            g = sum(c * (1 + 1 / mu) * f ** (1 / mu) for c, mu in terms) - t
+            dg = sum(c * (1 + 1 / mu) / mu * f ** (1 / mu - 1) for c, mu in terms)
+            f -= g / dg
+        return f
+
+    with mpmath.workdps(30):
+        sm = mpmath.mpf(s)
+        ref = mpmath.quad(lambda u: 2 * sm * u * q(sm * u * u), [0, 1])
+        assert abs((inv.G(s) - ref) / ref) <= 1e-13
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.5, 0.75, 0.95])
+@pytest.mark.parametrize("c", [0.01, 1.0, 57.0])
+def test_polytrope_G_is_the_conjugate_of_Q(mu, c):
+    # the closed form agrees with G(s) = s q(s) - Q(q(s)), used for sums
+    model = CasimirModel.polytrope(mu, c=c)
+    inv = model.inverse()
+    s = np.geomspace(1e-8, 1e3, 40)
+    f = inv.q(s)
+    G = inv.G(s)
+    assert np.max(np.abs(G - (s * f - model.Q(f))) / G) <= 1e-14
+
+
+def test_custom_G_is_no_worse_than_the_quadrature_rule():
+    f = np.linspace(0.0, 6.0, 200)[1:]
+    model = CasimirModel.custom(f, f ** 3, F0=1.0, mu1=0.5, mu2=0.5, mu3=0.5)
+    inv = model.inverse()
+    s = np.array([1e-6, 1e-3, 0.3, 3.0])
+    ref = np.array([_quad_G(inv, x, model.Qp(model.f_table)) for x in s])
+    err_new = np.max(np.abs(inv.G(s) - ref) / ref)
+    err_rule = np.max(np.abs(_substituted_quadrature(s, inv.q) - ref) / ref)
+    assert err_new <= err_rule and err_new <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["double_power", "custom"])
+def test_G_evaluates_q_once_per_point(kind, monkeypatch):
+    f = np.linspace(0.0, 3.0, 40)
+    model = {"double_power": CasimirModel.double_power(0.4, 0.9, 1.0, 0.5),
+             "custom": CasimirModel.custom(f, f ** 3, F0=1.0, mu1=0.5,
+                                           mu2=0.5, mu3=0.5)}[kind]
+    inv = model.inverse()
+    points = []
+    q = InverseQ.q
+
+    def counted(self, eps):
+        points.append(np.size(eps))
+        return q(self, eps)
+
+    monkeypatch.setattr(InverseQ, "q", counted)
+    s = np.array([-1.0, 0.0, 0.05, 0.3, 1.0, 2.5, 4.0])
+    inv.G(s)
+    assert sum(points) == 5
+    points.clear()
+    inv.G(0.7)
+    assert sum(points) == 1
+
+
+def test_q_newton_raises_without_convergence(monkeypatch):
+    inv = CasimirModel.double_power(0.4, 0.9, 1.0, 0.5).inverse()
+    monkeypatch.setattr(InverseQ, "REL_TOL", -1.0)
+    with pytest.raises(ConvergenceError,
+                       match="^q: Newton did not converge for eps=2.5$"):
+        inv.q(np.array([0.5, 2.5]))
