@@ -209,9 +209,6 @@ class InverseQ:
 
     # -- q -----------------------------------------------------------------
 
-    def __call__(self, eps):
-        return self.q(eps)
-
     def _positive(self, name, s, fn):
         """fn on the entries s > 0 and 0 elsewhere; a float for a scalar s.
 
@@ -301,11 +298,6 @@ class InverseQ:
                     / ((mu + 1.0) * (mu + 2.0)))
 
         return self._positive("G2", s, g2)
-
-    def GQ(self, s):
-        """int_0^s Q(q(t)) dt, via the identity Q(q(t)) = t*q(t) - G(t)."""
-        return self._positive("GQ", s,
-                              lambda sp: sp * self.G(sp) - 2.0 * self.G2(sp))
 
     def GQ_scaled(self, s, amp):
         """int_0^s Q(amp * q(t)) dt by quadrature (used for rescaled states)."""

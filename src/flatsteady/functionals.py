@@ -5,7 +5,7 @@ with w = |v|^2 / 2 and s = E0 - U0(r),
 
     rho0     = 2*pi*G(s),
     kinetic  = 2*pi*G2(s),
-    Casimir  = 2*pi*GQ(s)   per unit area,
+    Casimir  = 2*pi*(s*G(s) - 2*G2(s))   per unit area,
 
 so only 1D radial quadratures remain.  Ensembles are evaluated directly:
 kinetic energy particle-wise, potential energy through the deposited ring
@@ -237,6 +237,7 @@ def _self_energy(op, binned: _Binning, masses: np.ndarray) -> float:
     ringw = op.grid.ring_weights
     safe = np.where(ringw > 0.0, ringw, np.inf)
     idx = binned.idx
+    diag, sup = np.diag(op.smat), np.diag(op.smat, 1)
     quad = np.empty(idx.size)
 
     def chunk(a, b):
@@ -244,8 +245,8 @@ def _self_energy(op, binned: _Binning, masses: np.ndarray) -> float:
         wa, wb = _cic_masses(binned.frac[a:b], binned.outside[a:b], masses[a:b])
         wa /= safe[i]
         wb /= safe[1:][i]
-        quad[a:b] = (wa * wa * op.smat_diag[i] + 2.0 * wa * wb * op.smat_super[i]
-                     + wb * wb * op.smat_diag[1:][i])
+        quad[a:b] = (wa * wa * diag[i] + 2.0 * wa * wb * sup[i]
+                     + wb * wb * diag[1:][i])
 
     _map_chunks(chunk, idx.size)
     return 0.5 * float(np.sum(quad))
@@ -603,12 +604,6 @@ def lower_bound_check(report: FunctionalReport, c_m: float, mu1: float) -> dict:
     rhs = report.p - c_m * (1.0 + report.p ** (0.5 * n1))
     return {"name": "lower_bound", "lhs": report.d, "rhs": rhs,
             "pass": bool(report.d >= rhs - 1e-12 * max(abs(rhs), 1.0))}
-
-
-def calibrate_lower_bound(report: FunctionalReport, mu1: float) -> float:
-    """Empirical C_M making the coercivity bound tight for this (model, M)."""
-    n1 = 1.0 + mu1
-    return (report.p - report.d) / (1.0 + report.p ** (0.5 * n1))
 
 
 def interpolation_check(grid: RadialGrid, rho: np.ndarray, mu1: float) -> dict:

@@ -187,26 +187,12 @@ class RadialProfile:
         object.__setattr__(self, "values", v)
 
     @staticmethod
-    def density(grid: RadialGrid, values) -> "RadialProfile":
-        return RadialProfile(grid, values, require_nonnegative=True)
-
-    @staticmethod
     def from_callable(grid: RadialGrid, fn, nonnegative: bool = False) -> "RadialProfile":
         return RadialProfile(grid, fn(grid.nodes), require_nonnegative=nonnegative)
 
     def __call__(self, r):
         """Linear interpolation; zero outside the grid span."""
         return np.interp(r, self.grid.nodes, self.values, left=self.values[0], right=0.0)
-
-    def area_integral(self) -> float:
-        """2*pi * int r * value dr (total mass for a density profile)."""
-        return float(np.sum(self.grid.ring_weights * self.values))
-
-    # -- CSV round trip at full double precision ---------------------------
-
-    def to_csv(self, path, header_extra: dict | None = None):
-        write_csv(path, header_extra or {}, ("r", "value"),
-                  (self.grid.nodes, self.values))
 
     @staticmethod
     def from_csv(path, nonnegative: bool = False) -> "RadialProfile":

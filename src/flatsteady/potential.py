@@ -12,16 +12,18 @@ h*u^4 for u in [0, 1], which turns the endpoint logarithm into a smooth
 integrand in u.  The AGM takes the complementary modulus |r-s|/(r+s),
 which stays exact as s -> r.
 
-The discrete operator is a dense matrix U = Kmat @ rho (density
+The discrete operator is a dense matrix U = scale * (K @ rho) (density
 interpolated by local quadratics between nodes).  The kernel is homogeneous
-of degree one, so Kmat is assembled once per grid shape (nodes / r_max) and
-scaled by r_max for each grid of that shape.  Potential energies use a
-symmetrized bilinear form so that int rho1 * U_rho2 == int rho2 * U_rho1
-holds exactly in the discretization.
+of degree one, so K is assembled once per grid shape (nodes / r_max), and
+every grid of that shape holds the shape's K by reference with scale =
+r_max / shape.r_max.  Potential energies use a symmetrized bilinear form,
+built on first use, so that int rho1 * U_rho2 == int rho2 * U_rho1 holds
+exactly in the discretization.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 
 import numpy as np
@@ -45,7 +47,7 @@ _GL8 = np.polynomial.legendre.leggauss(8)  # Gauss-Legendre rule per regular pan
 _NODES16, _WEIGHTS16 = np.polynomial.legendre.leggauss(16)
 _GRADED_U = 0.5 * (_NODES16 + 1.0)
 _GRADED_W = 2.0 * _WEIGHTS16 * _GRADED_U ** 3
-_CACHE_SIZE = 8   # operators kept by operator_for, least recently used dropped
+_CACHE_SIZE = 8   # shapes kept by operator_for, least recently used dropped
 
 
 def _kern(r, s):
@@ -62,27 +64,17 @@ def _lagrange3(s, x0, x1, x2):
 
 
 class FlatPotentialOperator:
-    """Dense discretization of the flat-disc potential on one radial grid."""
+    """Dense discretization of the flat-disc potential on one radial grid.
+
+    The operator is ``scale * kmat``: a direct assembly has scale 1, and a
+    grid's operator from ``operator_for`` shares its shape's kmat.
+    """
 
     def __init__(self, grid: RadialGrid):
         self.grid = grid
-        self._set_kmat(self._assemble())
-
-    def _set_kmat(self, kmat):
-        self.kmat = kmat
-        wk = self.grid.ring_weights[:, None] * kmat
-        # symmetrize: the continuous form -iint rho1 rho2 / |x-y| is symmetric
-        self.smat = 0.5 * (wk + wk.T)
-        # the two diagonals a cloud-in-cell particle's self-energy reads
-        self.smat_diag = np.diag(self.smat).copy()
-        self.smat_super = np.diag(self.smat, 1).copy()
-
-    def _scaled_view(self, grid: RadialGrid) -> "FlatPotentialOperator":
-        """The operator on grid, a multiple of self.grid, without assembly."""
-        view = object.__new__(FlatPotentialOperator)
-        view.grid = grid
-        view._set_kmat(grid.r_max / self.grid.r_max * self.kmat)
-        return view
+        self.scale = 1.0
+        self.kmat = self._assemble()
+        self.kmat.flags.writeable = False  # shared by every grid of the shape
 
     # -- assembly ----------------------------------------------------------
 
@@ -135,8 +127,15 @@ class FlatPotentialOperator:
     # -- evaluation --------------------------------------------------------
 
     def potential(self, rho: np.ndarray) -> np.ndarray:
-        """U at the grid nodes for density node values rho (deterministic sum)."""
-        return (self.kmat * rho[None, :]).sum(axis=1)
+        """U at the grid nodes for density node values rho."""
+        return self.scale * (self.kmat @ rho)
+
+    @functools.cached_property
+    def smat(self) -> np.ndarray:
+        """Ring-weighted operator, symmetrized: the energies' bilinear form."""
+        wk = (self.scale * self.grid.ring_weights)[:, None] * self.kmat
+        # the continuous form -iint rho1 rho2 / |x-y| is symmetric
+        return 0.5 * (wk + wk.T)
 
     def interaction_energy(self, rho1: np.ndarray, rho2: np.ndarray) -> float:
         """int rho1 * U_rho2 dx over the plane; symmetric in its arguments.
@@ -156,28 +155,25 @@ class FlatPotentialOperator:
 _OP_CACHE: OrderedDict = OrderedDict()
 
 
-def _cached(key: bytes, make) -> FlatPotentialOperator:
-    """LRU lookup: a hit moves to the end, a miss may drop the oldest entry."""
-    op = _OP_CACHE[key] = _OP_CACHE.pop(key, None) or make()
-    if len(_OP_CACHE) > _CACHE_SIZE:
-        _OP_CACHE.popitem(last=False)
-    return op
-
-
 def operator_for(grid: RadialGrid) -> FlatPotentialOperator:
-    """Cached operator for grid, assembled once per grid shape.
+    """The operator on grid, from one cached assembly per grid shape.
 
     The kernel is homogeneous of degree one, so the operator on lam*g is
     lam times the one on g.  The assembly runs on ``grid.shape()`` itself
-    (nodes / r_max rounded to 12 significant digits), and each grid of that
-    shape gets a view whose kmat is r_max times the shape's.  Shapes and
-    views share one LRU cache of ``_CACHE_SIZE`` entries.
+    (nodes / r_max rounded to 12 significant digits) and is kept in an LRU
+    cache of ``_CACHE_SIZE`` shapes.  The returned operator holds the
+    shape's kmat by reference, with scale = r_max / shape.r_max; it is not
+    cached and allocates no matrix until its energies are asked for.
     """
-    def view():
-        shape = grid.shape()
-        base = _cached(shape.key(), lambda: FlatPotentialOperator(shape))
-        return base._scaled_view(grid)
-    return _cached(grid.key(), view)
+    shape = grid.shape()
+    key = shape.key()
+    base = _OP_CACHE[key] = _OP_CACHE.pop(key, None) or FlatPotentialOperator(shape)
+    if len(_OP_CACHE) > _CACHE_SIZE:
+        _OP_CACHE.popitem(last=False)
+    op = object.__new__(FlatPotentialOperator)  # no __init__: no assembly
+    op.grid, op.kmat = grid, base.kmat
+    op.scale = grid.r_max / shape.r_max
+    return op
 
 
 def potential_from_density(rho: RadialProfile) -> RadialProfile:

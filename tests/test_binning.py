@@ -198,7 +198,7 @@ def _ref_row(model, ss, ens):
     casimir = _ref_histogram_casimir(model, ens)
     inv, ringw = ss.inv, grid.ring_weights
     s = np.maximum(ss.s_values, 0.0)
-    c_f0 = float(np.sum(ringw * 2.0 * np.pi * inv.GQ(s)))
+    c_f0 = float(np.sum(ringw * 2.0 * np.pi * (s * inv.G(s) - 2.0 * inv.G2(s))))
     e_f = float(np.sum(w * (0.5 * v2 + ss.U0(radii) - ss.E0)))
     e_f0 = float(np.sum(ringw * 2.0 * np.pi * (inv.G2(s) - s * inv.G(s))))
     return {"e_kin": e_kin, "e_pot": e_pot, "casimir": casimir,

@@ -31,12 +31,14 @@ def test_polytrope_antiderivatives():
 
 
 def test_gq_identity():
-    # int_0^s Q(q(t)) dt = s G(s) - 2 G2(s), integration by parts twice
+    # int_0^s Q(q(t)) dt = s G(s) - 2 G2(s), integration by parts twice: the
+    # Casimir density SteadyState.moments sums
     m = CasimirModel.polytrope(0.7, c=1.3)
     inv = m.inverse()
     for s in (0.5, 1.0, 4.0):
-        assert inv.GQ(s) == pytest.approx(s * inv.G(s) - 2.0 * inv.G2(s),
-                                          rel=1e-12)
+        direct = quad(lambda t: m.Q(inv.q(t)), 0.0, s, epsabs=0.0,
+                      epsrel=1e-13)[0]
+        assert s * inv.G(s) - 2.0 * inv.G2(s) == pytest.approx(direct, rel=1e-12)
 
 
 def test_inverse_roundtrip_polytrope():
@@ -169,17 +171,18 @@ def test_inverse_roundtrip_custom_tables(model_terms, n, f_max, share):
     assert abs(m.inverse().q(m.Qp(f)) - f) <= 1e-9 * f_max
 
 
-# G, G2, GQ and GQ_scaled(amp = 0.7) at s = 0.05, 0.3, 1.0, 2.5 for a sum
-# and a table, as float.hex: pinned so that a change to the Legendre identity
-# behind G or to the quadrature behind G2 and GQ_scaled shows
+# G, G2, the Casimir density s*G - 2*G2 (as SteadyState.moments forms it)
+# and GQ_scaled(amp = 0.7) at s = 0.05, 0.3, 1.0, 2.5 for a sum and a table,
+# as float.hex: pinned so that a change to the Legendre identity behind G or
+# to the quadrature behind G2 and GQ_scaled shows
 _QUADRATURE_PINS = {
     "double_power": {
         "G": ["0x1.ab6c33418de59p-10", "0x1.4d773d4c36577p-5",
               "0x1.306b5d700b23fp-2", "0x1.3cbfcfda9cbbdp+0"],
         "G2": ["0x1.dca111d2034b0p-16", "0x1.2319df2330c6fp-8",
                "0x1.cf3568153f623p-4", "0x1.364c6f54944fep+0"],
-        "GQ": ["0x1.9e7e8060f2af0p-16", "0x1.b43b434774ee4p-9",
-               "0x1.2342a595adcb6p-4", "0x1.568d51f2be6b8p-1"],
+        "sG-2G2": ["0x1.9e7e8060f2af0p-16", "0x1.b43b434774ee4p-9",
+                   "0x1.2342a595adcb6p-4", "0x1.568d51f2be6b8p-1"],
         "GQ_scaled": ["0x1.822924020e677p-17", "0x1.81106559e4969p-10",
                       "0x1.dab98f25d8e00p-6", "0x1.0313643da106cp-2"],
     },
@@ -188,8 +191,8 @@ _QUADRATURE_PINS = {
               "0x1.16b2123349907p-2", "0x1.1369d6443ed24p+0"],
         "G2": ["0x1.fe19432c8d300p-15", "0x1.5fb888d4151f0p-8",
                "0x1.bdeb12fd825ecp-4", "0x1.1369925269503p+0"],
-        "GQ": ["0x1.0233ab33ab7fcp-15", "0x1.5fd2de3f3b598p-9",
-               "0x1.bde445a443088p-5", "0x1.136ae60b94da8p-1"],
+        "sG-2G2": ["0x1.0233ab33ab7fcp-15", "0x1.5fd2de3f3b598p-9",
+                   "0x1.bde445a443088p-5", "0x1.136ae60b94da8p-1"],
         "GQ_scaled": ["0x1.6872b26555f83p-17", "0x1.e2da8acd74cf6p-11",
                       "0x1.31e2aa28e2e35p-6", "0x1.79f44ca6e540dp-3"],
     },
@@ -206,8 +209,8 @@ def test_quadrature_moments_are_pinned(name):
                                     F0=1.0, mu1=0.5, mu2=0.5, mu3=0.5)
     inv = model.inverse()
     s = np.array([0.0, 0.05, 0.3, 1.0, 2.5])
-    got = {"G": inv.G(s), "G2": inv.G2(s), "GQ": inv.GQ(s),
-           "GQ_scaled": inv.GQ_scaled(s, 0.7)}
+    got = {"G": inv.G(s), "G2": inv.G2(s), "GQ_scaled": inv.GQ_scaled(s, 0.7)}
+    got["sG-2G2"] = s * got["G"] - 2.0 * got["G2"]
     for fn, pins in _QUADRATURE_PINS[name].items():
         assert got[fn][0] == 0.0, fn
         assert [float(v).hex() for v in got[fn][1:]] == pins, fn
@@ -216,7 +219,7 @@ def test_quadrature_moments_are_pinned(name):
 
 
 @pytest.mark.parametrize("kind", ["polytrope", "double_power", "custom"])
-@pytest.mark.parametrize("method", ["q", "G", "G2", "GQ", "GQ_scaled"])
+@pytest.mark.parametrize("method", ["q", "G", "G2", "GQ_scaled"])
 def test_inverse_rejects_non_finite_arguments(kind, method):
     f = np.linspace(0.0, 3.0, 40)
     model = {"polytrope": CasimirModel.polytrope(0.5, c=1.0),

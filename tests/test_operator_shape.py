@@ -2,7 +2,7 @@
 
 The flat-disc kernel is homogeneous of degree one, so the operator on
 lam*g is lam times the operator on g; ``operator_for`` relies on this to
-hand out scaled views of one assembly per grid shape.
+give every grid of one shape that shape's assembled kmat, times a scale.
 """
 
 from collections import OrderedDict
@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from flatsteady import CasimirModel, RadialGrid, SolverOptions, evaluate_steady, solve
-from flatsteady import potential
+from flatsteady import potential, steady
 from flatsteady.potential import FlatPotentialOperator, operator_for
 
 _SCALE = st.floats(1e-3, 1e3)
@@ -25,7 +25,7 @@ def unit_grids(draw):
 
     Every panel is integrated by Gauss-Legendre in a variable that scales
     with the grid, so an assembly is homogeneous to roundoff at any n.  The
-    view is compared with a looser bound: it is assembled on
+    cached operator is compared with a looser bound: it is assembled on
     ``grid.shape()``, whose nodes are rounded to 12 significant digits.
     """
     kind = draw(st.sampled_from(["uniform", "log", "hybrid"]))
@@ -46,9 +46,10 @@ def test_kernel_homogeneous_of_degree_one(grid, lam):
     k_scaled = FlatPotentialOperator(scaled).kmat
     norm = np.linalg.norm(k_scaled)
     assert np.linalg.norm(k_scaled - lam * k_unit) / norm <= 1e-12
-    # the cached view stands in for the independent assembly, up to the
-    # 12-digit rounding of the shape it was assembled on
-    assert np.linalg.norm(operator_for(scaled).kmat - k_scaled) / norm <= 1e-8
+    # the shape's kmat times the scale stands in for the independent
+    # assembly, up to the 12-digit rounding of the shape it was assembled on
+    op = operator_for(scaled)
+    assert np.linalg.norm(op.scale * op.kmat - k_scaled) / norm <= 1e-8
 
 
 @settings(max_examples=25, deadline=None)
@@ -89,6 +90,24 @@ def test_solves_at_one_n_share_one_assembly(monkeypatch):
     assert calls == [192]
 
 
+def test_solve_shares_one_kmat_and_builds_no_smat(monkeypatch):
+    # every trial edge radius is a grid of one shape: its operator holds the
+    # shape's kmat by reference, and the sweep never needs the energy form
+    _fresh_cache(monkeypatch)
+    ops = []
+
+    def recorded(grid):
+        ops.append(potential.operator_for(grid))
+        return ops[-1]
+
+    monkeypatch.setattr(steady, "operator_for", recorded)
+    ss = solve(CasimirModel.double_power(0.5, 0.75), 1.0, SolverOptions(n=192))
+    assert len({op.grid.r_max for op in ops}) == len(ops) > 1
+    assert all(op.kmat is ops[0].kmat for op in ops)
+    assert not any("smat" in vars(op) for op in ops)
+    assert ss.grid is ops[-1].grid
+
+
 def test_potential_independent_of_cache_history(monkeypatch):
     shape = RadialGrid.hybrid(0.25, 1.0, 128).shape()
     grid = RadialGrid(3.0 * shape.nodes)
@@ -106,9 +125,15 @@ def test_potential_independent_of_cache_history(monkeypatch):
 
 def test_cache_stays_within_its_bound(monkeypatch):
     _fresh_cache(monkeypatch)
-    grids = [RadialGrid.uniform(1.0 + k, 16 + k % 4) for k in range(20)]
+    # 20 grids of 20 shapes: every lookup assembles, and the oldest go
+    grids = [RadialGrid.log(10.0 ** (-1.0 - 0.1 * k), 1.0 + k, 16 + k % 4)
+             for k in range(20)]
+    assert len({g.shape().key() for g in grids}) == len(grids)
     for grid in grids:
         operator_for(grid)
         assert len(potential._OP_CACHE) <= potential._CACHE_SIZE
+    kept = grids[-potential._CACHE_SIZE:]
+    assert list(potential._OP_CACHE) == [g.shape().key() for g in kept]
     # the most recent lookup survives the evictions it caused
-    assert operator_for(grids[-1]) is potential._OP_CACHE[grids[-1].key()]
+    base = potential._OP_CACHE[grids[-1].shape().key()]
+    assert operator_for(grids[-1]).kmat is base.kmat

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ellipkm1
 
+import flatsteady
 from flatsteady import RadialGrid, RadialProfile, potential_from_density, lp_norm
 from flatsteady.potential import (FlatPotentialOperator, operator_for,
                                   outer_potential_energy)
@@ -93,8 +98,41 @@ def test_outer_energy_bound_with_constant(kuzmin_on_grid):
 
 
 def test_operator_cache_returns_same_object():
-    grid = RadialGrid.uniform(5.0, 64)
-    assert operator_for(grid) is operator_for(RadialGrid.uniform(5.0, 64))
+    # two grids of one shape share one assembled kmat, scaled by their r_max
+    a = operator_for(RadialGrid.uniform(5.0, 64))
+    b = operator_for(RadialGrid.uniform(2.0, 64))
+    assert a.kmat is b.kmat
+    assert (a.scale, b.scale) == (5.0, 2.0)
+
+
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from flatsteady import CasimirModel, RadialGrid, SolverOptions, solve
+from flatsteady.potential import operator_for
+
+for n in (192, 384, 1024):
+    grid = RadialGrid.hybrid(0.25, 3.0, n)
+    rho = np.exp(-grid.nodes ** 2) * (1.0 + 0.1 * np.sin(7.0 * grid.nodes))
+    print(hashlib.sha256(operator_for(grid).potential(rho).tobytes()).hexdigest())
+ss = solve(CasimirModel.polytrope(0.5, c=57.0), 1.0, SolverOptions(n=192))
+print(float(ss.E0).hex(), hashlib.sha256(ss.U0.values.tobytes()).hexdigest())
+"""
+
+
+def test_matvec_bytes_independent_of_blas_threads():
+    # the matvec runs in BLAS; its bytes, and so a solve's, must not depend
+    # on how many threads BLAS splits the product over
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(flatsteady.__file__)))
+        outs.append(subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                                   capture_output=True, text=True, check=True,
+                                   timeout=300).stdout)
+    assert len(outs[0].split()) == 5
+    assert outs[0] == outs[1]
 
 
 def _reference_row(r, i):
