@@ -66,7 +66,8 @@ class CasimirModel:
     terms: tuple = ()
     f_table: Optional[np.ndarray] = None
     Q_table: Optional[np.ndarray] = None
-    _interp: object = field(default=None, repr=False, compare=False)
+    # a table's Q, Q' and Q'' as piecewise polynomials, built once
+    _derivs: tuple = field(default=(), repr=False, compare=False)
 
     # -- constructors ------------------------------------------------------
 
@@ -134,9 +135,10 @@ class CasimirModel:
             f = np.concatenate([[0.0], f])
             Q = np.concatenate([[0.0], Q])
         interp = PchipInterpolator(f, Q)
+        derivs = (interp, interp.derivative(1), interp.derivative(2))
         # (Q4) needs a monotone Q'; a concave-then-convex table breaks it
         fs = np.linspace(f[0], f[-1], 4 * f.size)
-        qp = interp.derivative()(fs)
+        qp = derivs[1](fs)
         if np.any(np.diff(qp) < -1e-12 * max(1.0, np.max(np.abs(qp)))):
             raise ModelDefinitionError(
                 "custom: tabulated Q has non-monotone Q', violating the "
@@ -152,7 +154,7 @@ class CasimirModel:
         return CasimirModel(
             kind="custom", F0=F0, mu1=mu1, mu2=mu2, mu3=mu3,
             C1=C1, C2=C2, C3=C3, C4=C4,
-            f_table=f, Q_table=Q, _interp=interp,
+            f_table=f, Q_table=Q, _derivs=derivs,
         )
 
     # -- evaluation --------------------------------------------------------
@@ -170,7 +172,7 @@ class CasimirModel:
         """k-th derivative of Q: sum of coef*p*(p-1)*f^(p-k), p = 1 + 1/mu."""
         f = np.asarray(f, dtype=float)
         if not self.terms:
-            return self._interp.derivative(k)(np.clip(f, 0.0, self.f_table[-1]))
+            return self._derivs[k](np.clip(f, 0.0, self.f_table[-1]))
         parts = []
         for coef, mu in self.terms:
             p = 1.0 + 1.0 / mu

@@ -159,8 +159,13 @@ class RadialGrid:
     def shape(self) -> "RadialGrid":
         """Nodes / r_max rounded to 12 significant digits: one per scale family.
 
-        The rounding absorbs the last-digit jitter of scaling a grid.
+        The rounding absorbs the last-digit jitter of scaling a grid.  It is
+        computed once per grid: ``operator_for`` asks for it on every lookup.
         """
+        return self._shape
+
+    @functools.cached_property
+    def _shape(self) -> "RadialGrid":
         unit = [float(f"{x:.12g}") for x in self.nodes / self.r_max]
         return RadialGrid(np.array(unit), scheme=self.scheme)
 

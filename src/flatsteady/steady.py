@@ -11,13 +11,25 @@ fixed-point Jacobian eigenvalue above one, so any damping factor merely
 slows the collapse.  The solver therefore pins the support edge: for a
 trial edge radius R the inner sweep sets E0 = U(R), applies the map and
 renormalizes to the target mass, which removes the unstable amplitude and
-scale modes.  The renormalization factor A(R) at the inner fixed point is
-smooth and monotone in R, and A(R*) = 1 exactly at the self-consistent
-state.  The outer iteration drives A to one, rescaling the grid around
-each trial R so the support sits well inside it: a first jump R*A^2 from
-R = 1, then the unclamped log-log secant through the last two (R, A)
-pairs.  One power term has A ~ R^(mu-1) exactly, so two evaluations fix
-the slope and the secant lands: a polytrope takes at most three.
+scale modes.
+
+The inner fixed point is found by Anderson mixing (Anderson 1965; Walker &
+Ni 2011, SIAM J. Numer. Anal. 49, 1715) with memory 5 and mixing 1/2: each
+step is the damped step less the combination of the last five iterate and
+residual differences that best cancels the current residual in least
+squares, clipped at rho >= 0.  Its residual is not monotone; whenever it
+grows the history restarts, so the next step is a plain damped one, and
+ten consecutive growths raise ConvergenceError.  The renormalization
+factor A(R) at the inner fixed point is smooth and monotone in R, and
+A(R*) = 1 exactly at the self-consistent state.  The outer iteration
+drives A to one, rescaling the grid around each trial R so the support
+sits well inside it: a first jump R*A^2 from R = 1, then the unclamped
+log-log secant through the last two (R, A) pairs.  One power term has
+A ~ R^(mu-1) exactly, so two evaluations fix the slope and the secant
+lands: a polytrope takes at most three.  Trial grids are multiples of one
+shape, so each evaluation after the first starts from the last one's node
+densities, renormalized to the target mass on its grid (warm start); a
+polytrope is self-similar in R, and its later evaluations take one sweep.
 """
 
 from __future__ import annotations
@@ -36,9 +48,10 @@ __all__ = ["SteadyState", "SolverOptions", "solve", "density_from_potential",
            "regularity_report"]
 
 _SUPPORT_CUT = 1e-14  # rho below this fraction of its max counts as zero
-_DAMPING = 0.5  # weight of the mapped density in each inner sweep
+_DAMPING = 0.5  # Anderson mixing: weight of the residual in each inner step
+_MEMORY = 5  # Anderson mixing: past sweeps whose differences enter a step
 _MAX_SWEEPS = 400  # inner sweeps per trial edge radius before giving up
-_RESIDUAL_TOL = 1e-11  # relative inner residual at which a sweep stops
+_RESIDUAL_TOL = 1e-13  # relative inner residual at which a sweep stops
 _MASS_TOL = 1e-9  # relative mass defect a converged state may carry
 _R_SEED = 1.0  # first trial edge radius
 _OUTER_TOL = 1e-10  # |A - 1| at which the outer edge iteration stops
@@ -96,23 +109,28 @@ def density_from_potential(model: CasimirModel, E0: float,
                          require_nonnegative=True)
 
 
-def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float):
+def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
+                 seed: np.ndarray | None = None):
     """Edge-pinned, mass-renormalized fixed point for a trial edge radius R.
 
+    Starts from ``seed`` node densities (a Kuzmin disc of scale R/3 when
+    None), renormalized to mass M on this grid, and Anderson-mixes the map.
     Returns (rho, U, E0, A, residual, iterations) where A is the factor that
     rescales the mapped density back to mass M.
     """
     r = grid.nodes
     ringw = grid.ring_weights
-    # a Kuzmin disc of scale R/3, written in r/R so that no power of R can
-    # leave float64; the grid's own mass integral still may, far from unit R
-    rho = (1.0 + (3.0 * r / R) ** 2) ** -1.5
-    seed_mass = np.sum(ringw * rho)
+    if seed is None:
+        # written in r/R so that no power of R can leave float64; the grid's
+        # own mass integral still may, far from unit R
+        seed = (1.0 + (3.0 * r / R) ** 2) ** -1.5
+    seed_mass = np.sum(ringw * seed)
     if not 0.0 < seed_mass < np.inf:
         raise ConvergenceError(
             f"the trial grid at edge radius R={R:g} leaves the float64 range")
-    rho *= M / seed_mass
+    rho = seed * (M / seed_mass)
 
+    d_rho, d_res = [], []  # Anderson history: iterate and residual differences
     grow_count = 0
     prev_res = np.inf
     for it in range(1, _MAX_SWEEPS + 1):
@@ -128,7 +146,8 @@ def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float):
                 f"edge-pinned map produced mass {raw_mass:g} at R={R:g}")
         A = M / raw_mass
         rho_map = A * raw
-        res = float(np.max(np.abs(rho_map - rho)) / np.max(rho_map))
+        f = rho_map - rho
+        res = float(np.max(np.abs(f)) / np.max(rho_map))
         if res <= _RESIDUAL_TOL:
             return rho_map, U, E0, A, res, it
         if res > prev_res * (1.0 + 1e-12):
@@ -137,10 +156,24 @@ def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float):
                 raise ConvergenceError(
                     f"inner residual grew for 10 consecutive sweeps at "
                     f"R={R:g} (residual {res:.3e})")
+            d_rho.clear()  # the safeguard: restart from a damped step
+            d_res.clear()
         else:
             grow_count = 0
-        prev_res = res
-        rho = (1.0 - _DAMPING) * rho + _DAMPING * rho_map
+            if it > 1:
+                d_rho.append(rho - rho_prev)
+                d_res.append(f - f_prev)
+                if len(d_rho) > _MEMORY:
+                    del d_rho[0], d_res[0]
+        prev_res, rho_prev, f_prev = res, rho, f
+        step = _DAMPING * f
+        if d_rho:
+            # Walker & Ni (2011): the combination of past residuals that best
+            # cancels f, applied to the damped step
+            dF = np.column_stack(d_res)
+            gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+            step -= np.column_stack(d_rho) @ gamma + _DAMPING * (dF @ gamma)
+        rho = np.maximum(rho + step, 0.0)
     raise ConvergenceError(
         f"no inner convergence in {_MAX_SWEEPS} sweeps at R={R:g} "
         f"(residual {res:.3e})")
@@ -158,9 +191,14 @@ def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> S
     unit = RadialGrid.hybrid(0.25, 1.0, n).shape().nodes
 
     R, R_prev, A_prev = _R_SEED, None, None
+    rho, sweeps = None, 0
     for _ in range(_MAX_OUTER):
         grid = RadialGrid(5.0 * R * unit, scheme="hybrid")
-        rho, U, E0, A, _, inner_it = _inner_sweep(inv, operator_for(grid), grid, M, R)
+        # node i of every trial grid is the same fraction of its r_max, so
+        # the last evaluation's densities seed this one node for node
+        rho, U, E0, A, _, inner_it = _inner_sweep(inv, operator_for(grid), grid,
+                                                  M, R, seed=rho)
+        sweeps += inner_it
         if abs(A - 1.0) < _OUTER_TOL:
             break
         if R_prev is not None:
@@ -205,7 +243,7 @@ def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> S
         rho0=RadialProfile(grid, rho, require_nonnegative=True),
         U0=RadialProfile(grid, U),
         mass=mass, support_radius=support_radius,
-        residual=residual, iterations=inner_it, inv=inv,
+        residual=residual, iterations=sweeps, inv=inv,
     )
 
 

@@ -137,3 +137,25 @@ def test_cache_stays_within_its_bound(monkeypatch):
     # the most recent lookup survives the evictions it caused
     base = potential._OP_CACHE[grids[-1].shape().key()]
     assert operator_for(grids[-1]).kmat is base.kmat
+
+
+def test_shape_is_formatted_once_per_grid(monkeypatch):
+    grid = RadialGrid.hybrid(0.3, 2.0, 96)
+    built = []
+    post_init = RadialGrid.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    # every formatting of the nodes builds one shape grid
+    monkeypatch.setattr(RadialGrid, "__post_init__", counted)
+    operator_for(grid)
+    operator_for(grid)
+    assert len(built) == 1
+    monkeypatch.undo()
+    fresh = RadialGrid(grid.nodes.copy(), scheme=grid.scheme)
+    assert fresh.shape() is not grid.shape()
+    assert fresh.shape().key() == grid.shape().key()
+    unit = [float(f"{x:.12g}") for x in grid.nodes / grid.r_max]
+    assert grid.shape().key() == np.array(unit).tobytes()
