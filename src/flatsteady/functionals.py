@@ -47,6 +47,7 @@ __all__ = ["FunctionalReport", "ScalingParams", "evaluate_steady",
 # calls outweigh its dispatch, small enough that its temporaries stay in
 # cache and add little to the peak memory.
 _CHUNK = 65536
+_RESIDUAL_CAP = 1e-6  # largest residual ``evaluate_steady`` accepts
 
 
 @functools.cache
@@ -166,13 +167,12 @@ def proof_scaling_params(m: float, mu3: float) -> ScalingParams:
 
 # -- steady-state path -----------------------------------------------------
 
-def evaluate_steady(model: CasimirModel, ss: SteadyState,
-                    residual_cap: float = 1e-6) -> FunctionalReport:
+def evaluate_steady(model: CasimirModel, ss: SteadyState) -> FunctionalReport:
     """Exact (per quadrature) functionals of a converged steady state."""
-    if ss.residual > residual_cap:
+    if ss.residual > _RESIDUAL_CAP:
         raise InputError(
             f"evaluate_steady: state residual {ss.residual:.3e} exceeds "
-            f"{residual_cap:.1e}; not a converged steady state")
+            f"{_RESIDUAL_CAP:.1e}; not a converged steady state")
     e_kin, casimir, _ = ss.moments
     op = operator_for(ss.grid)
     e_pot = op.potential_energy(ss.rho0.values)
@@ -233,11 +233,12 @@ def _bin(grid: RadialGrid, x: np.ndarray, masses: np.ndarray) -> _Binning:
 
 
 def _self_energy(op, binned: _Binning, masses: np.ndarray) -> float:
-    """Sum of per-particle deposit self-energies (to subtract from E_pot)."""
+    """Sum of per-particle deposit self-energies (to subtract from E_pot):
+    the form's 2x2 block on each particle's two cell nodes, from its bands."""
     ringw = op.grid.ring_weights
     safe = np.where(ringw > 0.0, ringw, np.inf)
     idx = binned.idx
-    diag, sup = np.diag(op.smat), np.diag(op.smat, 1)
+    diag, sup = op.form_bands()
     quad = np.empty(idx.size)
 
     def chunk(a, b):
@@ -410,7 +411,7 @@ def evaluate_ensemble(model: CasimirModel, ens,
     """Functionals of a particle ensemble.
 
     E_pot uses the deposited axisymmetric ring density with the particle
-    self-energies removed, so a single particle has zero potential energy.
+    self-energies removed: a single particle's E_pot is zero up to rounding.
     """
     if ens.positions.shape[0] == 0:
         raise InputError("evaluate_ensemble: empty ensemble")

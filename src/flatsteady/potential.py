@@ -16,14 +16,13 @@ The discrete operator is a dense matrix U = scale * (K @ rho) (density
 interpolated by local quadratics between nodes).  The kernel is homogeneous
 of degree one, so K is assembled once per grid shape (nodes / r_max), and
 every grid of that shape holds the shape's K by reference with scale =
-r_max / shape.r_max.  Potential energies use a symmetrized bilinear form,
-built on first use, so that int rho1 * U_rho2 == int rho2 * U_rho1 holds
-exactly in the discretization.
+r_max / shape.r_max.  Potential energies come from the same matvec: with
+ring weights w, the bilinear form is the symmetrized scale * W K, so that
+int rho1 * U_rho2 == int rho2 * U_rho1 holds exactly in the discretization.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import OrderedDict
 
 import numpy as np
@@ -130,26 +129,24 @@ class FlatPotentialOperator:
         """U at the grid nodes for density node values rho."""
         return self.scale * (self.kmat @ rho)
 
-    @functools.cached_property
-    def smat(self) -> np.ndarray:
-        """Ring-weighted operator, symmetrized: the energies' bilinear form."""
-        wk = (self.scale * self.grid.ring_weights)[:, None] * self.kmat
-        # the continuous form -iint rho1 rho2 / |x-y| is symmetric
-        return 0.5 * (wk + wk.T)
+    def form_bands(self) -> tuple:
+        """Diagonal and super-diagonal of the energies' bilinear form
+        sym(scale * W K), W = diag(ring weights), in O(n)."""
+        sw, k = self.scale * self.grid.ring_weights, self.kmat
+        return sw * np.diag(k), 0.5 * (sw[:-1] * np.diag(k, 1)
+                                       + sw[1:] * np.diag(k, -1))
 
     def interaction_energy(self, rho1: np.ndarray, rho2: np.ndarray) -> float:
-        """int rho1 * U_rho2 dx over the plane; symmetric in its arguments.
-
-        The symmetrized outer product makes the result bitwise identical
-        under argument exchange, not just equal up to roundoff.
-        """
-        sym = 0.5 * (rho1[:, None] * rho2[None, :]
-                     + rho2[:, None] * rho1[None, :])
-        return float(np.sum(self.smat * sym))
+        """int rho1 * U_rho2 dx as the mean of (w rho1).U_rho2 and (w rho2).U_rho1:
+        bitwise symmetric in its arguments, since a float sum commutes."""
+        w = self.grid.ring_weights
+        return 0.5 * (float((w * rho1) @ self.potential(rho2))
+                      + float((w * rho2) @ self.potential(rho1)))
 
     def potential_energy(self, rho: np.ndarray) -> float:
-        """E_pot(rho) = 0.5 * int rho U_rho dx (negative for nonzero mass)."""
-        return 0.5 * self.interaction_energy(rho, rho)
+        """E_pot(rho) = 0.5 * int rho U_rho dx (negative for nonzero mass);
+        bit for bit 0.5 * interaction_energy(rho, rho), from one matvec."""
+        return 0.5 * float((self.grid.ring_weights * rho) @ self.potential(rho))
 
 
 _OP_CACHE: OrderedDict = OrderedDict()
@@ -163,7 +160,7 @@ def operator_for(grid: RadialGrid) -> FlatPotentialOperator:
     (nodes / r_max rounded to 12 significant digits) and is kept in an LRU
     cache of ``_CACHE_SIZE`` shapes.  The returned operator holds the
     shape's kmat by reference, with scale = r_max / shape.r_max; it is not
-    cached and allocates no matrix until its energies are asked for.
+    cached and allocates no matrix.
     """
     shape = grid.shape()
     key = shape.key()

@@ -53,7 +53,7 @@ class ParticleEnsemble:
         self.weights = np.asarray(self.weights, dtype=float)
         n = self.weights.size
         if self.positions.shape != (n, 2) or self.velocities.shape != (n, 2):
-            raise InputError("ParticleEnsemble: shape mismatch")
+            raise InputError("ParticleEnsemble: shapes do not match")
         if n and np.any(self.weights <= 0.0):
             raise InputError("ParticleEnsemble: weights must be positive")
         if not (np.all(np.isfinite(self.positions))

@@ -157,7 +157,9 @@ def _ref_self_energy(op, grid, radii, masses):
     safe = np.where(ringw > 0.0, ringw, np.inf)
     wa = m * (1.0 - frac) / safe[idx]
     wb = m * frac / safe[idx + 1]
-    s = op.smat
+    # the energies' bilinear form, scale * sym(W K), built in full
+    wk = (op.scale * ringw)[:, None] * op.kmat
+    s = 0.5 * (wk + wk.T)
     return 0.5 * float(np.sum(wa * wa * s[idx, idx]
                               + 2.0 * wa * wb * s[idx, idx + 1]
                               + wb * wb * s[idx + 1, idx + 1]))

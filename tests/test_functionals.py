@@ -2,15 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flatsteady import (CasimirModel, ScalingParams, SolverOptions, solve,
-                        evaluate_ensemble, evaluate_steady, rescale_steady,
-                        sample, scaling_inequality_check, split_diagnostic,
-                        stability_distance)
+from flatsteady import (CasimirModel, RadialGrid, ScalingParams, SolverOptions,
+                        solve, evaluate_ensemble, evaluate_steady,
+                        rescale_steady, sample, scaling_inequality_check,
+                        split_diagnostic, stability_distance)
 from flatsteady.functionals import (_bin, _ensemble_row, _interp,
-                                    alpha_from_mu3, bilinearity_check,
+                                    _self_energy, alpha_from_mu3,
+                                    bilinearity_check,
                                     interpolation_check,
                                     lower_bound_check, proof_scaling_params)
+from flatsteady.potential import operator_for
 from flatsteady.simulate import ParticleEnsemble
 from flatsteady.errors import InputError
 
@@ -139,6 +142,20 @@ def test_single_particle_zero_epot(poly_wide, ss_wide):
                            np.array([1e-6]))
     rep = evaluate_ensemble(poly_wide, ens, grid=ss_wide.grid)
     assert rep.e_pot == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * np.pi), st.floats(-8.0, 2.0))
+def test_single_particle_self_energy_is_its_deposit_energy(r, phi, log_m):
+    # a lone particle's deposit energy is its self-energy up to rounding,
+    # wherever it sits in its cell and whatever its mass
+    grid = RadialGrid.hybrid(0.75, 1.0, 192)
+    x = np.array([[r * np.cos(phi), r * np.sin(phi)]])
+    m = np.array([10.0 ** log_m])
+    binned = _bin(grid, x, m)
+    op = operator_for(grid)
+    e_dep = op.potential_energy(binned.rho)
+    assert abs(e_dep - _self_energy(op, binned, m)) <= 1e-13 * abs(e_dep)
 
 
 def test_weight_homogeneity(poly_wide, ss_wide):

@@ -11,8 +11,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from flatsteady import CasimirModel, RadialGrid, SolverOptions, evaluate_steady, solve
-from flatsteady import potential, steady
+from flatsteady import functionals, potential, steady
+from flatsteady.functionals import _bin, _ensemble_row
 from flatsteady.potential import FlatPotentialOperator, operator_for
+from flatsteady.simulate import ParticleEnsemble
 
 _SCALE = st.floats(1e-3, 1e3)
 # no tiny coefficients: their subnormal products would lose relative precision
@@ -20,7 +22,7 @@ _COEF = st.floats(-10.0, 10.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
 
 
 @st.composite
-def unit_grids(draw):
+def unit_grids(draw, n_min=16, n_max=160):
     """Uniform, log or hybrid grids with r_max = 1.
 
     Every panel is integrated by Gauss-Legendre in a variable that scales
@@ -30,7 +32,7 @@ def unit_grids(draw):
     """
     kind = draw(st.sampled_from(["uniform", "log", "hybrid"]))
     # a hybrid grid needs 8 tail nodes beyond its 75% core
-    n = draw(st.integers(32 if kind == "hybrid" else 16, 160))
+    n = draw(st.integers(max(n_min, 32) if kind == "hybrid" else n_min, n_max))
     if kind == "uniform":
         return RadialGrid.uniform(1.0, n)
     if kind == "log":
@@ -66,6 +68,32 @@ def test_views_keep_exact_symmetry_and_linearity(lam, seed, a, b):
     assert np.max(np.abs(lhs - (a * u1 + b * u2))) <= 1e-13 * scale
 
 
+def _outer_product_energies(op, rho1, rho2):
+    """(E_pot(rho1), int rho1 U_rho2) by the full symmetrized form
+    scale * sym(W K) and the symmetrized outer product of the densities."""
+    wk = (op.scale * op.grid.ring_weights)[:, None] * op.kmat
+    form = 0.5 * (wk + wk.T)
+
+    def pair(a, b):
+        return float(np.sum(form * (0.5 * (a[:, None] * b[None, :]
+                                           + b[:, None] * a[None, :]))))
+
+    return 0.5 * pair(rho1, rho1), pair(rho1, rho2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(unit_grids(40, 400), _SCALE, st.integers(0, 2 ** 32 - 1))
+def test_energies_match_the_outer_product_form(grid, lam, seed):
+    # the energies come from the matvec; the full n x n form is the reference
+    op = operator_for(RadialGrid(lam * grid.nodes))
+    rng = np.random.default_rng(seed)
+    rho1, rho2 = rng.random(grid.n), rng.random(grid.n)
+    e_pot, e_int = _outer_product_energies(op, rho1, rho2)
+    assert op.potential_energy(rho1) == 0.5 * op.interaction_energy(rho1, rho1)
+    assert abs(op.potential_energy(rho1) - e_pot) <= 1e-13 * abs(e_pot)
+    assert abs(op.interaction_energy(rho1, rho2) - e_int) <= 1e-13 * abs(e_int)
+
+
 def _fresh_cache(monkeypatch):
     monkeypatch.setattr(potential, "_OP_CACHE", OrderedDict())
 
@@ -90,9 +118,9 @@ def test_solves_at_one_n_share_one_assembly(monkeypatch):
     assert calls == [192]
 
 
-def test_solve_shares_one_kmat_and_builds_no_smat(monkeypatch):
+def test_solve_and_diagnostics_hold_only_the_shared_kmat(monkeypatch):
     # every trial edge radius is a grid of one shape: its operator holds the
-    # shape's kmat by reference, and the sweep never needs the energy form
+    # shape's kmat by reference, and the energies need no second matrix
     _fresh_cache(monkeypatch)
     ops = []
 
@@ -101,11 +129,25 @@ def test_solve_shares_one_kmat_and_builds_no_smat(monkeypatch):
         return ops[-1]
 
     monkeypatch.setattr(steady, "operator_for", recorded)
-    ss = solve(CasimirModel.double_power(0.5, 0.75), 1.0, SolverOptions(n=192))
+    model = CasimirModel.double_power(0.5, 0.75)
+    ss = solve(model, 1.0, SolverOptions(n=192))
     assert len({op.grid.r_max for op in ops}) == len(ops) > 1
     assert all(op.kmat is ops[0].kmat for op in ops)
-    assert not any("smat" in vars(op) for op in ops)
     assert ss.grid is ops[-1].grid
+
+    n_solve = len(ops)
+    monkeypatch.setattr(functionals, "operator_for", recorded)
+    evaluate_steady(model, ss)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-0.5, 0.5, (1000, 2)) * ss.grid.r_max
+    ens = ParticleEnsemble(x, rng.normal(size=(1000, 2)), np.full(1000, 1e-3))
+    _ensemble_row(model, ens, _bin(ss.grid, ens.positions, ens.weights), ss)
+    n = ss.grid.n
+    held = [(op, v) for op in ops + list(potential._OP_CACHE.values())
+            for v in vars(op).values()
+            if isinstance(v, np.ndarray) and v.shape == (n, n)]
+    assert len(ops) > n_solve
+    assert held and all(v is op.kmat for op, v in held)
 
 
 def test_potential_independent_of_cache_history(monkeypatch):
