@@ -28,8 +28,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import InputError
-from .functionals import (_bin, _ensemble_row, _map_chunks, _workers,
-                          stability_distance)
+from .functionals import (_bin, _ensemble_row, _map_chunks, _radius,
+                          _workers, stability_distance)
 from .grids import RadialGrid
 from .potential import operator_for
 from .steady import SteadyState
@@ -70,7 +70,7 @@ class ParticleEnsemble:
         return float(np.sum(self.weights))
 
     def radii(self) -> np.ndarray:
-        return np.hypot(self.positions[:, 0], self.positions[:, 1])
+        return _radius(self.positions)
 
     def angular_momentum(self) -> float:
         """Total L3 = sum w * (x1 v2 - x2 v1)."""
@@ -164,17 +164,23 @@ def _grid_accel_arrays(x: np.ndarray, binned,
     grid = binned.grid
     U = operator_for(grid).potential(binned.rho)
     dc = CubicSpline(grid.nodes, U).derivative().c
-    radii, idx, outside = binned.radii, binned.idx, binned.outside
+    # one row per cell: its lower node and the derivative's coefficients,
+    # so that a particle's cell is one gather
+    table = np.column_stack([grid.nodes[:-1], dc[2], dc[1], dc[0]])
+    radii, idx, r_max = binned.radii, binned.idx, grid.r_max
     acc = np.empty_like(x) if out is None else out
 
     def gather(a, b):
-        r, i = radii[a:b], idx[a:b]
-        t = np.where(outside[a:b], grid.r_max, r) - grid.nodes[i]
-        dU = dc[2][i] + dc[1][i] * t + dc[0][i] * (t * t)
+        r = radii[a:b]
+        cell = table.take(idx[a:b], axis=0)
+        t = np.minimum(r, r_max)
+        t -= cell[:, 0]
+        dU = cell[:, 1] + cell[:, 2] * t + cell[:, 3] * (t * t)
         with np.errstate(invalid="ignore", divide="ignore"):
-            scale = -dU / r
+            scale = np.divide(-dU, r, out=dU)
         scale[r == 0.0] = 0.0  # no direction at the origin
-        np.multiply(scale[:, None], x[a:b], out=acc[a:b])
+        np.multiply(scale, x[a:b, 0], out=acc[a:b, 0])
+        np.multiply(scale, x[a:b, 1], out=acc[a:b, 1])
 
     _map_chunks(gather, x.shape[0])
     return acc

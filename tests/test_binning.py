@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from flatsteady import (CasimirModel, RadialGrid, RadialProfile, SimConfig,
-                        evaluate_ensemble,
+                        accelerations, evaluate_ensemble,
                         run, sample, stability_distance)
 from flatsteady import functionals, grids, simulate
-from flatsteady.functionals import _bin, _ensemble_row, _interp
+from flatsteady.functionals import _bin, _ensemble_row, _interp, _radius
 from flatsteady.potential import operator_for
 from flatsteady.simulate import ParticleEnsemble, _grid_accel_arrays
 
@@ -130,6 +130,32 @@ def test_interp_through_binning_matches_profile(data):
     ref = RadialProfile(grid, U)(r)
     assert np.all(got[r > grid.r_max] == 0.0)
     np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
+# -- the one radius formula ----------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-150, 1e150), st.floats(1e-150, 1e150),
+       st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]))
+def test_radius_is_within_an_ulp_of_hypot_and_exact_on_the_axes(a, b, sa, sb):
+    x = np.array([[sa * a, sb * b], [sa * a, 0.0], [0.0, sb * b]])
+    r = _radius(x)
+    ref = np.hypot(x[0, 0], x[0, 1])
+    assert abs(r[0] - ref) <= np.spacing(ref)
+    assert (r[1], r[2]) == (a, b)
+
+
+def test_radius_past_the_squares_range_stays_finite(ss_wide):
+    far = np.array([[1e200, 0.0], [0.0, -1e200], [3e-200, 4e-200], [0.0, 0.0]])
+    r = _radius(far)
+    assert np.array_equal(r[:2], np.hypot(far[:2, 0], far[:2, 1]))
+    assert abs(r[2] - 5e-200) <= 2 * np.spacing(5e-200) and r[3] == 0.0
+    ens = sample(ss_wide, 2000, seed=8)
+    x = ens.positions.copy()
+    x[0] = [1e200, 0.0]
+    acc = accelerations(ParticleEnsemble(x, ens.velocities, ens.weights),
+                        "grid", ss_wide.grid)
+    assert np.all(np.isfinite(acc))
 
 
 # -- regression against the separate searchsorted paths -----------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from flatsteady import SimConfig, accelerations, run, sample, step
 from flatsteady import functionals
 from flatsteady.errors import InputError
-from flatsteady.functionals import _bin
+from flatsteady.functionals import _bin, _ensemble_row
 from flatsteady.simulate import ParticleEnsemble, _grid_accel_arrays
 
 # no chunk boundary of the default size falls on a multiple of a smaller one
@@ -78,13 +78,14 @@ def test_outputs_do_not_depend_on_workers_or_chunks(monkeypatch, poly_wide,
             assert value.tobytes() == res[key].tobytes(), (label, key)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("method", ["grid", "direct"])
 def test_run_leapfrog_matches_whole_array_updates(monkeypatch, poly_wide,
-                                                  ss_wide, method):
+                                                  ss_wide, method, workers):
     # the chunked kicks reuse the half kick and the force buffer; the
     # positions and velocities still equal the plain kick-drift-kick, and
     # k calls of step give the same bytes as run's k steps
-    _use_pool(monkeypatch, 2, chunk=997)
+    pool = _use_pool(monkeypatch, workers, chunk=997)
     n = 5000 if method == "grid" else 2000
     t_dyn = ss_wide.dynamical_time()
     cfg = SimConfig(n_particles=n, dt=0.01 * t_dyn, t_end=0.04 * t_dyn,
@@ -107,6 +108,15 @@ def test_run_leapfrog_matches_whole_array_updates(monkeypatch, poly_wide,
         assert final.positions.tobytes() == x.tobytes()
         assert final.velocities.tobytes() == v.tobytes()
     assert acc_step.tobytes() == acc.tobytes()
+    # the last row reads the binning of the drifted positions, not a stale
+    # one, and the whole-array radii agree with that binning's
+    final = out["ensemble"]
+    binned = _bin(ss_wide.grid, final.positions, final.weights)
+    row, _ = _ensemble_row(poly_wide, final, binned, ss_wide)
+    assert out["rows"][-1] == row
+    assert final.radii().tobytes() == binned.radii.tobytes()
+    if pool is not None:
+        pool.shutdown()
 
 
 def test_nan_radius_in_a_later_chunk_raises(monkeypatch, ss_wide, ens_pool):
