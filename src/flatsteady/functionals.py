@@ -231,7 +231,8 @@ def _radius(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return r
 
 
-def _bin(grid: RadialGrid, x: np.ndarray, masses: np.ndarray) -> _Binning:
+def _bin(grid: RadialGrid, x: np.ndarray, masses: np.ndarray,
+         before=None) -> _Binning:
     """The one particle-to-grid binning, shared by every layer that needs it.
 
     One chunked pass over the positions x (N, 2) computes each radius, its
@@ -243,7 +244,9 @@ def _bin(grid: RadialGrid, x: np.ndarray, masses: np.ndarray) -> _Binning:
     x1*x1), computed in place, with its scaled fallback for a sum of squares
     that overflows or underflows.  It replaced a library call that scaled
     every radius: that call was most of the pass and ran no faster on the
-    pool than on one thread.
+    pool than on one thread.  ``before(lo, hi)``, when given, runs on each
+    slice first: ``run`` drifts the slice's positions there, so that the
+    binning reads the drifted positions in the same pass.
     """
     n = masses.size
     radii, idx = np.empty(n), np.empty(n, dtype=np.intp)
@@ -251,6 +254,8 @@ def _bin(grid: RadialGrid, x: np.ndarray, masses: np.ndarray) -> _Binning:
     outside = np.empty(n, dtype=bool)
 
     def chunk(a, b):
+        if before is not None:
+            before(a, b)
         r = _radius(x[a:b], out=radii[a:b])
         idx[a:b], frac[a:b] = grid._locate(r)
         _cic_masses(frac[a:b], np.greater(r, grid.r_max, out=outside[a:b]),
