@@ -78,45 +78,49 @@ def test_outputs_do_not_depend_on_workers_or_chunks(monkeypatch, poly_wide,
             assert value.tobytes() == res[key].tobytes(), (label, key)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("method", ["grid", "direct"])
 def test_run_leapfrog_matches_whole_array_updates(monkeypatch, poly_wide,
-                                                  ss_wide, method, workers):
-    # the chunked kicks reuse the half kick and the force buffer; the
-    # positions and velocities still equal the plain kick-drift-kick, and
-    # k calls of step give the same bytes as run's k steps
-    pool = _use_pool(monkeypatch, workers, chunk=997)
+                                                  ss_wide, method):
+    # the chunked kicks reuse the half kick and the force buffer; at 1, 2
+    # and 3 workers the positions and velocities still equal the plain
+    # kick-drift-kick, and k calls of step give the same bytes as run's k
+    # steps
     n = 5000 if method == "grid" else 2000
     t_dyn = ss_wide.dynamical_time()
     cfg = SimConfig(n_particles=n, dt=0.01 * t_dyn, t_end=0.04 * t_dyn,
                     method=method, seed=2, output_every=4)
-    out = run(ss_wide, cfg, model=poly_wide)
     eps_soft = 0.01 * ss_wide.support_radius
     ens = sample(ss_wide, n, seed=2)
     x, v, dt = ens.positions.copy(), ens.velocities.copy(), cfg.dt
-    acc = accelerations(ens, method, ss_wide.grid, eps_soft)
-    stepped, acc_step = ens, acc
+    acc = acc0 = accelerations(ens, method, ss_wide.grid, eps_soft)
     for _ in range(4):
         v += 0.5 * dt * acc
         x += dt * v
         acc = accelerations(ParticleEnsemble(x, v, ens.weights), method,
                             ss_wide.grid, eps_soft)
         v += 0.5 * dt * acc
-        stepped, acc_step = step(stepped, dt, method, ss_wide.grid, eps_soft,
-                                 acc=acc_step)
-    for final in (out["ensemble"], stepped):
-        assert final.positions.tobytes() == x.tobytes()
-        assert final.velocities.tobytes() == v.tobytes()
-    assert acc_step.tobytes() == acc.tobytes()
-    # the last row reads the binning of the drifted positions, not a stale
-    # one, and the whole-array radii agree with that binning's
-    final = out["ensemble"]
-    binned = _bin(ss_wide.grid, final.positions, final.weights)
-    row, _ = _ensemble_row(poly_wide, final, binned, ss_wide)
-    assert out["rows"][-1] == row
-    assert final.radii().tobytes() == binned.radii.tobytes()
-    if pool is not None:
-        pool.shutdown()
+    for workers in (1, 2, 3):
+        with monkeypatch.context() as m:
+            pool = _use_pool(m, workers, chunk=997)
+            out = run(ss_wide, cfg, model=poly_wide)
+            stepped, acc_step = ens, acc0
+            for _ in range(4):
+                stepped, acc_step = step(stepped, dt, method, ss_wide.grid,
+                                         eps_soft, acc=acc_step)
+            # the last row reads the binning of the drifted positions, not
+            # a stale one
+            final = out["ensemble"]
+            binned = _bin(ss_wide.grid, final.positions, final.weights)
+            row, _ = _ensemble_row(poly_wide, final, binned, ss_wide)
+            if pool is not None:
+                pool.shutdown()
+        for result in (final, stepped):
+            assert result.positions.tobytes() == x.tobytes(), workers
+            assert result.velocities.tobytes() == v.tobytes(), workers
+        assert acc_step.tobytes() == acc.tobytes(), workers
+        assert out["rows"][-1] == row, workers
+        # whole-array radii agree with the binning's chunked ones
+        assert final.radii().tobytes() == binned.radii.tobytes(), workers
 
 
 def test_nan_radius_in_a_later_chunk_raises(monkeypatch, ss_wide, ens_pool):
