@@ -209,9 +209,8 @@ def _radius(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     sqrt(x0*x0 + x1*x1), in ``out`` when given; exact on the axes.  Where
     the sum of squares is not a finite normal number (a component past
     about 1e154 or below about 1e-154, or one that is not finite), that
-    element falls back to the scaled form m*sqrt(1 + (k/m)^2) with
-    m = max(|x0|, |x1|) and k = min(|x0|, |x1|), so a finite position never
-    gets r = inf.  Each element's value does not depend on the others.
+    element falls back to ``np.hypot``, so a finite position never gets
+    r = inf.  Each element's value does not depend on the others.
     """
     x0, x1 = x[:, 0], x[:, 1]
     with np.errstate(over="ignore"):
@@ -222,17 +221,11 @@ def _radius(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         bad = ~((r >= _SQUARE_MIN) & (r < np.inf))
     np.sqrt(r, out=r)
     if bad is not None:
-        a, b = np.abs(x0[bad]), np.abs(x1[bad])
-        m = np.maximum(a, b)
-        with np.errstate(invalid="ignore"):
-            k = np.minimum(a, b) / m
-        # k is NaN for m = 0 and m = inf, where |x| = m
-        r[bad] = np.where(k >= 0.0, m * np.sqrt(1.0 + k * k), m)
+        r[bad] = np.hypot(x0[bad], x1[bad])
     return r
 
 
-def _bin(grid: RadialGrid, x: np.ndarray, masses: np.ndarray,
-         before=None) -> _Binning:
+def _bin(grid: RadialGrid, x: np.ndarray, masses: np.ndarray) -> _Binning:
     """The one particle-to-grid binning, shared by every layer that needs it.
 
     One chunked pass over the positions x (N, 2) computes each radius, its
@@ -241,12 +234,8 @@ def _bin(grid: RadialGrid, x: np.ndarray, masses: np.ndarray,
     density rho, and the node masses are dropped.  Mass past r_max is not
     deposited, and the share of a node of zero ring weight (a first node at
     r = 0) drops out of rho.  The radius is ``_radius``'s sqrt(x0*x0 +
-    x1*x1), computed in place, with its scaled fallback for a sum of squares
-    that overflows or underflows.  It replaced a library call that scaled
-    every radius: that call was most of the pass and ran no faster on the
-    pool than on one thread.  ``before(lo, hi)``, when given, runs on each
-    slice first: ``run`` drifts the slice's positions there, so that the
-    binning reads the drifted positions in the same pass.
+    x1*x1), computed in place, with its ``np.hypot`` fallback for a sum of
+    squares that overflows or underflows.
     """
     n = masses.size
     radii, idx = np.empty(n), np.empty(n, dtype=np.intp)
@@ -254,8 +243,6 @@ def _bin(grid: RadialGrid, x: np.ndarray, masses: np.ndarray,
     outside = np.empty(n, dtype=bool)
 
     def chunk(a, b):
-        if before is not None:
-            before(a, b)
         r = _radius(x[a:b], out=radii[a:b])
         idx[a:b], frac[a:b] = grid._locate(r)
         _cic_masses(frac[a:b], np.greater(r, grid.r_max, out=outside[a:b]),

@@ -10,10 +10,7 @@ with Plummer softening; ``_kdk`` is the one leapfrog, which ``step`` and
 whatever the force method; that binning serves the grid force (its
 deposit and the gather of the potential's spline derivative), the
 diagnostics row (``functionals._ensemble_row``), and the escape and
-clamped counts.  A grid-force step of ``run`` makes two passes over the
-particles: the opening kick, the drift and the binning, then the gather
-and the closing kick; the deposit's sums, the matvec and the spline run
-between them.
+clamped counts.
 The per-particle maps of the force step, the leapfrog updates and the
 diagnostics rows run in chunks on a pool of threads, one per CPU in the
 process's affinity set; sums, deposits and the spline stay whole-array on
@@ -154,17 +151,15 @@ def sample(ss: SteadyState, n: int, seed: int) -> ParticleEnsemble:
     return ParticleEnsemble(positions, velocities, weights)
 
 
-def _grid_accel_arrays(x: np.ndarray, binned, out: np.ndarray = None,
-                       after=None) -> np.ndarray:
+def _grid_accel_arrays(x: np.ndarray, binned,
+                       out: np.ndarray = None) -> np.ndarray:
     """Axisymmetrized force at positions x from their binning.
 
     Kernel potential of the binning's deposit, and the derivative of its
     not-a-knot cubic spline gathered at each particle's cell; the force is
     held at its r_max value past the grid.  The derivative is summed in
     scipy's PPoly order, so it equals ``CubicSpline(nodes, U).derivative()(r)``
-    bit for bit.  Writes into ``out`` when given; ``after(lo, hi)``, when
-    given, runs on each slice once its accelerations are written (``run``'s
-    closing kick).
+    bit for bit.  Writes into ``out`` when given.
     """
     grid = binned.grid
     U = operator_for(grid).potential(binned.rho)
@@ -186,8 +181,6 @@ def _grid_accel_arrays(x: np.ndarray, binned, out: np.ndarray = None,
         scale[r == 0.0] = 0.0  # no direction at the origin
         np.multiply(scale, x[a:b, 0], out=acc[a:b, 0])
         np.multiply(scale, x[a:b, 1], out=acc[a:b, 1])
-        if after is not None:
-            after(a, b)
 
     _map_chunks(gather, x.shape[0])
     return acc
@@ -241,19 +234,13 @@ def accelerations(ens: ParticleEnsemble, method: str = "grid",
 def _kdk(x: np.ndarray, v: np.ndarray, kick: np.ndarray, dt: float, force):
     """One kick-drift-kick step of x and v in place: the one leapfrog.
 
-    ``kick`` holds the opening half kick 0.5*dt*a at x.  The step is two
-    slice updates that ``_kdk`` hands to ``force(x, kick, drift, close)``:
-    ``drift(lo, hi)`` kicks and drifts a slice, taking ``kick``'s slice as
-    scratch once v has it, and ``close(lo, hi)`` scales ``kick``'s slice in
-    place and kicks.  The force runs drift on every slice before it reads x
-    there, writes the acceleration at the new x into ``kick``, and runs
-    close on every slice once it has written it.  ``run`` drifts inside its
-    binning pass and, with the grid force, closes inside its gather pass;
-    ``step`` runs both as passes of their own.  On return ``kick`` holds the
-    next step's half kick.  Returns what ``force`` returned.  The updates
-    allocate nothing.
+    ``kick`` holds the opening half kick 0.5*dt*a at x.  The drift takes it
+    as scratch once v has it; ``force(x, kick)`` then writes the
+    acceleration at the new x into it, and the closing kick scales it in
+    place, so on return ``kick`` holds the next step's half kick.  Returns
+    what ``force`` returned.  The updates run in chunks and allocate nothing.
     """
-    def drift(a, b):
+    def kick_drift(a, b):
         h = kick[a:b]
         v[a:b] += h
         x[a:b] += np.multiply(v[a:b], dt, out=h)
@@ -263,7 +250,10 @@ def _kdk(x: np.ndarray, v: np.ndarray, kick: np.ndarray, dt: float, force):
         h *= 0.5 * dt
         v[a:b] += h
 
-    return force(x, kick, drift, close)
+    _map_chunks(kick_drift, v.shape[0])
+    result = force(x, kick)
+    _map_chunks(close, v.shape[0])
+    return result
 
 
 def step(ens: ParticleEnsemble, dt: float, method: str = "grid",
@@ -284,15 +274,12 @@ def step(ens: ParticleEnsemble, dt: float, method: str = "grid",
             raise InputError(f"step: non-finite coordinates for particle index "
                              f"{int(np.argmin(finite))} after dt={dt:g}")
 
-    def force(x, out, drift, close):
-        _map_chunks(drift, x.shape[0])
+    def force(x, out):
         # before the force: a pairwise sum would pass a runaway's NaN pull
         # to every particle
         check_finite()
         # a copy, since the closing kick scales the buffer in place
-        acc_new = _accel_arrays(x, w, method, grid, eps_soft, out=out).copy()
-        _map_chunks(close, x.shape[0])
-        return acc_new
+        return _accel_arrays(x, w, method, grid, eps_soft, out=out).copy()
 
     acc_new = _kdk(x, v, 0.5 * dt * acc, dt, force)
     check_finite()
@@ -362,13 +349,9 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     del binned  # no particle arrays kept across the steps
     kick *= 0.5 * dt
 
-    def force(x, out, drift, close):
-        binned = _bin(grid, x, w, drift)
-        if cfg.method == "grid":
-            _grid_accel_arrays(x, binned, out, close)
-        else:
-            _direct_accel_arrays(x, w, eps_soft, out)
-            _map_chunks(close, x.shape[0])
+    def force(x, out):
+        binned = _bin(grid, x, w)
+        _accel_arrays(x, w, cfg.method, grid, eps_soft, binned, out)
         return binned
 
     for k in range(1, n_steps + 1):

@@ -148,8 +148,7 @@ def test_radius_is_within_an_ulp_of_hypot_and_exact_on_the_axes(a, b, sa, sb):
 def test_radius_past_the_squares_range_stays_finite(ss_wide):
     far = np.array([[1e200, 0.0], [0.0, -1e200], [3e-200, 4e-200], [0.0, 0.0]])
     r = _radius(far)
-    assert np.array_equal(r[:2], np.hypot(far[:2, 0], far[:2, 1]))
-    assert abs(r[2] - 5e-200) <= 2 * np.spacing(5e-200) and r[3] == 0.0
+    assert np.array_equal(r, np.hypot(far[:, 0], far[:, 1]))
     ens = sample(ss_wide, 2000, seed=8)
     x = ens.positions.copy()
     x[0] = [1e200, 0.0]
