@@ -115,15 +115,13 @@ class CasimirModel:
         )
 
     @staticmethod
-    def custom(f_table, Q_table, F0: float, mu1: float, mu2: float, mu3: float,
-               C1: Optional[float] = None, C2: Optional[float] = None,
-               C3: float = 0.5, C4: float = 2.0) -> "CasimirModel":
+    def custom(f_table, Q_table, F0: float, mu1: float, mu2: float,
+               mu3: float) -> "CasimirModel":
         """Tabulated Q on an increasing f grid.
 
-        The assumption constants C1, C2 default to the tightest values the
-        table itself supports (calibrated so (Q1) and (Q2) hold with
-        equality at the worst tabulated point); pass explicit values to
-        declare stronger constants.
+        C1 and C2 are the tightest values the table itself supports
+        (calibrated so (Q1) and (Q2) hold with equality at the worst
+        tabulated point); C3 and C4 are 1/2 and 2.
         """
         f = np.asarray(f_table, dtype=float)
         Q = np.asarray(Q_table, dtype=float)
@@ -143,17 +141,14 @@ class CasimirModel:
             raise ModelDefinitionError(
                 "custom: tabulated Q has non-monotone Q', violating the "
                 "convexity assumption (Q4)")
-        if C1 is None:
-            hi = f[f >= F0]
-            C1 = (float(np.min(interp(hi) / hi ** (1.0 + 1.0 / mu1)))
-                  if hi.size else 1.0)
-        if C2 is None:
-            lo = f[(f > 0.0) & (f <= F0)]
-            C2 = (float(np.max(interp(lo) / lo ** (1.0 + 1.0 / mu2)))
-                  if lo.size else 1.0)
+        hi = f[f >= F0]
+        C1 = (float(np.min(interp(hi) / hi ** (1.0 + 1.0 / mu1)))
+              if hi.size else 1.0)
+        lo = f[(f > 0.0) & (f <= F0)]
+        C2 = (float(np.max(interp(lo) / lo ** (1.0 + 1.0 / mu2)))
+              if lo.size else 1.0)
         return CasimirModel(
-            kind="custom", F0=F0, mu1=mu1, mu2=mu2, mu3=mu3,
-            C1=C1, C2=C2, C3=C3, C4=C4,
+            kind="custom", F0=F0, mu1=mu1, mu2=mu2, mu3=mu3, C1=C1, C2=C2,
             f_table=f, Q_table=Q, _derivs=derivs,
         )
 

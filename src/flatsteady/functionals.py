@@ -33,7 +33,7 @@ import numpy as np
 
 from .casimir import _GL_U, _GL_W, CasimirModel
 from .errors import InputError
-from .grids import RadialGrid, RadialProfile
+from .grids import RadialGrid, RadialProfile, _CellTable
 from .potential import FlatPotentialOperator, lp_norm, operator_for
 from .steady import SteadyState
 
@@ -112,6 +112,9 @@ class FunctionalReport:
     casimir: float
 
     def __post_init__(self):
+        bad = [k for k, v in vars(self).items() if not np.isfinite(v)]
+        if bad:
+            raise InputError(f"FunctionalReport: non-finite {', '.join(bad)}")
         if self.e_kin < 0 or self.casimir < 0:
             raise InputError("FunctionalReport: e_kin and casimir must be >= 0")
         if self.e_pot > 0:
@@ -307,49 +310,30 @@ def _uniform_edges(x: np.ndarray, nb: int) -> np.ndarray:
     return np.linspace(lo, hi, nb + 1)
 
 
-def _uniform_cell(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Bin of each x in [edges[0], edges[-1]], by ``np.histogramdd``'s rule.
-
-    Bin i holds edges[i] <= x < edges[i + 1], and the last bin also holds
-    x == edges[-1].  A scaled floor gives a first guess and one comparison
-    on each side corrects it, as in ``RadialGrid.locate``; that suffices
-    while the edges' rounding is far below a bin width, and ``searchsorted``
-    takes over where it is not.
-    """
-    nb = edges.size - 1
-    if nb == 1:
-        return np.zeros(x.size, dtype=np.intp)
-    lo, hi = edges[0], edges[-1]
-    upper = np.append(edges[1:-1], np.inf)
-    scale = nb / (hi - lo)
-    if not (np.isfinite(scale) and 1.0 / scale > 1e-12 * max(abs(lo), abs(hi))):
-        return np.searchsorted(upper, x, "right")
-    i = np.minimum(((x - lo) * scale).astype(np.intp), nb - 1)
-    i -= x < edges[i]
-    i += x >= upper[i]
-    return i
-
-
 def _phase_histogram(r: np.ndarray, w: np.ndarray, weights: np.ndarray) -> tuple:
     """(hist, r_edges, w_edges): the weighted (r, w) histogram with Scott's
-    rule bin counts per dimension, equal bit for bit to ``np.histogramdd``'s
-    without its two ``searchsorted`` calls."""
+    rule bin counts per dimension, equal bit for bit to ``np.histogramdd``'s;
+    the bins come from ``grids._CellTable``, as ``RadialGrid.locate``'s do."""
     n = r.size
     edges = []
     for x in (r, w):
-        sig = float(np.std(x))
+        with np.errstate(over="ignore"):
+            sig = float(np.std(x))
+        if sig == np.inf:  # the squares overflowed: the same std of x / 2^k
+            k = np.frexp(max(-x.min(), x.max()))[1]
+            sig = float(np.ldexp(np.std(np.ldexp(x, -k)), k))
         nb = 1
         if sig != 0.0:
             h = sig * n ** (-1.0 / 6.0)
             nb = int(np.clip(np.ceil((x.max() - x.min()) / h), 1, 512))
         edges.append(_uniform_edges(x, nb))
     r_edges, w_edges = edges
+    r_cell, w_cell = _CellTable(r_edges), _CellTable(w_edges)
     nb_w = w_edges.size - 1
     cell = np.empty(n, dtype=np.intp)
 
     def chunk(a, b):
-        np.add(_uniform_cell(r[a:b], r_edges) * nb_w,
-               _uniform_cell(w[a:b], w_edges), out=cell[a:b])
+        np.add(r_cell(r[a:b]) * nb_w, w_cell(w[a:b]), out=cell[a:b])
 
     _map_chunks(chunk, n)
     hist = np.bincount(cell, weights=weights, minlength=(r_edges.size - 1) * nb_w)
@@ -366,14 +350,16 @@ def _histogram_casimir(model: CasimirModel, r: np.ndarray, w: np.ndarray,
     any state isotropic in v, which the sampled and axisymmetrically
     perturbed ensembles are) concentrates the counts.  Bin widths follow
     Scott's rule per reduced dimension; the cell volume element is
-    2*pi^2*(r2^2 - r1^2)*dw.  This estimate remains the dominant error of
-    the ensemble path.
+    2*pi^2*(r2^2 - r1^2)*dw.  A cell whose volume V overflows (inf, or NaN
+    from inf - inf) contributes its limit 0: Q(h/V)*V -> 0 as V grows, for
+    a superlinear Q with Q(0) = 0.  This estimate remains the dominant
+    error of the ensemble path.
     """
     hist, r_edges, w_edges = _phase_histogram(r, w, weights)
-    ann = np.pi * (r_edges[1:] ** 2 - r_edges[:-1] ** 2)
-    dw = np.diff(w_edges)
-    vol = 2.0 * np.pi * ann[:, None] * dw[None, :]
-    occ = hist > 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        ann = np.pi * (r_edges[1:] ** 2 - r_edges[:-1] ** 2)
+        vol = 2.0 * np.pi * ann[:, None] * np.diff(w_edges)[None, :]
+    occ = (hist > 0.0) & (vol < np.inf)
     f_hat = hist[occ] / vol[occ]
     return float(np.sum(model.Q(f_hat) * vol[occ]))
 
@@ -501,7 +487,7 @@ def rescale_steady(model: CasimirModel, ss: SteadyState, p: ScalingParams) -> di
     }
 
     # materialized rescaled state: nodes r/b, planar density a c^-2 rho0(b r)
-    scaled_grid = RadialGrid(ss.grid.nodes / b, scheme=ss.grid.scheme)
+    scaled_grid = RadialGrid(ss.grid.nodes / b)
     ringw_s = scaled_grid.ring_weights
     rho_bar = a * c ** -2 * ss.rho0.values
     mass_direct = float(np.sum(ringw_s * rho_bar))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -18,9 +17,8 @@ from .errors import InputError
 
 __all__ = ["RadialGrid", "RadialProfile", "write_csv", "read_csv"]
 
-# Largest cell lookup table ``RadialGrid.locate`` builds; a grid whose
-# finest cell would need more buckets gets a coarser table and more
-# correction passes.
+# Largest bucket table ``_CellTable`` builds: a grid or histogram axis whose
+# finest cell would need more buckets gets ``np.searchsorted`` instead.
 _LOCATE_MAX_BUCKETS = 1 << 16
 
 # Rows ``write_csv`` formats per write: formatting a whole 10^6-row table at
@@ -28,14 +26,45 @@ _LOCATE_MAX_BUCKETS = 1 << 16
 _CSV_CHUNK_ROWS = 1024
 
 
-class _CellTable(NamedTuple):
-    """Uniform buckets over [nodes[0], r_max] mapped to grid cells."""
+class _CellTable:
+    """The one cell lookup over increasing edges (repeats allowed).
 
-    scale: float          # buckets per unit radius
-    cells: np.ndarray     # cell holding each bucket's left edge, plus r_max
-    upper: np.ndarray     # right edge of each cell; inf for the last cell
-    widths: np.ndarray    # cell widths
-    exact: bool           # no bucket holds more than one node
+    ``tab(x)`` gives the cell of each x in [edges[0], edges[-1]]: cell i
+    holds edges[i] <= x < edges[i + 1], and the last cell also holds
+    x == edges[-1], which is ``np.histogramdd``'s rule and
+    ``clip(searchsorted(edges, x, "right") - 1, 0, len(edges) - 2)``.
+    Uniform buckets narrower than the finest cell give a first guess, and
+    one comparison on each side corrects it.  Edges that would need more
+    than ``_LOCATE_MAX_BUCKETS`` buckets, or whose buckets would not sit
+    far above rounding, get ``np.searchsorted`` (``cells`` is None).
+    """
+
+    def __init__(self, edges: np.ndarray):
+        self.edges = edges
+        self.widths = np.diff(edges)
+        self.upper = np.append(edges[1:-1], np.inf)
+        lo, hi = edges[0], edges[-1]
+        span, finest = hi - lo, self.widths.min()
+        # past the cap when the finest cell is narrower than span / cap or empty
+        n_buckets = int(span / max(finest, span / _LOCATE_MAX_BUCKETS)) + 2
+        # narrower than the finest cell by far more than rounding, a bucket
+        # and the slack at its ends hold at most one edge: an x is in the
+        # cell of its bucket's left end or a neighbour
+        self.cells = None
+        if (n_buckets <= _LOCATE_MAX_BUCKETS
+                and finest - span / n_buckets > 1e-12 * max(-lo, hi)):
+            self.scale = n_buckets / span
+            left = lo + np.arange(n_buckets + 1) * (span / n_buckets)
+            self.cells = np.clip(np.searchsorted(edges, left, "right") - 1,
+                                 0, edges.size - 2)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self.cells is None:
+            return np.searchsorted(self.upper, x, "right")
+        i = self.cells[((x - self.edges[0]) * self.scale).astype(np.intp)]
+        i -= x < self.edges[i]
+        i += x >= self.upper[i]
+        return i
 
 
 @dataclass(frozen=True)
@@ -43,7 +72,6 @@ class RadialGrid:
     """Strictly increasing radii r_0 < r_1 < ... < r_{n-1}, r_0 >= 0."""
 
     nodes: np.ndarray
-    scheme: str = "custom"
 
     def __post_init__(self):
         r = np.asarray(self.nodes, dtype=float)
@@ -54,33 +82,22 @@ class RadialGrid:
         object.__setattr__(self, "nodes", r)
 
     @staticmethod
-    def uniform(r_max: float, n: int = 512) -> "RadialGrid":
-        return RadialGrid(np.linspace(0.0, r_max, n), scheme="uniform")
-
-    @staticmethod
-    def log(r_min: float, r_max: float, n: int = 512) -> "RadialGrid":
-        if r_min <= 0:
-            raise InputError("RadialGrid.log: r_min must be positive")
-        return RadialGrid(np.geomspace(r_min, r_max, n), scheme="log")
-
-    @staticmethod
-    def hybrid(r_core: float, r_max: float, n: int = 512,
-               core_fraction: float = 0.75) -> "RadialGrid":
-        """Uniform on [0, r_core], log-spaced from r_core to r_max.
+    def hybrid(r_core: float, r_max: float, n: int = 512) -> "RadialGrid":
+        """Uniform on [0, r_core] (3/4 of the nodes), log-spaced to r_max.
 
         Resolves the core at fixed spacing while reaching a far field large
         enough for the 1/r tail of the potential.
         """
         if not (0.0 < r_core < r_max):
             raise InputError("RadialGrid.hybrid: need 0 < r_core < r_max")
-        n_core = max(8, int(round(core_fraction * n)))
+        n_core = max(8, int(round(0.75 * n)))
         n_tail = n - n_core
         if n_tail < 8:
             raise InputError("RadialGrid.hybrid: too few tail nodes")
         core = np.linspace(0.0, r_core, n_core)
         h = core[1] - core[0]
         tail = np.geomspace(r_core + h, r_max, n_tail)
-        return RadialGrid(np.concatenate([core, tail]), scheme="hybrid")
+        return RadialGrid(np.concatenate([core, tail]))
 
     @property
     def n(self) -> int:
@@ -110,28 +127,15 @@ class RadialGrid:
 
     @functools.cached_property
     def _cell_table(self) -> _CellTable:
-        r = self.nodes
-        widths = np.diff(r)
-        span = r[-1] - r[0]
-        # narrower than the finest cell by at least 1/n_buckets, far above
-        # rounding, so a bucket and the rounding slack at its edges hold at
-        # most one node: a radius is in the table's cell or a neighbour
-        n_buckets = int(span / widths.min()) + 2
-        exact = n_buckets <= _LOCATE_MAX_BUCKETS
-        if not exact:
-            n_buckets = _LOCATE_MAX_BUCKETS
-        edges = r[0] + np.arange(n_buckets + 1) * (span / n_buckets)
-        cells = np.clip(np.searchsorted(r, edges, "right") - 1, 0, r.size - 2)
-        upper = np.append(r[1:-1], np.inf)
-        return _CellTable(n_buckets / span, cells, upper, widths, exact)
+        return _CellTable(self.nodes)
 
     def locate(self, r):
         """Cell index and in-cell fraction of each radius, clipped to the grid.
 
         ``idx`` equals ``clip(searchsorted(nodes, r, "right") - 1, 0, n - 2)``
         and ``frac = (r - nodes[idx]) / (nodes[idx + 1] - nodes[idx])`` with r
-        clipped into [nodes[0], r_max].  A table of uniform buckets gives a
-        first guess, and one comparison on each side corrects it.
+        clipped into [nodes[0], r_max]; the cells come from ``_CellTable``,
+        built once per grid (766 buckets on the n=256 solver grid).
         """
         return self._locate(r)
 
@@ -142,19 +146,8 @@ class RadialGrid:
         if np.isnan(r).any():
             raise InputError("RadialGrid.locate: NaN radius")
         tab = self._cell_table
-        lower = self.nodes
-        idx = tab.cells[((r - lower[0]) * tab.scale).astype(np.intp)]
-        idx -= r < lower[idx]
-        idx += r >= tab.upper[idx]
-        if not tab.exact:
-            # a coarse bucket can hold several nodes: walk the rest home
-            todo = np.nonzero((r < lower[idx]) | (r >= tab.upper[idx]))[0]
-            while todo.size:
-                i, ri = idx[todo], r[todo]
-                i += (ri >= tab.upper[i]).astype(np.intp) - (ri < lower[i])
-                idx[todo] = i
-                todo = todo[(ri < lower[i]) | (ri >= tab.upper[i])]
-        return idx, (r - lower[idx]) / tab.widths[idx]
+        idx = tab(r)
+        return idx, (r - self.nodes[idx]) / tab.widths[idx]
 
     def shape(self) -> "RadialGrid":
         """Nodes / r_max rounded to 12 significant digits: one per scale family.
@@ -167,7 +160,7 @@ class RadialGrid:
     @functools.cached_property
     def _shape(self) -> "RadialGrid":
         unit = [float(f"{x:.12g}") for x in self.nodes / self.r_max]
-        return RadialGrid(np.array(unit), scheme=self.scheme)
+        return RadialGrid(np.array(unit))
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.nodes.tobytes()).hexdigest()[:16]
@@ -190,10 +183,6 @@ class RadialProfile:
         if self.require_nonnegative and np.any(v < 0.0):
             raise InputError("RadialProfile: negative node value in a density profile")
         object.__setattr__(self, "values", v)
-
-    @staticmethod
-    def from_callable(grid: RadialGrid, fn, nonnegative: bool = False) -> "RadialProfile":
-        return RadialProfile(grid, fn(grid.nodes), require_nonnegative=nonnegative)
 
     def __call__(self, r):
         """Linear interpolation; zero outside the grid span."""

@@ -37,6 +37,9 @@ from .steady import SteadyState
 __all__ = ["ParticleEnsemble", "SimConfig", "sample", "accelerations",
            "step", "run"]
 
+# ``run`` counts as escaped the particles beyond this many support radii
+_ESCAPE_FACTOR = 100.0
+
 
 @dataclass
 class ParticleEnsemble:
@@ -91,7 +94,6 @@ class SimConfig:
     eps_soft: float = 0.0         # 0 means auto: 0.01 * support radius
     seed: int = 0
     output_every: int = 50        # steps between diagnostic rows
-    escape_factor: float = 100.0  # log particles beyond this * support radius
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end < 0:
@@ -336,7 +338,7 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     eps_mc = _noise_floor(model, ss, ens, row["d_dist"])
 
     eps_soft = cfg.eps_soft if cfg.eps_soft > 0.0 else 0.01 * ss.support_radius
-    escape_r = cfg.escape_factor * ss.support_radius
+    escape_r = _ESCAPE_FACTOR * ss.support_radius
     escaped = 0
     n_steps = int(round(cfg.t_end / cfg.dt))
     # the leapfrog steps raw arrays in place; ensembles are materialized only

@@ -193,7 +193,7 @@ def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> S
     R, R_prev, A_prev = _R_SEED, None, None
     rho, sweeps = None, 0
     for _ in range(_MAX_OUTER):
-        grid = RadialGrid(5.0 * R * unit, scheme="hybrid")
+        grid = RadialGrid(5.0 * R * unit)
         # node i of every trial grid is the same fraction of its r_max, so
         # the last evaluation's densities seed this one node for node
         rho, U, E0, A, _, inner_it = _inner_sweep(inv, operator_for(grid), grid,

@@ -45,8 +45,8 @@ def test_criterion_02_potential_oracle():
     errs = {}
     for n in (512, 1024):
         grid = RadialGrid.hybrid(20.0, 4000.0, n)
-        rho = RadialProfile.from_callable(grid, _kuzmin_density,
-                                          nonnegative=True)
+        rho = RadialProfile(grid, _kuzmin_density(grid.nodes),
+                            require_nonnegative=True)
         U = potential_from_density(rho)
         sel = grid.nodes <= 10.0
         exact = _kuzmin_potential(grid.nodes[sel])
@@ -126,7 +126,8 @@ def test_criterion_07_scaling_inequality():
 
 def test_criterion_08_outer_energy_decay():
     grid = RadialGrid.hybrid(20.0, 4000.0, 512)
-    rho = RadialProfile.from_callable(grid, _kuzmin_density, nonnegative=True)
+    rho = RadialProfile(grid, _kuzmin_density(grid.nodes),
+                        require_nonnegative=True)
     rep = outer_potential_energy(rho, 4.0, R_sequence=[4.0, 8.0, 16.0, 32.0])
     assert rep["decay_exponent"] <= -0.5
 

@@ -35,20 +35,21 @@ def grids_any(draw):
     """Uniform, log, hybrid and solver grids (5R times the solver shape).
 
     Log grids with a small inner radius need more buckets than the table
-    cap, which exercises the repeated correction.
+    cap, which exercises the ``searchsorted`` fallback.
     """
     n = draw(st.integers(16, 512))
     kind = draw(st.sampled_from(["uniform", "log", "hybrid", "solver"]))
     r_max = draw(st.floats(1e-3, 1e3))
     if kind == "uniform":
-        return RadialGrid.uniform(r_max, n)
+        return RadialGrid(np.linspace(0.0, r_max, n))
     if kind == "log":
-        return RadialGrid.log(r_max * draw(st.floats(1e-7, 0.5)), r_max, n)
+        r_min = r_max * draw(st.floats(1e-7, 0.5))
+        return RadialGrid(np.geomspace(r_min, r_max, n))
     if kind == "hybrid":
         return RadialGrid.hybrid(r_max * draw(st.floats(0.05, 0.95)), r_max,
                                  max(n, 32))
     shape = RadialGrid.hybrid(0.25, 1.0, max(n, 32)).shape()
-    return RadialGrid(5.0 * r_max * shape.nodes, scheme="hybrid")
+    return RadialGrid(5.0 * r_max * shape.nodes)
 
 
 @st.composite
@@ -76,11 +77,12 @@ def test_locate_matches_searchsorted_rule(data):
                           / (grid.nodes[ref + 1] - grid.nodes[ref]))
 
 
-def test_locate_coarse_table_walks_every_particle_home():
-    # 512 log nodes over 9 decades: most nodes share the table's first bucket
-    grid = RadialGrid.log(1e-6, 1e3, 512)
-    assert not grid._cell_table.exact
-    assert grid._cell_table.cells.size == grids._LOCATE_MAX_BUCKETS + 1
+def test_locate_past_the_bucket_cap_uses_searchsorted():
+    # 512 log nodes over 9 decades: an exact table would need more than
+    # _LOCATE_MAX_BUCKETS buckets
+    grid = RadialGrid(np.geomspace(1e-6, 1e3, 512))
+    assert grid.r_max / np.diff(grid.nodes).min() > grids._LOCATE_MAX_BUCKETS
+    assert grid._cell_table.cells is None
     r = np.concatenate([grid.nodes, 10.0 ** np.linspace(-7.0, 3.5, 5001)])
     assert np.array_equal(grid.locate(r)[0], _searchsorted_cells(grid, r))
 
@@ -90,14 +92,14 @@ def test_locate_table_size_on_the_solver_grid():
     grid = RadialGrid(5.0 * 0.37 * shape.nodes)
     tab = grid._cell_table
     n_buckets = tab.cells.size - 1  # one more entry for r = r_max
-    assert tab.exact and n_buckets == 766
+    assert n_buckets == 766
     assert 1.0 / tab.scale < np.diff(grid.nodes).min()
 
 
 def test_locate_rejects_nan():
     from flatsteady.errors import InputError
     with pytest.raises(InputError):
-        RadialGrid.uniform(1.0, 32).locate(np.array([0.5, np.nan]))
+        RadialGrid(np.linspace(0.0, 1.0, 32)).locate(np.array([0.5, np.nan]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -327,7 +329,7 @@ def test_run_reports_mass_past_grid(poly_wide, ss_wide):
     assert out["mass_past_grid"] >= frac0 - 1e-12
 
 
-# -- the histogram Casimir's direct bin index ------------------------------------
+# -- the one cell lookup on the histogram's axes --------------------------------
 
 @st.composite
 def hist_columns(draw):
@@ -365,14 +367,14 @@ def _place_edges(x, edges, rng):
 
 @settings(max_examples=80, deadline=None)
 @given(hist_columns(), st.integers(1, 512), st.integers(0, 2 ** 32 - 1))
-def test_uniform_cell_matches_histogramdd_rule(cols, nb, seed):
-    from flatsteady.functionals import _uniform_cell, _uniform_edges
+def test_cell_table_matches_histogramdd_rule(cols, nb, seed):
+    from flatsteady.functionals import _uniform_edges
     x = cols[0].copy()
     edges = _uniform_edges(x, nb)
     _place_edges(x, edges, np.random.default_rng(seed))
     ref_counts, ref_edges = np.histogramdd(x[:, None], bins=[nb])
     assert np.array_equal(edges, ref_edges[0])
-    cell = _uniform_cell(x, edges)
+    cell = grids._CellTable(edges)(x)
     assert np.array_equal(np.bincount(cell, minlength=nb), ref_counts)
     ref_cell = np.searchsorted(edges, x, "right") - 1
     ref_cell[x == edges[-1]] -= 1

@@ -185,9 +185,9 @@ def test_potential_table_roundtrip(tmp_path):
     from flatsteady import RadialGrid, RadialProfile
     from flatsteady.grids import write_csv
     grid = RadialGrid.hybrid(5.0, 50.0, 128)
-    prof = RadialProfile.from_callable(
-        grid, lambda r: 1.0 / (2.0 * np.pi * (r ** 2 + 1.0) ** 1.5),
-        nonnegative=True)
+    r = grid.nodes
+    prof = RadialProfile(grid, 1.0 / (2.0 * np.pi * (r ** 2 + 1.0) ** 1.5),
+                         require_nonnegative=True)
     src = tmp_path / "density.csv"
     write_csv(src, {}, ("r", "value"), (grid.nodes, prof.values))
     cfg = _write_config(tmp_path / "table.ini",

@@ -1,15 +1,16 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatsteady import (CasimirModel, RadialGrid, ScalingParams, SolverOptions,
-                        solve, evaluate_ensemble, evaluate_steady,
+from flatsteady import (CasimirModel, FunctionalReport, RadialGrid,
+                        ScalingParams, SolverOptions, solve, evaluate_ensemble, evaluate_steady,
                         rescale_steady, sample, scaling_inequality_check,
                         split_diagnostic, stability_distance)
 from flatsteady.functionals import (_bin, _ensemble_row, _interp,
-                                    _self_energy, alpha_from_mu3,
+                                    _phase_histogram, _radius, _self_energy, alpha_from_mu3,
                                     bilinearity_check,
                                     interpolation_check,
                                     lower_bound_check, proof_scaling_params)
@@ -28,6 +29,15 @@ def test_report_structure(report_half):
     assert rep.p == rep.e_kin + rep.casimir
     assert rep.d == rep.p + rep.e_pot
     assert rep.e_kin >= 0.0 and rep.casimir >= 0.0 and rep.e_pot <= 0.0
+
+
+@pytest.mark.parametrize("field", ["mass", "e_kin", "e_pot", "casimir"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_report_rejects_non_finite_fields(field, value):
+    values = {"mass": 1.0, "e_kin": 0.5, "e_pot": -1.0, "casimir": 0.25}
+    values[field] = value
+    with pytest.raises(InputError, match=field):
+        FunctionalReport(**values)
 
 
 def test_minimizer_has_negative_d(report_half):
@@ -173,6 +183,30 @@ def test_empty_ensemble_rejected(poly_wide):
     empty = ParticleEnsemble(np.empty((0, 2)), np.empty((0, 2)), np.empty(0))
     with pytest.raises(InputError):
         evaluate_ensemble(poly_wide, empty)
+
+
+def test_far_particle_row_is_finite(poly_wide, ss_wide):
+    # one particle at 1e200: Scott's rule, the ring areas and Q(f_hat)*vol
+    # all leave the float range, and no cell may turn the row into NaN
+    ens = sample(ss_wide, 5000, seed=3)
+    x = ens.positions.copy()
+    x[0] = [1e200, 0.0]
+    far = ParticleEnsemble(x, ens.velocities, ens.weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        row, _ = _ensemble_row(poly_wide, far,
+                               _bin(ss_wide.grid, x, far.weights), ss_wide)
+        assert stability_distance(poly_wide, ss_wide, far) == \
+            (row["d_dist"], row["epot_diff"])
+        rep = evaluate_ensemble(poly_wide, far, grid=ss_wide.grid)
+    assert all(np.isfinite(v) for v in row.values())
+    assert (rep.casimir, rep.e_pot) == (row["casimir"], row["e_pot"])
+    # every occupied cell's volume overflows: each contributes its limit 0
+    assert row["casimir"] == 0.0
+    # Scott's rule on the radii uses their exact std, as if scaled by 2^-700
+    hist, _, _ = _phase_histogram(_radius(x), np.ones(far.n), far.weights)
+    sig = np.std(_radius(x) * 2.0 ** -700) * 2.0 ** 700
+    assert hist.shape[0] == np.ceil(1e200 / (sig * far.n ** (-1.0 / 6.0)))
 
 
 def test_stability_distance_consistency(poly_wide, ss_wide):

@@ -34,9 +34,9 @@ def unit_grids(draw, n_min=16, n_max=160):
     # a hybrid grid needs 8 tail nodes beyond its 75% core
     n = draw(st.integers(max(n_min, 32) if kind == "hybrid" else n_min, n_max))
     if kind == "uniform":
-        return RadialGrid.uniform(1.0, n)
+        return RadialGrid(np.linspace(0.0, 1.0, n))
     if kind == "log":
-        return RadialGrid.log(draw(st.floats(1e-3, 0.5)), 1.0, n)
+        return RadialGrid(np.geomspace(draw(st.floats(1e-3, 0.5)), 1.0, n))
     return RadialGrid.hybrid(draw(st.floats(0.2, 0.8)), 1.0, n)
 
 
@@ -168,7 +168,8 @@ def test_potential_independent_of_cache_history(monkeypatch):
 def test_cache_stays_within_its_bound(monkeypatch):
     _fresh_cache(monkeypatch)
     # 20 grids of 20 shapes: every lookup assembles, and the oldest go
-    grids = [RadialGrid.log(10.0 ** (-1.0 - 0.1 * k), 1.0 + k, 16 + k % 4)
+    grids = [RadialGrid(np.geomspace(10.0 ** (-1.0 - 0.1 * k), 1.0 + k,
+                                     16 + k % 4))
              for k in range(20)]
     assert len({g.shape().key() for g in grids}) == len(grids)
     for grid in grids:
@@ -196,7 +197,7 @@ def test_shape_is_formatted_once_per_grid(monkeypatch):
     operator_for(grid)
     assert len(built) == 1
     monkeypatch.undo()
-    fresh = RadialGrid(grid.nodes.copy(), scheme=grid.scheme)
+    fresh = RadialGrid(grid.nodes.copy())
     assert fresh.shape() is not grid.shape()
     assert fresh.shape().key() == grid.shape().key()
     unit = [float(f"{x:.12g}") for x in grid.nodes / grid.r_max]

@@ -21,7 +21,8 @@ def kuzmin_potential(r, M=1.0, a=1.0):
 @pytest.fixture(scope="module")
 def kuzmin_on_grid(kuzmin_profile):
     grid = RadialGrid.hybrid(20.0, 4000.0, 512)
-    return RadialProfile.from_callable(grid, kuzmin_profile, nonnegative=True)
+    return RadialProfile(grid, kuzmin_profile(grid.nodes),
+                         require_nonnegative=True)
 
 
 def test_kuzmin_potential_accuracy(kuzmin_on_grid):
@@ -69,9 +70,9 @@ def test_potential_negative_and_increasing(kuzmin_on_grid):
 
 
 def test_lp_norm_against_closed_form():
-    grid = RadialGrid.uniform(50.0, 4000)
-    prof = RadialProfile.from_callable(
-        grid, lambda r: np.exp(-r ** 2), nonnegative=True)
+    grid = RadialGrid(np.linspace(0.0, 50.0, 4000))
+    prof = RadialProfile(grid, np.exp(-grid.nodes ** 2),
+                         require_nonnegative=True)
     # (2 pi int r e^{-p r^2} dr)^{1/p} = (pi/p)^{1/p}
     for p in (1.0, 4.0 / 3.0, 2.0):
         assert lp_norm(prof, p) == pytest.approx((np.pi / p) ** (1.0 / p),
@@ -99,8 +100,8 @@ def test_outer_energy_bound_with_constant(kuzmin_on_grid):
 
 def test_operator_cache_returns_same_object():
     # two grids of one shape share one assembled kmat, scaled by their r_max
-    a = operator_for(RadialGrid.uniform(5.0, 64))
-    b = operator_for(RadialGrid.uniform(2.0, 64))
+    a = operator_for(RadialGrid(np.linspace(0.0, 5.0, 64)))
+    b = operator_for(RadialGrid(np.linspace(0.0, 2.0, 64)))
     assert a.kmat is b.kmat
     assert (a.scale, b.scale) == (5.0, 2.0)
 
@@ -162,9 +163,9 @@ def _reference_row(r, i):
     return row
 
 
-@pytest.mark.parametrize("grid", [RadialGrid.uniform(1.0, 48),
+@pytest.mark.parametrize("grid", [RadialGrid(np.linspace(0.0, 1.0, 48)),
                                   RadialGrid.hybrid(0.25, 1.0, 64),
-                                  RadialGrid.log(1e-2, 1.0, 48)],
+                                  RadialGrid(np.geomspace(1e-2, 1.0, 48))],
                          ids=["uniform", "hybrid", "log"])
 def test_operator_rows_match_adaptive_quadrature(grid):
     kmat = FlatPotentialOperator(grid).kmat

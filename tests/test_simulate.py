@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flatsteady import SimConfig, accelerations, run, sample, step
+from flatsteady import SimConfig, accelerations, run, sample, simulate, step
 from flatsteady.errors import InputError
 from flatsteady.simulate import ParticleEnsemble, _apply_perturbation
 
@@ -217,9 +217,10 @@ def test_run_emits_rows_and_noise_floor(poly_wide, ss_wide):
     assert out["rows"][-1]["t"] == pytest.approx(0.5)
 
 
-def test_run_escape_logging(poly_wide, ss_wide):
+def test_run_escape_logging(monkeypatch, poly_wide, ss_wide):
+    monkeypatch.setattr(simulate, "_ESCAPE_FACTOR", 0.5)
     cfg = SimConfig(n_particles=2000, dt=0.05, t_end=0.1, method="grid",
-                    seed=1, output_every=1, escape_factor=0.5)
+                    seed=1, output_every=1)
     out = run(ss_wide, cfg, model=poly_wide)
     assert out["escaped"] > 0
 

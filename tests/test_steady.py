@@ -10,14 +10,14 @@ from flatsteady.errors import ConvergenceError, InputError
 
 def test_density_from_potential_oracle(poly_half):
     # 2 pi G(3) = 4 pi for the mu = 1/2, c = 1 polytrope
-    grid = RadialGrid.uniform(1.0, 32)
+    grid = RadialGrid(np.linspace(0.0, 1.0, 32))
     U = RadialProfile(grid, np.full(32, -5.0))
     rho = density_from_potential(poly_half, -2.0, U)
     assert rho.values[0] == pytest.approx(4.0 * np.pi, rel=1e-12)
 
 
 def test_density_zero_outside_support(poly_half):
-    grid = RadialGrid.uniform(1.0, 32)
+    grid = RadialGrid(np.linspace(0.0, 1.0, 32))
     U = RadialProfile(grid, np.linspace(-3.0, -1.0, 32))
     rho = density_from_potential(poly_half, -2.0, U)
     assert np.all(rho.values[U.values >= -2.0] == 0.0)
