@@ -9,7 +9,7 @@ stability with a weighted particle ensemble.  Units: G = 1 throughout.
 __version__ = "0.1.0"
 
 from .casimir import CasimirModel, InverseQ, validate_assumptions
-from .elliptic import elliptic_k, kbound_check
+from .elliptic import elliptic_k
 from .grids import RadialGrid, RadialProfile
 from .potential import (
     FlatPotentialOperator,
@@ -35,7 +35,6 @@ __all__ = [
     "InverseQ",
     "validate_assumptions",
     "elliptic_k",
-    "kbound_check",
     "RadialGrid",
     "RadialProfile",
     "FlatPotentialOperator",

@@ -101,8 +101,7 @@ _KEYS = {
     "scaling": {"m1", "m2"},
     "split": {"radius", "radius_fraction", "c"} | _STATE_KEYS,
     "evolve": {"seed", "n_particles", "dt_over_tdyn", "t_end_over_tdyn",
-               "method", "eps_soft", "output_every", "perturbation",
-               "delta"} | _STATE_KEYS,
+               "output_every", "perturbation", "delta"} | _STATE_KEYS,
     "table": {"density"},
 }
 
@@ -313,8 +312,6 @@ def _cmd_evolve(args, cp):
     n_particles = _get(cp, "evolve", "n_particles", 100000, int)
     dt_over_tdyn = _get(cp, "evolve", "dt_over_tdyn", 0.01)
     t_end_over_tdyn = _get(cp, "evolve", "t_end_over_tdyn", 1.0)
-    method = _get(cp, "evolve", "method", "grid", str)
-    eps_soft = _get(cp, "evolve", "eps_soft", 0.0)
     output_every = _get(cp, "evolve", "output_every", 50, int)
     perturbation = _get(cp, "evolve", "perturbation", "none", str)
     delta = _get(cp, "evolve", "delta", 0.0)
@@ -322,8 +319,7 @@ def _cmd_evolve(args, cp):
     t_dyn = ss.dynamical_time()
     cfg = SimConfig(
         n_particles=n_particles, dt=dt_over_tdyn * t_dyn,
-        t_end=t_end_over_tdyn * t_dyn, method=method, eps_soft=eps_soft,
-        seed=seed, output_every=output_every,
+        t_end=t_end_over_tdyn * t_dyn, seed=seed, output_every=output_every,
     )
     out = run(ss, cfg, perturbation=perturbation, delta=delta, model=model)
 

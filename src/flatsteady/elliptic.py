@@ -1,4 +1,4 @@
-"""Complete elliptic integral of the first kind K and its log-singularity bound.
+"""Complete elliptic integral of the first kind K.
 
 K enters the in-plane potential of a razor-thin axisymmetric density via the
 kernel argument xi = 2*sqrt(r*s)/(r+s), which tends to 1 (and K diverges
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["elliptic_k", "kbound_check"]
+__all__ = ["elliptic_k"]
 
 
 def _k_complementary(kp):
@@ -44,23 +44,3 @@ def elliptic_k(xi):
     if np.isscalar(xi) or np.ndim(xi) == 0:
         return float(out)
     return out
-
-
-def kbound_check(xi_grid, C):
-    """Check K(xi) <= C * (1 - ln(1 - xi)) over a grid of moduli.
-
-    Returns a dict with the worst ratio, where it occurs, and a pass flag.
-    """
-    if C <= 0:
-        raise InputError("kbound_check: C must be positive")
-    xi = np.asarray(xi_grid, dtype=float)
-    k = np.atleast_1d(elliptic_k(xi))
-    denom = 1.0 - np.log1p(-np.atleast_1d(xi))
-    ratio = k / denom
-    imax = int(np.argmax(ratio))
-    return {
-        "max_ratio": float(ratio[imax]),
-        "argmax_xi": float(np.atleast_1d(xi)[imax]),
-        "C": float(C),
-        "passes": bool(ratio[imax] <= C),
-    }

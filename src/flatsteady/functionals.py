@@ -39,8 +39,7 @@ from .steady import SteadyState
 
 __all__ = ["FunctionalReport", "ScalingParams", "evaluate_steady",
            "evaluate_ensemble", "rescale_steady", "scaling_inequality_check",
-           "split_diagnostic", "stability_distance", "bilinearity_check",
-           "lower_bound_check", "interpolation_check", "alpha_from_mu3",
+           "split_diagnostic", "stability_distance", "alpha_from_mu3",
            "proof_scaling_params"]
 
 # Particles per task of ``_map_chunks``: large enough that a task's numpy
@@ -594,41 +593,3 @@ def stability_distance(model: CasimirModel, ss: SteadyState, ens) -> tuple:
     row, _ = _ensemble_row(model, ens, _bin(ss.grid, ens.positions,
                                             ens.weights), ss)
     return row["d_dist"], row["epot_diff"]
-
-
-# -- structural checks -----------------------------------------------------
-
-def bilinearity_check(grid: RadialGrid, rho1: np.ndarray,
-                      rho2: np.ndarray) -> dict:
-    """E_pot(rho1 + rho2) = E_pot(rho1) + E_pot(rho2) + int rho1 U_rho2."""
-    op = operator_for(grid)
-    lhs = op.potential_energy(rho1 + rho2)
-    rhs = (op.potential_energy(rho1) + op.potential_energy(rho2)
-           + op.interaction_energy(rho1, rho2))
-    rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    return {"name": "bilinearity", "lhs": lhs, "rhs": rhs,
-            "rel_defect": rel, "pass": bool(rel <= 1e-8)}
-
-
-def lower_bound_check(report: FunctionalReport, c_m: float, mu1: float) -> dict:
-    """D >= P - C_M * (1 + P^(n1/2)) with n1 = 1 + mu1."""
-    n1 = 1.0 + mu1
-    rhs = report.p - c_m * (1.0 + report.p ** (0.5 * n1))
-    return {"name": "lower_bound", "lhs": report.d, "rhs": rhs,
-            "pass": bool(report.d >= rhs - 1e-12 * max(abs(rhs), 1.0))}
-
-
-def interpolation_check(grid: RadialGrid, rho: np.ndarray, mu1: float) -> dict:
-    """||rho||_{4/3} <= ||rho||_1^(1-theta) * ||rho||_{1+1/n1}^theta.
-
-    theta solves the exponent interpolation 3/4 = (1-theta) + theta/q with
-    q = 1 + 1/n1, n1 = 1 + mu1; holds by log-convexity of the Lp norms.
-    """
-    n1 = 1.0 + mu1
-    q = 1.0 + 1.0 / n1
-    theta = (1.0 - 0.75) / (1.0 - 1.0 / q)
-    prof = RadialProfile(grid, rho)
-    lhs = lp_norm(prof, 4.0 / 3.0)
-    rhs = lp_norm(prof, 1.0) ** (1.0 - theta) * lp_norm(prof, q) ** theta
-    return {"name": "interpolation", "lhs": lhs, "rhs": rhs, "theta": theta,
-            "pass": bool(lhs <= rhs * (1.0 + 1e-10))}

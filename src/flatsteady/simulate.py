@@ -4,19 +4,17 @@ The steady state is isotropic in v, so sampling splits into an inverse-CDF
 draw of the radius from 2*pi*r*rho0(r), a rejection draw of the kinetic
 energy w = |v|^2/2 from q(E0 - U0(r) - w) with the constant envelope
 q(E0 - U0(r)), and uniform angles.  Evolution is kick-drift-kick leapfrog
-under either the axisymmetrized grid force or direct pairwise summation
-with Plummer softening; ``_kdk`` is the one leapfrog, which ``step`` and
-``run`` both call.  ``run`` bins the particles once per position update,
-whatever the force method; that binning serves the grid force (its
-deposit and the gather of the potential's spline derivative), the
-diagnostics row (``functionals._ensemble_row``), and the escape and
-clamped counts.
+under the axisymmetrized grid force; ``_kdk`` is the one leapfrog, which
+``step`` and ``run`` both call.  ``run`` bins the particles once per
+position update; that binning serves the grid force (its deposit and the
+gather of the potential's spline derivative), the diagnostics row
+(``functionals._ensemble_row``), and the escape and clamped counts.
 The per-particle maps of the force step, the leapfrog updates and the
 diagnostics rows run in chunks on a pool of threads, one per CPU in the
 process's affinity set; sums, deposits and the spline stay whole-array on
 one thread, so results are bit-reproducible for any worker count.  Sampling
-and direct summation run on one thread.  All randomness flows through one
-counter-based generator (Philox) seeded explicitly.
+runs on one thread.  All randomness flows through one counter-based
+generator (Philox) seeded explicitly.
 """
 
 from __future__ import annotations
@@ -90,18 +88,15 @@ class SimConfig:
     n_particles: int = 100_000
     dt: float = 1e-3
     t_end: float = 1.0
-    method: str = "grid"          # "grid" | "direct"
-    eps_soft: float = 0.0         # 0 means auto: 0.01 * support radius
+    method: str = "grid"          # only "grid", the one force
     seed: int = 0
     output_every: int = 50        # steps between diagnostic rows
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end < 0:
             raise InputError("SimConfig: dt must be > 0 and t_end >= 0")
-        if self.method not in ("grid", "direct"):
-            raise InputError("SimConfig: method must be 'grid' or 'direct'")
-        if self.method == "direct" and self.n_particles > 100_000:
-            raise InputError("SimConfig: direct summation capped at N = 1e5")
+        if self.method != "grid":
+            raise InputError("SimConfig: method must be 'grid'")
         if self.output_every < 1:
             raise InputError("SimConfig: output_every must be >= 1")
 
@@ -188,49 +183,12 @@ def _grid_accel_arrays(x: np.ndarray, binned,
     return acc
 
 
-def _direct_accel_arrays(x: np.ndarray, w: np.ndarray, eps_soft: float,
-                         out: np.ndarray = None) -> np.ndarray:
-    """Pairwise softened sum a_i = -sum_j w_j (x_i-x_j)/(|..|^2+eps^2)^1.5.
-
-    Writes into ``out`` when given.
-    """
-    if eps_soft <= 0.0:
-        raise InputError("direct summation requires eps_soft > 0")
-    acc = np.empty_like(x) if out is None else out
-    block = 2048
-    eps2 = eps_soft * eps_soft
-    for lo in range(0, x.shape[0], block):
-        hi = min(lo + block, x.shape[0])
-        dx = x[lo:hi, None, :] - x[None, :, :]
-        d2 = dx[:, :, 0] ** 2 + dx[:, :, 1] ** 2 + eps2
-        inv3 = d2 ** -1.5
-        # the i == j term contributes zero displacement, so no masking needed
-        acc[lo:hi, 0] = -np.sum(w[None, :] * dx[:, :, 0] * inv3, axis=1)
-        acc[lo:hi, 1] = -np.sum(w[None, :] * dx[:, :, 1] * inv3, axis=1)
-    return acc
-
-
-def _accel_arrays(x, weights, method, grid, eps_soft, binned=None, out=None):
-    """Accelerations at x; the grid force reads ``binned``, the binning of x
-    and weights on grid, and bins them itself when it is not given."""
-    if method == "grid":
-        if grid is None:
-            raise InputError("accelerations: grid method needs a RadialGrid")
-        if binned is None:
-            binned = _bin(grid, x, weights)
-        return _grid_accel_arrays(x, binned, out)
-    if method == "direct":
-        return _direct_accel_arrays(x, weights, eps_soft, out)
-    raise InputError(f"accelerations: unknown method {method!r}")
-
-
-def accelerations(ens: ParticleEnsemble, method: str = "grid",
-                  grid: RadialGrid = None,
-                  eps_soft: float = 0.0) -> np.ndarray:
-    """Per-particle accelerations under the chosen force method."""
+def accelerations(ens: ParticleEnsemble, grid: RadialGrid) -> np.ndarray:
+    """Per-particle accelerations under the grid force on ``grid``."""
     if ens.n == 0:
         raise InputError("accelerations: empty ensemble")
-    return _accel_arrays(ens.positions, ens.weights, method, grid, eps_soft)
+    x = ens.positions
+    return _grid_accel_arrays(x, _bin(grid, x, ens.weights))
 
 
 def _kdk(x: np.ndarray, v: np.ndarray, kick: np.ndarray, dt: float, force):
@@ -258,8 +216,7 @@ def _kdk(x: np.ndarray, v: np.ndarray, kick: np.ndarray, dt: float, force):
     return result
 
 
-def step(ens: ParticleEnsemble, dt: float, method: str = "grid",
-         grid: RadialGrid = None, eps_soft: float = 0.0,
+def step(ens: ParticleEnsemble, dt: float, grid: RadialGrid,
          acc: np.ndarray = None) -> tuple:
     """One kick-drift-kick leapfrog step; returns (ensemble, end acc).
 
@@ -267,7 +224,7 @@ def step(ens: ParticleEnsemble, dt: float, method: str = "grid",
     step's return) avoids recomputing it.
     """
     if acc is None:
-        acc = accelerations(ens, method, grid, eps_soft)
+        acc = accelerations(ens, grid)
     x, v, w = ens.positions.copy(), ens.velocities.copy(), ens.weights
 
     def check_finite():
@@ -277,11 +234,11 @@ def step(ens: ParticleEnsemble, dt: float, method: str = "grid",
                              f"{int(np.argmin(finite))} after dt={dt:g}")
 
     def force(x, out):
-        # before the force: a pairwise sum would pass a runaway's NaN pull
-        # to every particle
+        # before the force: the gather gives a runaway at infinity the force
+        # scale -dU/r = 0, and 0 * inf is a numpy "invalid value" warning
         check_finite()
         # a copy, since the closing kick scales the buffer in place
-        return _accel_arrays(x, w, method, grid, eps_soft, out=out).copy()
+        return _grid_accel_arrays(x, _bin(grid, x, w), out).copy()
 
     acc_new = _kdk(x, v, 0.5 * dt * acc, dt, force)
     check_finite()
@@ -337,7 +294,6 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     rows = [row]
     eps_mc = _noise_floor(model, ss, ens, row["d_dist"])
 
-    eps_soft = cfg.eps_soft if cfg.eps_soft > 0.0 else 0.01 * ss.support_radius
     escape_r = _ESCAPE_FACTOR * ss.support_radius
     escaped = 0
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -347,13 +303,13 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     v = ens.velocities.copy()
     t0 = ens.time
     dt = cfg.dt
-    kick = _accel_arrays(x, w, cfg.method, grid, eps_soft, binned)
+    kick = _grid_accel_arrays(x, binned)
     del binned  # no particle arrays kept across the steps
     kick *= 0.5 * dt
 
     def force(x, out):
         binned = _bin(grid, x, w)
-        _accel_arrays(x, w, cfg.method, grid, eps_soft, binned, out)
+        _grid_accel_arrays(x, binned, out)
         return binned
 
     for k in range(1, n_steps + 1):

@@ -155,7 +155,7 @@ def test_radius_past_the_squares_range_stays_finite(ss_wide):
     x = ens.positions.copy()
     x[0] = [1e200, 0.0]
     acc = accelerations(ParticleEnsemble(x, ens.velocities, ens.weights),
-                        "grid", ss_wide.grid)
+                        ss_wide.grid)
     assert np.all(np.isfinite(acc))
 
 
@@ -280,7 +280,7 @@ def test_fused_row_matches_separate_paths(poly_wide, ss_wide, ens_edge):
 
 
 @pytest.mark.parametrize("method,output_every",
-                         [("grid", 1), ("grid", 3), ("direct", 1)])
+                         [("grid", 1), ("grid", 3)])
 def test_run_bins_once_per_position_update(monkeypatch, poly_wide, ss_wide,
                                            method, output_every):
     calls = []

@@ -221,6 +221,11 @@ def test_non_numeric_value_is_usage_error(tmp_path, command, old, new):
     ("n = 192", "n = 192\ndamping = 0.3", "'damping' in [solver]"),
     ("[split]", "[splitt]", "[splitt]"),
     ("[model]", "[DEFAULT]\nmass = 1.0\n[model]", "[DEFAULT]"),
+    # the grid force is the only force, so neither key names an option
+    ("n_particles = 5000", "n_particles = 5000\nmethod = direct",
+     "'method' in [evolve]"),
+    ("n_particles = 5000", "n_particles = 5000\neps_soft = 0.01",
+     "'eps_soft' in [evolve]"),
 ])
 def test_unknown_config_key_is_usage_error(tmp_path, capsys, old, new, named):
     cfg = _write_config(tmp_path / "bad.ini", POLY_INI.replace(old, new))

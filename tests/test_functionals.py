@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatsteady import (CasimirModel, FunctionalReport, RadialGrid,
-                        ScalingParams, SolverOptions, solve, evaluate_ensemble, evaluate_steady,
+                        RadialProfile, ScalingParams, SolverOptions, solve,
+                        evaluate_ensemble, evaluate_steady, lp_norm,
                         rescale_steady, sample, scaling_inequality_check,
                         split_diagnostic, stability_distance)
 from flatsteady.functionals import (_bin, _ensemble_row, _interp,
                                     _phase_histogram, _radius, _self_energy, alpha_from_mu3,
-                                    bilinearity_check,
-                                    interpolation_check,
-                                    lower_bound_check, proof_scaling_params)
+                                    proof_scaling_params)
 from flatsteady.potential import operator_for
 from flatsteady.simulate import ParticleEnsemble
 from flatsteady.errors import InputError
@@ -120,22 +119,50 @@ def test_split_bound_with_generous_constant(ss_half):
     assert rep2["bound_holds"]
 
 
-def test_bilinearity(ss_half):
-    rng = np.random.default_rng(3)
+def _random_density(ss, seed, scale):
+    """A non-negative density on ss's nodes, zero on about a quarter of them."""
+    rng = np.random.default_rng(seed)
+    rho = scale * np.max(ss.rho0.values) * rng.random(ss.grid.n)
+    return np.where(rng.random(ss.grid.n) < 0.25, 0.0, rho)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e3))
+def test_bilinearity(ss_half, seed, scale):
+    # E_pot(rho1 + rho2) = E_pot(rho1) + E_pot(rho2) + int rho1 U_rho2
+    op = operator_for(ss_half.grid)
     rho1 = ss_half.rho0.values
-    rho2 = rng.random(ss_half.grid.n) * np.max(rho1) * 0.1
-    assert bilinearity_check(ss_half.grid, rho1, rho2)["pass"]
+    rho2 = _random_density(ss_half, seed, scale)
+    lhs = op.potential_energy(rho1 + rho2)
+    rhs = (op.potential_energy(rho1) + op.potential_energy(rho2)
+           + op.interaction_energy(rho1, rho2))
+    assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
 
 def test_lower_bound_calibrated(report_half):
-    # the empirical C_M that makes the coercivity bound tight for this state
-    c_m = (report_half.p - report_half.d) / (1.0 + report_half.p ** 0.75)
+    # D >= P - C_M (1 + P^(n1/2)) with n1 = 1 + mu1 = 3/2, at the empirical
+    # C_M that makes the coercivity bound tight for this state
+    p = report_half.p
+    c_m = (p - report_half.d) / (1.0 + p ** 0.75)
     assert c_m > 0.0
-    assert lower_bound_check(report_half, c_m, 0.5)["pass"]
+    rhs = p - c_m * (1.0 + p ** 0.75)
+    assert report_half.d >= rhs - 1e-12 * max(abs(rhs), 1.0)
 
 
-def test_interpolation_inequality(ss_half):
-    assert interpolation_check(ss_half.grid, ss_half.rho0.values, 0.5)["pass"]
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e3),
+       st.floats(0.0, 1.0))
+def test_interpolation_inequality(ss_half, seed, scale, mu1):
+    # ||rho||_{4/3} <= ||rho||_1^(1-theta) ||rho||_q^theta with q = 1 + 1/n1,
+    # n1 = 1 + mu1 and 3/4 = (1 - theta) + theta/q: log-convexity of the
+    # Lp norms
+    q = 1.0 + 1.0 / (1.0 + mu1)
+    theta = 0.25 / (1.0 - 1.0 / q)
+    for rho in (ss_half.rho0.values, _random_density(ss_half, seed, scale)):
+        prof = RadialProfile(ss_half.grid, rho)
+        lhs = lp_norm(prof, 4.0 / 3.0)
+        rhs = lp_norm(prof, 1.0) ** (1.0 - theta) * lp_norm(prof, q) ** theta
+        assert lhs <= rhs * (1.0 + 1e-10)
 
 
 def test_ensemble_matches_steady(poly_wide, ss_wide):

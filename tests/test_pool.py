@@ -43,8 +43,8 @@ def ens_pool(ss_wide):
 
 
 def _outputs(ss, model, ens):
-    acc = accelerations(ens, "grid", ss.grid)
-    stepped, acc_new = step(ens, 1e-3, "grid", ss.grid, acc=acc)
+    acc = accelerations(ens, ss.grid)
+    stepped, acc_new = step(ens, 1e-3, ss.grid, acc=acc)
     t_dyn = ss.dynamical_time()
     cfg = SimConfig(n_particles=N_POOL, dt=0.01 * t_dyn, t_end=0.03 * t_dyn,
                     seed=9, output_every=2)
@@ -78,26 +78,24 @@ def test_outputs_do_not_depend_on_workers_or_chunks(monkeypatch, poly_wide,
             assert value.tobytes() == res[key].tobytes(), (label, key)
 
 
-@pytest.mark.parametrize("method", ["grid", "direct"])
+@pytest.mark.parametrize("method", ["grid"])
 def test_run_leapfrog_matches_whole_array_updates(monkeypatch, poly_wide,
                                                   ss_wide, method):
     # the chunked kicks reuse the half kick and the force buffer; at 1, 2
     # and 3 workers the positions and velocities still equal the plain
     # kick-drift-kick, and k calls of step give the same bytes as run's k
     # steps
-    n = 5000 if method == "grid" else 2000
+    n = 5000
     t_dyn = ss_wide.dynamical_time()
     cfg = SimConfig(n_particles=n, dt=0.01 * t_dyn, t_end=0.04 * t_dyn,
                     method=method, seed=2, output_every=4)
-    eps_soft = 0.01 * ss_wide.support_radius
     ens = sample(ss_wide, n, seed=2)
     x, v, dt = ens.positions.copy(), ens.velocities.copy(), cfg.dt
-    acc = acc0 = accelerations(ens, method, ss_wide.grid, eps_soft)
+    acc = acc0 = accelerations(ens, ss_wide.grid)
     for _ in range(4):
         v += 0.5 * dt * acc
         x += dt * v
-        acc = accelerations(ParticleEnsemble(x, v, ens.weights), method,
-                            ss_wide.grid, eps_soft)
+        acc = accelerations(ParticleEnsemble(x, v, ens.weights), ss_wide.grid)
         v += 0.5 * dt * acc
     for workers in (1, 2, 3):
         with monkeypatch.context() as m:
@@ -105,8 +103,8 @@ def test_run_leapfrog_matches_whole_array_updates(monkeypatch, poly_wide,
             out = run(ss_wide, cfg, model=poly_wide)
             stepped, acc_step = ens, acc0
             for _ in range(4):
-                stepped, acc_step = step(stepped, dt, method, ss_wide.grid,
-                                         eps_soft, acc=acc_step)
+                stepped, acc_step = step(stepped, dt, ss_wide.grid,
+                                         acc=acc_step)
             # the last row reads the binning of the drifted positions, not
             # a stale one
             final = out["ensemble"]

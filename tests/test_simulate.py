@@ -52,32 +52,36 @@ def test_sample_is_deterministic(ss_wide):
     assert np.array_equal(a.velocities, b.velocities)
 
 
-def test_pair_force_newton_third_law():
-    ens = ParticleEnsemble(np.array([[0.0, 0.0], [1.2, 0.4]]),
-                           np.zeros((2, 2)), np.array([2.0, 3.0]))
-    acc = accelerations(ens, method="direct", eps_soft=0.05)
-    # momentum balance: m1 a1 + m2 a2 = 0
-    net = ens.weights[:, None] * acc
-    assert np.allclose(net[0], -net[1], rtol=1e-13, atol=1e-15)
-    # magnitude on particle 1 is w2 * d / (d^2 + eps^2)^1.5
-    d = np.hypot(1.2, 0.4)
-    expected = 3.0 * d / (d ** 2 + 0.05 ** 2) ** 1.5
-    assert np.hypot(*acc[0]) == pytest.approx(expected, rel=1e-13)
+def _direct_accel(x, w, eps, out=None):
+    """Reference force: the Plummer-softened pairwise sum
+    a_i = -sum_j w_j (x_i - x_j) / (|x_i - x_j|^2 + eps^2)^1.5, in row blocks.
+    Writes into ``out`` when given, as ``simulate._kdk``'s force must."""
+    acc = np.empty_like(x) if out is None else out
+    for lo in range(0, x.shape[0], 64):
+        dx = x[lo:lo + 64, 0, None] - x[:, 0]
+        dy = x[lo:lo + 64, 1, None] - x[:, 1]
+        d2 = dx * dx + dy * dy + eps * eps
+        # the i == j term has zero displacement, so it adds nothing
+        s = w / (d2 * np.sqrt(d2))
+        acc[lo:lo + 64, 0] = -np.sum(s * dx, axis=1)
+        acc[lo:lo + 64, 1] = -np.sum(s * dy, axis=1)
+    return acc
+
+
+def _direct_leapfrog(x, v, w, dt, eps, n_steps):
+    """n_steps of the package's one leapfrog under the reference force."""
+    kick = 0.5 * dt * _direct_accel(x, w, eps)
+    for _ in range(n_steps):
+        simulate._kdk(x, v, kick, dt, lambda x, out: _direct_accel(x, w, eps, out))
 
 
 def test_single_particle_free_streams():
-    ens = ParticleEnsemble(np.array([[0.5, -0.2]]), np.array([[0.3, 0.7]]),
-                           np.array([1.0]))
-    acc = accelerations(ens, method="direct", eps_soft=0.01)
-    assert np.all(acc == 0.0)
-    out = ens
-    acc_c = None
-    for _ in range(10):
-        out, acc_c = step(out, 0.05, method="direct", eps_soft=0.01,
-                          acc=acc_c)
-    assert np.allclose(out.positions, ens.positions + 0.5 * ens.velocities,
-                       rtol=0.0, atol=1e-15)
-    assert np.array_equal(out.velocities, ens.velocities)
+    x0, v0, w = np.array([[0.5, -0.2]]), np.array([[0.3, 0.7]]), np.array([1.0])
+    assert np.all(_direct_accel(x0, w, 0.01) == 0.0)
+    x, v = x0.copy(), v0.copy()
+    _direct_leapfrog(x, v, w, 0.05, 0.01, 10)
+    assert np.allclose(x, x0 + 0.5 * v0, rtol=0.0, atol=1e-15)
+    assert np.array_equal(v, v0)
 
 
 def test_two_body_circular_orbit():
@@ -86,47 +90,44 @@ def test_two_body_circular_orbit():
     eps = 1e-3
     a_mag = w * d / (d ** 2 + eps ** 2) ** 1.5
     v = np.sqrt(a_mag * d / 2.0)
-    ens = ParticleEnsemble(np.array([[d / 2, 0.0], [-d / 2, 0.0]]),
-                           np.array([[0.0, v], [0.0, -v]]),
-                           np.array([w, w]))
+    x0 = np.array([[d / 2, 0.0], [-d / 2, 0.0]])
+    x, vel = x0.copy(), np.array([[0.0, v], [0.0, -v]])
     period = 2.0 * np.pi * (d / 2.0) / v
     n_steps = 4000
-    dt = period / n_steps
-    out, acc = ens, None
-    for _ in range(n_steps):
-        out, acc = step(out, dt, method="direct", eps_soft=eps, acc=acc)
+    _direct_leapfrog(x, vel, np.array([w, w]), period / n_steps, eps, n_steps)
     # after one full period the separation is back to d
-    sep = np.hypot(*(out.positions[0] - out.positions[1]))
+    sep = np.hypot(*(x[0] - x[1]))
     assert sep == pytest.approx(d, rel=1e-4)
-    assert np.allclose(out.positions, ens.positions, atol=1e-3 * d)
+    assert np.allclose(x, x0, atol=1e-3 * d)
 
 
 def test_leapfrog_time_reversal(ss_wide):
     ens = sample(ss_wide, 2000, seed=7)
     fwd, acc = ens, None
     for _ in range(20):
-        fwd, acc = step(fwd, 0.02, method="grid", grid=ss_wide.grid, acc=acc)
+        fwd, acc = step(fwd, 0.02, ss_wide.grid, acc=acc)
     back = ParticleEnsemble(fwd.positions, -fwd.velocities, fwd.weights)
     acc = None
     for _ in range(20):
-        back, acc = step(back, 0.02, method="grid", grid=ss_wide.grid,
-                         acc=acc)
+        back, acc = step(back, 0.02, ss_wide.grid, acc=acc)
     assert np.allclose(back.positions, ens.positions, rtol=0.0, atol=1e-10)
     assert np.allclose(-back.velocities, ens.velocities, rtol=0.0, atol=1e-10)
 
 
-# the drifted positions are checked before the force runs, so the direct
-# force's pairwise sum cannot pass the runaway's NaN pull to every particle
-@pytest.mark.parametrize("method", ["grid", "direct"])
+# the drifted positions are checked before the force runs: the grid force's
+# gather would give the runaway the force scale -dU/r = 0 and multiply it by
+# its inf coordinate, a numpy "invalid value" warning, which the test
+# settings make an error; only the drift's overflow is silenced here
+@pytest.mark.parametrize("method", ["grid"])
 def test_step_rejects_non_finite_coordinates(ss_wide, method):
     ens = sample(ss_wide, 2000, seed=7)
     v = ens.velocities.copy()
     v[5] = [1e308, 0.0]  # drifts to infinity in one step of dt = 10
     fast = ParticleEnsemble(ens.positions, v, ens.weights)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+    with np.errstate(over="ignore"), pytest.raises(
             InputError, match="non-finite coordinates for particle index "
                               "5 after dt=10$"):
-        step(fast, 10.0, method, ss_wide.grid, eps_soft=0.01)
+        step(fast, 10.0, ss_wide.grid)
 
 
 def _exact_radial_force(ss, radii):
@@ -138,7 +139,7 @@ def _exact_radial_force(ss, radii):
 def test_grid_force_matches_steady(ss_wide):
     # deposit shot noise dominates below ~1e5 particles
     ens = sample(ss_wide, 200_000, seed=5)
-    a_grid = accelerations(ens, method="grid", grid=ss_wide.grid)
+    a_grid = accelerations(ens, ss_wide.grid)
     radii = ens.radii()
     a_rad = -np.sum(a_grid * ens.positions, axis=1) / radii
     exact = -_exact_radial_force(ss_wide, radii)
@@ -153,8 +154,8 @@ def test_direct_force_matches_steady_in_the_mean(ss_wide):
     # bin-averaged inward radial acceleration against the smooth force;
     # softening above ~0.01 R biases the force low
     ens = sample(ss_wide, 20_000, seed=5)
-    a_dir = accelerations(ens, method="direct",
-                          eps_soft=0.005 * ss_wide.support_radius)
+    a_dir = _direct_accel(ens.positions, ens.weights,
+                          0.005 * ss_wide.support_radius)
     radii = ens.radii()
     a_rad = np.sum(a_dir * ens.positions, axis=1) / radii
     edges = np.linspace(0.2, 0.9, 8) * ss_wide.support_radius
@@ -165,23 +166,11 @@ def test_direct_force_matches_steady_in_the_mean(ss_wide):
         assert mean_obs == pytest.approx(mean_exact, rel=0.05)
 
 
-def test_direct_momentum_conservation(ss_wide):
-    ens = sample(ss_wide, 1500, seed=8)
-    out, acc = ens, None
-    for _ in range(10):
-        out, acc = step(out, 0.02, method="direct",
-                        eps_soft=0.02 * ss_wide.support_radius, acc=acc)
-    p0 = np.sum(ens.weights[:, None] * ens.velocities, axis=0)
-    p1 = np.sum(out.weights[:, None] * out.velocities, axis=0)
-    scale = np.sum(ens.weights * np.hypot(*ens.velocities.T))
-    assert np.allclose(p1, p0, rtol=0.0, atol=1e-12 * scale)
-
-
 def test_angular_momentum_conserved_by_grid_force(ss_wide):
     ens = sample(ss_wide, 5000, seed=6)
     out, acc = ens, None
     for _ in range(25):
-        out, acc = step(out, 0.02, method="grid", grid=ss_wide.grid, acc=acc)
+        out, acc = step(out, 0.02, ss_wide.grid, acc=acc)
     ref = ens.abs_angular_momentum()
     assert abs(out.angular_momentum() - ens.angular_momentum()) <= 1e-12 * ref
 
@@ -231,7 +220,7 @@ def test_config_validation():
     with pytest.raises(InputError):
         SimConfig(method="tree")
     with pytest.raises(InputError):
-        SimConfig(method="direct", n_particles=200_000)
+        SimConfig(method="direct")
     with pytest.raises(InputError):
         SimConfig(output_every=0)
 
