@@ -312,10 +312,14 @@ def _uniform_edges(x: np.ndarray, nb: int) -> np.ndarray:
 def _phase_histogram(r: np.ndarray, w: np.ndarray, weights: np.ndarray) -> tuple:
     """(hist, r_edges, w_edges): the weighted (r, w) histogram with Scott's
     rule bin counts per dimension, equal bit for bit to ``np.histogramdd``'s;
-    the bins come from ``grids._CellTable``, as ``RadialGrid.locate``'s do."""
+    the bins come from ``grids._CellTable``, as ``RadialGrid.locate``'s do.
+    A non-finite r or w (a runaway particle) raises ``InputError``."""
     n = r.size
     edges = []
-    for x in (r, w):
+    for name, x in (("r", r), ("w", w)):
+        if not (np.isfinite(x.min()) and np.isfinite(x.max())):
+            raise InputError(f"phase histogram: non-finite {name} column "
+                             "(r = |x|, w = |v|^2/2)")
         with np.errstate(over="ignore"):
             sig = float(np.std(x))
         if sig == np.inf:  # the squares overflowed: the same std of x / 2^k
@@ -379,9 +383,11 @@ def _ensemble_row(model: CasimirModel, ens, binned: _Binning,
 
     def kinetic(a, b):
         # |v|^2 as the sum over axis 1 of v**2, bit for bit, without its
-        # per-row loop
-        v2 = np.square(v[a:b, 0])
-        v2 += np.square(v[a:b, 1])
+        # per-row loop; a |v| past about 1.3e154 gives inf, which
+        # _phase_histogram rejects
+        with np.errstate(over="ignore"):
+            v2 = np.square(v[a:b, 0])
+            v2 += np.square(v[a:b, 1])
         np.multiply(0.5, v2, out=w_kin[a:b])
         np.multiply(w[a:b], v2, out=wv2[a:b])
 

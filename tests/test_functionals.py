@@ -236,6 +236,21 @@ def test_far_particle_row_is_finite(poly_wide, ss_wide):
     assert hist.shape[0] == np.ceil(1e200 / (sig * far.n ** (-1.0 / 6.0)))
 
 
+def test_runaway_velocity_raises_input_error(poly_wide, ss_wide):
+    # |v|^2/2 overflows to inf: the w column is rejected by name, before
+    # numpy can warn about the square or Scott's rule can turn NaN
+    ens = sample(ss_wide, 5000, seed=3)
+    v = ens.velocities.copy()
+    v[0] = [1e200, 0.0]
+    fast = ParticleEnsemble(ens.positions, v, ens.weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InputError, match="non-finite w column"):
+            stability_distance(poly_wide, ss_wide, fast)
+        with pytest.raises(InputError, match="non-finite w column"):
+            evaluate_ensemble(poly_wide, fast, grid=ss_wide.grid)
+
+
 def test_stability_distance_consistency(poly_wide, ss_wide):
     ens = sample(ss_wide, 200_000, seed=9)
     d, epot_diff = stability_distance(poly_wide, ss_wide, ens)

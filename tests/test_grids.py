@@ -1,9 +1,14 @@
+import math
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatsteady import RadialGrid, RadialProfile
 from flatsteady.errors import InputError
-from flatsteady.grids import _CSV_CHUNK_ROWS, read_csv, write_csv
+from flatsteady.grids import _CSV_CHUNK_ROWS, _format_rows, read_csv, write_csv
 
 
 def test_uniform_grid_weights_integrate_area():
@@ -108,6 +113,103 @@ def test_write_csv_chunks_match_row_by_row(tmp_path):
     rows = "".join("%.17g,%.17g,%.17g\n" % tuple(r) for r in cols.T)
     assert path.read_text() == "x,y,z\n" + rows
     assert read_csv(path).tobytes() == cols.tobytes()
+
+
+def test_write_csv_chunks_match_row_by_row_in_fast_range(tmp_path):
+    # N(0, 1) values take the vectorized path across the chunk boundaries
+    cols = np.random.default_rng(4).standard_normal((3, 2 * _CSV_CHUNK_ROWS + 5))
+    path = tmp_path / "normal.csv"
+    write_csv(path, {}, ("x", "y", "z"), cols)
+    rows = "".join("%.17g,%.17g,%.17g\n" % tuple(r) for r in cols.T)
+    assert path.read_text() == "x,y,z\n" + rows
+    assert read_csv(path).tobytes() == cols.tobytes()
+
+
+def _expect_rows(values):
+    return "".join("%.17g\n" % v for v in values).encode()
+
+
+def _assert_formats(values):
+    values = np.asarray(values, dtype=float)
+    got = _format_rows(values.reshape(-1, 1)).split(b"\n")
+    want = _expect_rows(values.tolist()).split(b"\n")
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+    assert len(got) == len(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)),
+    min_size=1, max_size=40))
+def test_format_rows_equals_percent_17g(values):
+    # one block mixes the vectorized path and the fallback to Python's %
+    assert _format_rows(np.array(values).reshape(-1, 1)) == _expect_rows(values)
+
+
+def test_format_rows_powers_of_ten_and_neighbours():
+    values = []
+    for k in range(-12, 19):
+        p = float(f"1e{k}")
+        values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    _assert_formats(values + [-v for v in values])
+
+
+def test_format_rows_half_way_ties():
+    # M * 2^-j with M odd has j decimals and ends in 5; 18 significant digits
+    # make its 17-digit rounding an exact tie, broken to the even digit
+    rng = np.random.default_rng(5)
+    values = [1234567890123456.25, 1234567890123456.75]
+    for j in range(2, 26):
+        lo = -(-10 ** 17 // 5 ** j)
+        hi = min(10 ** 18 // 5 ** j, 2 ** 53)
+        for m in rng.integers(lo, hi, size=50):
+            m = int(m) | 1
+            if m < hi and len(str(m * 5 ** j)) == 18:
+                values.append(math.ldexp(m, -j))
+    assert len(values) > 1000
+    _assert_formats(values + [-v for v in values])
+
+
+def test_format_rows_rounding_carries_to_a_power_of_ten():
+    # doubles below 10^k whose 17 digits round up to 10^k (printed "1e-14")
+    carries = [k for k in range(-300, 301)
+               if Fraction(float(f"1e{k}")) < Fraction(10) ** k
+               and round(Fraction(float(f"1e{k}")) * Fraction(10) ** (17 - k)) == 10 ** 17]
+    assert carries == [-243, -176, -175, -174, -79, -78, -73, -70, -14, 98,
+                       129, 153, 220]
+    values = [float(f"1e{k}") for k in carries]
+    assert _format_rows(np.array(values).reshape(-1, 1)) == b"".join(
+        b"1e%+03d\n" % k for k in carries)
+
+
+def test_format_rows_at_the_fast_range_edges():
+    edges = [1e-11, 1e16, 1e-5, 1e-4]
+    values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan]
+    for e in edges:
+        values += [np.nextafter(e, 0.0), e, np.nextafter(e, np.inf)]
+    _assert_formats(values + [-v for v in values])
+
+
+def test_format_rows_short_decimals_and_integers():
+    _assert_formats([i / 1000 for i in range(-3000, 3001)]
+                    + [float(i) for i in range(-3000, 3001)]
+                    + [i * 1e-9 for i in range(1, 2000)])
+
+
+def test_write_csv_streams_its_chunks(tmp_path):
+    # a writer that joined the whole 10^5 x 5 table (about 11 MB of text)
+    # before writing would peak far above a few chunk canvases
+    cols = np.random.default_rng(6).standard_normal((5, 100_000))
+    canvas = _CSV_CHUNK_ROWS * cols.shape[0] * 48
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", {}, ("a", "b", "c", "d", "e"), cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * canvas
 
 
 @pytest.mark.parametrize("text", [None, "", "# only\n", "a,b\n", "a,b\n1,x\n",
