@@ -44,6 +44,15 @@ def _substituted_quadrature(s, g):
     return 2.0 * s * np.sum(_GL_W * _GL_U * gt, axis=1)
 
 
+def _power_sum(f, terms):
+    """sum of a*f^e over (a, e) in terms, added in their order."""
+    a, e = terms[0]
+    out = a * np.power(f, e)
+    for a, e in terms[1:]:
+        out += a * np.power(f, e)
+    return out
+
+
 @dataclass(frozen=True)
 class CasimirModel:
     """Convex Casimir function Q with declared assumption constants.
@@ -168,13 +177,17 @@ class CasimirModel:
         f = np.asarray(f, dtype=float)
         if not self.terms:
             return self._derivs[k](np.clip(f, 0.0, self.f_table[-1]))
-        parts = []
+        return _power_sum(f, self._derivative_terms(k))
+
+    def _derivative_terms(self, k):
+        """The k-th derivative of Q as ((coef*p*(p-1)*..., p - k), ...)."""
+        out = []
         for coef, mu in self.terms:
             p = 1.0 + 1.0 / mu
             for j in range(k):
                 coef = coef * (p - j)
-            parts.append(coef * np.power(f, p - k))
-        return sum(parts[1:], parts[0])
+            out.append((coef, p - k))
+        return out
 
     def inverse(self) -> "InverseQ":
         return InverseQ(self)
@@ -203,6 +216,10 @@ class InverseQ:
             # bracket table: Q' sampled on the tabulated f range
             self._fmax = float(model.f_table[-1])
             self._eps_max = float(model.Qp(self._fmax))
+        else:
+            # Newton's Q' and Q'' terms, formed once rather than per call
+            self._qp_terms = model._derivative_terms(1)
+            self._qpp_terms = model._derivative_terms(2)
 
     # -- q -----------------------------------------------------------------
 
@@ -212,11 +229,11 @@ class InverseQ:
         Raises InputError, naming the method, on a non-finite s.
         """
         sv = np.atleast_1d(np.asarray(s, dtype=float))
-        if not np.all(np.isfinite(sv)):
+        if not np.isfinite(sv).all():
             raise InputError(f"{name}: non-finite argument")
         out = np.zeros_like(sv)
         pos = sv > 0.0
-        if np.any(pos):
+        if pos.any():
             out[pos] = fn(sv[pos])
         return float(out[0]) if np.ndim(s) == 0 else out
 
@@ -235,13 +252,13 @@ class InverseQ:
         f = functools.reduce(np.minimum, [(eps / (coef * (1.0 + 1.0 / mu))) ** mu
                                           for coef, mu in m.terms])
         # Q' is convex increasing, Newton from above converges monotonically
+        qp, qpp = self._qp_terms, self._qpp_terms
         for _ in range(80):
-            g = m.Qp(f) - eps
-            df = g / m.Qpp(f)
+            df = (_power_sum(f, qp) - eps) / _power_sum(f, qpp)
             f_new = np.maximum(f - df, 0.5 * f)
             done = np.abs(f_new - f) <= self.REL_TOL * np.maximum(f_new, 1e-300)
             f = f_new
-            if np.all(done):
+            if done.all():
                 return f
         bad = float(np.max(eps[~done]))
         raise ConvergenceError(f"q: Newton did not converge for eps={bad:.6g}")

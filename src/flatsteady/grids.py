@@ -307,6 +307,17 @@ class RadialGrid:
         """
         return self._shape
 
+    def scaled(self, lam: float) -> "RadialGrid":
+        """The grid lam * nodes, whose ``shape()`` is this grid's, unformatted.
+
+        Meant for a shape: its nodes are 12-digit decimals, and lam times
+        them over the new r_max is within an ulp or two of them, which the
+        rounding in ``shape()`` would map straight back.
+        """
+        grid = RadialGrid(lam * self.nodes)
+        object.__setattr__(grid, "_shape", self.shape())
+        return grid
+
     @functools.cached_property
     def _shape(self) -> "RadialGrid":
         unit = [float(f"{x:.12g}") for x in self.nodes / self.r_max]

@@ -13,12 +13,13 @@ trial edge radius R the inner sweep sets E0 = U(R), applies the map and
 renormalizes to the target mass, which removes the unstable amplitude and
 scale modes.
 
-The inner fixed point is found by Anderson mixing (Anderson 1965; Walker &
-Ni 2011, SIAM J. Numer. Anal. 49, 1715) with memory 5 and mixing 1/2: each
-step is the damped step less the combination of the last five iterate and
-residual differences that best cancels the current residual in least
-squares, clipped at rho >= 0.  Its residual is not monotone; whenever it
-grows the history restarts, so the next step is a plain damped one, and
+The inner fixed point is found by undamped Anderson mixing (Anderson 1965;
+Walker & Ni 2011, SIAM J. Numer. Anal. 49, 1715) with memory 5: with f the
+residual map(rho) - rho and gamma the combination of the last five residual
+differences dF that best cancels f in least squares, each step is
+f - (dX + dF) gamma, dX the matching iterate differences, clipped at
+rho >= 0.  Its residual is not monotone; whenever it grows the history
+restarts, so the next step is a plain fixed-point step rho <- map(rho), and
 ten consecutive growths raise ConvergenceError.  The renormalization
 factor A(R) at the inner fixed point is smooth and monotone in R, and
 A(R*) = 1 exactly at the self-consistent state.  The outer iteration
@@ -48,7 +49,6 @@ __all__ = ["SteadyState", "SolverOptions", "solve", "density_from_potential",
            "regularity_report"]
 
 _SUPPORT_CUT = 1e-14  # rho below this fraction of its max counts as zero
-_DAMPING = 0.5  # Anderson mixing: weight of the residual in each inner step
 _MEMORY = 5  # Anderson mixing: past sweeps whose differences enter a step
 _MAX_SWEEPS = 400  # inner sweeps per trial edge radius before giving up
 _RESIDUAL_TOL = 1e-13  # relative inner residual at which a sweep stops
@@ -114,7 +114,9 @@ def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
     """Edge-pinned, mass-renormalized fixed point for a trial edge radius R.
 
     Starts from ``seed`` node densities (a Kuzmin disc of scale R/3 when
-    None), renormalized to mass M on this grid, and Anderson-mixes the map.
+    None), renormalized to mass M on this grid, and Anderson-mixes the map
+    without damping: the first step and each step after a restart of the
+    history is the map itself.
     Returns (rho, U, E0, A, residual, iterations) where A is the factor that
     rescales the mapped density back to mass M.
     """
@@ -135,7 +137,7 @@ def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
     prev_res = np.inf
     for it in range(1, _MAX_SWEEPS + 1):
         U = op.potential(rho)
-        if not np.all(np.isfinite(U)):
+        if not np.isfinite(U).all():
             raise ConvergenceError(
                 f"the potential at edge radius R={R:g} leaves the float64 range")
         E0 = float(np.interp(R, r, U))
@@ -147,7 +149,7 @@ def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
         A = M / raw_mass
         rho_map = A * raw
         f = rho_map - rho
-        res = float(np.max(np.abs(f)) / np.max(rho_map))
+        res = float(np.abs(f).max() / rho_map.max())
         if res <= _RESIDUAL_TOL:
             return rho_map, U, E0, A, res, it
         if res > prev_res * (1.0 + 1e-12):
@@ -156,7 +158,7 @@ def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
                 raise ConvergenceError(
                     f"inner residual grew for 10 consecutive sweeps at "
                     f"R={R:g} (residual {res:.3e})")
-            d_rho.clear()  # the safeguard: restart from a damped step
+            d_rho.clear()  # the safeguard: restart from a plain map step
             d_res.clear()
         else:
             grow_count = 0
@@ -166,34 +168,41 @@ def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
                 if len(d_rho) > _MEMORY:
                     del d_rho[0], d_res[0]
         prev_res, rho_prev, f_prev = res, rho, f
-        step = _DAMPING * f
+        step = f
         if d_rho:
             # Walker & Ni (2011): the combination of past residuals that best
-            # cancels f, applied to the damped step
+            # cancels f, applied to the undamped step
             dF = np.column_stack(d_res)
             gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
-            step -= np.column_stack(d_rho) @ gamma + _DAMPING * (dF @ gamma)
+            step = f - (np.column_stack(d_rho) + dF) @ gamma
         rho = np.maximum(rho + step, 0.0)
     raise ConvergenceError(
         f"no inner convergence in {_MAX_SWEEPS} sweeps at R={R:g} "
         f"(residual {res:.3e})")
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_shape(n: int) -> RadialGrid:
+    """The shape of every n-node trial grid, formatted once per n.
+
+    A uniform core covers the support with margin, and a short log tail
+    serves the edge interpolation of U.  Trial grids are exact multiples of
+    this shape and share its operator assembly (see potential.operator_for).
+    """
+    return RadialGrid.hybrid(0.25, 1.0, n).shape()
+
+
 def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> SteadyState:
     """Compute the steady state of total mass M for the given Casimir model."""
     if M <= 0:
         raise InputError("solve: target mass must be positive")
-    n = (opts or SolverOptions()).n
+    unit = _unit_shape((opts or SolverOptions()).n)
     inv = model.inverse()
-    # uniform core covers the support with margin; short log tail for the
-    # edge interpolation of U.  Exact multiples of one shape share one
-    # operator assembly (see potential.operator_for).
-    unit = RadialGrid.hybrid(0.25, 1.0, n).shape().nodes
 
     R, R_prev, A_prev = _R_SEED, None, None
     rho, sweeps = None, 0
     for _ in range(_MAX_OUTER):
-        grid = RadialGrid(5.0 * R * unit)
+        grid = unit.scaled(5.0 * R)
         # node i of every trial grid is the same fraction of its r_max, so
         # the last evaluation's densities seed this one node for node
         rho, U, E0, A, _, inner_it = _inner_sweep(inv, operator_for(grid), grid,

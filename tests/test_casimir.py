@@ -282,6 +282,28 @@ def test_G_matches_reference_for_random_power_sums(mu1, mu2, c1, c2, s):
         assert abs((inv.G(s) - ref) / ref) <= 1e-13
 
 
+def _textbook_q(model, eps):
+    """q by Newton from above on Q'(f) = eps, with the model's Q' and Q''."""
+    f = np.minimum.reduce([(eps / (coef * (1.0 + 1.0 / mu))) ** mu
+                           for coef, mu in model.terms])
+    for _ in range(80):
+        f_new = np.maximum(f - (model.Qp(f) - eps) / model.Qpp(f), 0.5 * f)
+        done = np.abs(f_new - f) <= InverseQ.REL_TOL * np.maximum(f_new, 1e-300)
+        f = f_new
+        if np.all(done):
+            return f
+    raise AssertionError("reference Newton did not converge")
+
+
+@settings(deadline=None)
+@given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), _log_coefs, _log_coefs,
+       st.lists(st.floats(-8.0, 3.0), min_size=1, max_size=50).map(
+           lambda e: 10.0 ** np.array(e)))
+def test_q_newton_matches_textbook_newton_bitwise(mu1, mu2, c1, c2, eps):
+    model = CasimirModel.double_power(mu1, mu2, c1, c2)
+    assert model.inverse().q(eps).tobytes() == _textbook_q(model, eps).tobytes()
+
+
 @pytest.mark.parametrize("mu", [0.05, 0.5, 0.75, 0.95])
 @pytest.mark.parametrize("c", [0.01, 1.0, 57.0])
 def test_polytrope_G_is_the_conjugate_of_Q(mu, c):

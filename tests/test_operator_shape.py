@@ -5,6 +5,7 @@ lam*g is lam times the operator on g; ``operator_for`` relies on this to
 give every grid of one shape that shape's assembled kmat, times a scale.
 """
 
+import functools
 from collections import OrderedDict
 
 import numpy as np
@@ -202,3 +203,36 @@ def test_shape_is_formatted_once_per_grid(monkeypatch):
     assert fresh.shape().key() == grid.shape().key()
     unit = [float(f"{x:.12g}") for x in grid.nodes / grid.r_max]
     assert grid.shape().key() == np.array(unit).tobytes()
+
+
+def test_second_solve_formats_no_shape(monkeypatch):
+    model = CasimirModel.polytrope(0.5, c=57.0)
+    opts = SolverOptions(n=160)
+    solve(model, 1.0, opts)
+    formatted, ops = [], []
+    shape_of = RadialGrid._shape.func
+
+    def counted(self):
+        formatted.append(self.n)
+        return shape_of(self)
+
+    def recorded(grid):
+        ops.append(potential.operator_for(grid))
+        return ops[-1]
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(RadialGrid, "_shape")
+    monkeypatch.setattr(RadialGrid, "_shape", prop)
+    monkeypatch.setattr(steady, "operator_for", recorded)
+    solve(model, 2.0, opts)
+    assert formatted == [] and len(ops) > 1
+    monkeypatch.undo()
+    # the trial operators hold the one cached kmat, at the scale a freshly
+    # formatted shape of each trial grid gives
+    unit = RadialGrid.hybrid(0.25, 1.0, 160).shape()
+    kmat = potential._OP_CACHE[unit.key()].kmat
+    for op in ops:
+        fresh = RadialGrid(op.grid.nodes.copy()).shape()
+        assert op.kmat is kmat
+        assert fresh.key() == unit.key()
+        assert op.scale == op.grid.r_max / fresh.r_max

@@ -140,9 +140,21 @@ def test_double_power_extreme_mass_converges(mus, M):
     _assert_converged(ss, M)
 
 
-# at most 10 trial radii of at most 33 sweeps were seen over 1000 random
-# double powers; the damped sweep took 100-160 sweeps per radius
+# over 1000 random double powers at n=128 a solve took at most 11 trial radii
+# of at most 19 sweeps, 138 sweeps in all (with mixing 1/2: 33 per radius
+# and 201 in all); the plain damped sweep took 100-160 sweeps per radius
 _SWEEP_BUDGET = 250
+
+
+@pytest.mark.parametrize("model,budget", [
+    (CasimirModel.polytrope(0.5, c=57.0), 20),
+    (CasimirModel.double_power(0.5, 0.75), 85),
+], ids=["c57", "double_power"])
+def test_undamped_sweeps_stay_within_count(model, budget):
+    # the steps with mixing 1/2 took 27 and 115 sweeps on these states
+    ss, _ = _counted_solve(model, 1.0, 384)
+    _assert_converged(ss, 1.0)
+    assert ss.iterations <= budget
 
 
 @settings(max_examples=40, deadline=None)
