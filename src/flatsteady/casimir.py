@@ -196,30 +196,47 @@ class CasimirModel:
 class InverseQ:
     """The inverse q of Q', extended by q = 0 on negative arguments.
 
-    One power term (a polytrope) inverts in closed form, as do its G and
-    G2; a sum of powers uses Newton's method from above, and a table a
-    bracketed bisection with a Newton polish.  For sums and tables G comes
-    from the Legendre identity and G2, GQ_scaled from a 64-point rule.
+    The constructor resolves the model's kind once into ``_q``, ``_G`` and
+    ``_G2``, functions of positive arrays: closed forms for one power term
+    (a polytrope); for a sum of powers Newton's method from above, for a
+    table a bracketed bisection with a Newton polish, and for both G from
+    the Legendre identity and G2, GQ_scaled from a 64-point rule.  Each
+    public method checks its argument once.
     """
 
     REL_TOL = 1e-12
 
     def __init__(self, model: CasimirModel):
         self.model = model
-        self._n_terms = len(model.terms)
-        if self._n_terms == 1:
-            # q(eps) = (mu*eps / (c*(mu+1)))^mu
+        if len(model.terms) == 1:
+            # q(eps) = kappa*eps^mu, kappa = (mu / (c*(mu+1)))^mu
             c, mu = model.terms[0]
-            self._mu = mu
-            self._kappa = (mu / (c * (mu + 1.0))) ** mu
-        elif not self._n_terms:
-            # bracket table: Q' sampled on the tabulated f range
-            self._fmax = float(model.f_table[-1])
-            self._eps_max = float(model.Qp(self._fmax))
-        else:
+            kappa = (mu / (c * (mu + 1.0))) ** mu
+            self._q = lambda eps: kappa * np.power(eps, mu)
+            self._G = lambda s: kappa * np.power(s, mu + 1.0) / (mu + 1.0)
+            self._G2 = lambda s: (kappa * np.power(s, mu + 2.0)
+                                  / ((mu + 1.0) * (mu + 2.0)))
+            return
+        if model.terms:
             # Newton's Q' and Q'' terms, formed once rather than per call
             self._qp_terms = model._derivative_terms(1)
             self._qpp_terms = model._derivative_terms(2)
+            self._q = self._q_newton
+        else:
+            # bracket table: Q' sampled on the tabulated f range
+            self._fmax = float(model.f_table[-1])
+            self._eps_max = float(model.Qp(self._fmax))
+            self._q = self._q_bisect
+        # G(s) = s*q(s) - (Q(q(s)) - Q(0)), the convex conjugate of Q, is
+        # stationary in q(s): q's solver tolerance enters only squared
+        Q0 = model.Q(0.0)
+
+        def G(s):
+            f = self._q(s)
+            return s * f - (model.Q(f) - Q0)
+
+        self._G = G
+        self._G2 = lambda s: _substituted_quadrature(s, self._G)
 
     # -- q -----------------------------------------------------------------
 
@@ -239,12 +256,7 @@ class InverseQ:
 
     def q(self, eps):
         """Phase-space density q(eps); exactly 0 for eps <= 0."""
-        return self._positive("q", eps, self._q_positive)
-
-    def _q_positive(self, eps):
-        if self._n_terms == 1:
-            return self._kappa * np.power(eps, self._mu)
-        return self._q_newton(eps) if self._n_terms else self._q_bisect(eps)
+        return self._positive("q", eps, self._q)
 
     def _q_newton(self, eps):
         m = self.model
@@ -286,40 +298,17 @@ class InverseQ:
     # -- antiderivatives ---------------------------------------------------
 
     def G(self, s):
-        """G(s) = int_0^s q(t) dt; 0 for s <= 0.
-
-        Closed form for a polytrope.  Otherwise G is the convex conjugate
-        of Q, G(s) = s*q(s) - (Q(q(s)) - Q(0)): one q per argument, and
-        stationary in q(s), so q's solver tolerance enters only squared.
-        """
-        def g(sp):
-            if self._n_terms != 1:
-                f = self.q(sp)
-                m = self.model
-                return sp * f - (m.Q(f) - m.Q(0.0))
-            mu = self._mu
-            return self._kappa * np.power(sp, mu + 1.0) / (mu + 1.0)
-
-        return self._positive("G", s, g)
+        """G(s) = int_0^s q(t) dt; 0 for s <= 0."""
+        return self._positive("G", s, self._G)
 
     def G2(self, s):
         """G2(s) = int_0^s G(u) du = int_0^s (s-t) q(t) dt; 0 for s <= 0."""
-        def g2(sp):
-            if self._n_terms != 1:
-                return _substituted_quadrature(sp, self.G)
-            mu = self._mu
-            return (self._kappa * np.power(sp, mu + 2.0)
-                    / ((mu + 1.0) * (mu + 2.0)))
-
-        return self._positive("G2", s, g2)
+        return self._positive("G2", s, self._G2)
 
     def GQ_scaled(self, s, amp):
         """int_0^s Q(amp * q(t)) dt by quadrature (used for rescaled states)."""
-        def gq(sp):
-            return _substituted_quadrature(
-                sp, lambda t: self.model.Q(amp * self.q(t)))
-
-        return self._positive("GQ_scaled", s, gq)
+        return self._positive("GQ_scaled", s, lambda sp: _substituted_quadrature(
+            sp, lambda t: self.model.Q(amp * self._q(t))))
 
 
 @dataclass

@@ -102,7 +102,11 @@ class SimConfig:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
+    """The package's one generator; InputError on a seed Philox rejects."""
+    try:
+        return np.random.Generator(np.random.Philox(seed))
+    except ValueError as exc:
+        raise InputError(f"seed {seed!r} is not a non-negative integer") from exc
 
 
 def sample(ss: SteadyState, n: int, seed: int) -> ParticleEnsemble:

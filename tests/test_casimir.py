@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from flatsteady import CasimirModel, InverseQ, validate_assumptions
+from flatsteady import (CasimirModel, InverseQ, SolverOptions, solve,
+                        validate_assumptions)
 from flatsteady.casimir import _substituted_quadrature
 from flatsteady.errors import ConvergenceError, InputError, ModelDefinitionError
 
@@ -335,19 +336,37 @@ def test_G_evaluates_q_once_per_point(kind, monkeypatch):
                                            mu2=0.5, mu3=0.5)}[kind]
     inv = model.inverse()
     points = []
-    q = InverseQ.q
+    q_inner = inv._q
 
-    def counted(self, eps):
+    def counted(eps):
         points.append(np.size(eps))
-        return q(self, eps)
+        return q_inner(eps)
 
-    monkeypatch.setattr(InverseQ, "q", counted)
+    def public_q(self, eps):
+        raise AssertionError("G entered the public q")
+
+    monkeypatch.setattr(inv, "_q", counted)
+    monkeypatch.setattr(InverseQ, "q", public_q)
     s = np.array([-1.0, 0.0, 0.05, 0.3, 1.0, 2.5, 4.0])
     inv.G(s)
     assert sum(points) == 5
     points.clear()
     inv.G(0.7)
     assert sum(points) == 1
+
+
+def test_custom_table_bracket_is_exhausted_past_its_last_node():
+    # Q = f^3 on (0, 6]: the table's Q' ends near 3*6^2 = 108
+    f = np.linspace(0.0, 6.0, 200)[1:]
+    model = CasimirModel.custom(f, f ** 3, F0=1.0, mu1=0.5, mu2=0.5, mu3=0.5)
+    inv = model.inverse()
+    for method in ("q", "G", "G2"):
+        with pytest.raises(ConvergenceError,
+                           match=r"^q: bracket exhausted for eps=.* "
+                                 r"\(table covers Q' up to 107.998\)$"):
+            getattr(inv, method)(200.0)
+    with pytest.raises(ConvergenceError, match="^q: bracket exhausted"):
+        solve(model, 1.0, SolverOptions(n=128))
 
 
 def test_q_newton_raises_without_convergence(monkeypatch):

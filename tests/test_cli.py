@@ -181,6 +181,20 @@ def test_evolve_seed_override_changes_output(solved_dir, tmp_path):
     assert json.loads((out2 / "evolve.json").read_text())["seed"] == 99
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_evolve_rejects_a_negative_seed(solved_dir, tmp_path, capsys, where):
+    base, _ = solved_dir
+    ini = POLY_INI.replace("[evolve]", "[evolve]\nstate = %s" % (base / "steady"))
+    flag = ["--seed", "-1"] if where == "flag" else []
+    if where == "config":
+        ini = ini.replace("seed = 4", "seed = -1")
+    cfg = _write_config(tmp_path / "evolve.ini", ini)
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(out), *flag]) == 2
+    assert "seed -1 is not a non-negative integer" in capsys.readouterr().err
+    assert not (out / "timeseries.csv").exists()
+
+
 def test_potential_table_roundtrip(tmp_path):
     from flatsteady import RadialGrid, RadialProfile
     from flatsteady.grids import write_csv

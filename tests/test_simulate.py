@@ -45,6 +45,14 @@ def test_sample_rejects_zero_particles(ss_wide):
         sample(ss_wide, 0, seed=0)
 
 
+def test_negative_seed_is_an_input_error(ss_wide):
+    with pytest.raises(InputError, match="^seed -1 is not"):
+        sample(ss_wide, 1000, seed=-1)
+    cfg = SimConfig(n_particles=1000, dt=0.01, t_end=0.0, seed=-1)
+    with pytest.raises(InputError, match="^seed -1 is not"):
+        run(ss_wide, cfg)
+
+
 def test_sample_is_deterministic(ss_wide):
     a = sample(ss_wide, 5000, seed=3)
     b = sample(ss_wide, 5000, seed=3)
