@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _REL_SLACK = 1e-9  # validation slack for floating-point equality cases
+_TINY = np.finfo(float).tiny  # the smallest normal float64
 
 # Gauss-Legendre rule reused for the generic antiderivative quadratures
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -198,7 +199,8 @@ class InverseQ:
 
     The constructor resolves the model's kind once into ``_q``, ``_G`` and
     ``_G2``, functions of positive arrays: closed forms for one power term
-    (a polytrope); for a sum of powers Newton's method from above, for a
+    (a polytrope); for a sum of powers Newton's method from above (below
+    the smallest normal float, the lowest power's closed form), for a
     table a bracketed bisection with a Newton polish, and for both G from
     the Legendre identity and G2, GQ_scaled from a 64-point rule.  Each
     public method checks its argument once.
@@ -221,6 +223,9 @@ class InverseQ:
             # Newton's Q' and Q'' terms, formed once rather than per call
             self._qp_terms = model._derivative_terms(1)
             self._qpp_terms = model._derivative_terms(2)
+            # the term of largest mu has the lowest power of f in Q', so it
+            # dominates near f = 0
+            self._mu_low = max(mu for _, mu in model.terms)
             self._q = self._q_newton
         else:
             # bracket table: Q' sampled on the tabulated f range
@@ -260,6 +265,16 @@ class InverseQ:
 
     def _q_newton(self, eps):
         m = self.model
+        sub = eps < _TINY
+        if sub.any():
+            # below the smallest normal float Q'(f) - eps has lost its digits
+            # and Newton cannot meet its tolerance; there the lowest power's
+            # closed form, scaled to meet Newton's q at _TINY, is the answer
+            f = np.empty_like(eps)
+            f[~sub] = self._q_newton(eps[~sub])
+            f[sub] = (self._q_newton(np.array([_TINY]))
+                      * (eps[sub] / _TINY) ** self._mu_low)
+            return f
         # upper bracket: the smallest f solving one term alone
         f = functools.reduce(np.minimum, [(eps / (coef * (1.0 + 1.0 / mu))) ** mu
                                           for coef, mu in m.terms])

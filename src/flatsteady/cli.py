@@ -32,7 +32,7 @@ from .grids import RadialGrid, RadialProfile, read_csv, write_csv
 from .potential import potential_from_density
 from .steady import (_MASS_TOL, SolverOptions, SteadyState, regularity_report,
                      solve)
-from .simulate import SimConfig, run
+from .simulate import SimConfig, _rng, run
 
 __all__ = ["main"]
 
@@ -315,6 +315,7 @@ def _cmd_evolve(args, cp):
     output_every = _get(cp, "evolve", "output_every", 50, int)
     perturbation = _get(cp, "evolve", "perturbation", "none", str)
     delta = _get(cp, "evolve", "delta", 0.0)
+    _rng(seed)  # refuse a bad seed before _state_for writes any artifact
     ss = _state_for(cp, args, model, args.out)
     t_dyn = ss.dynamical_time()
     cfg = SimConfig(

@@ -5,10 +5,12 @@ draw of the radius from 2*pi*r*rho0(r), a rejection draw of the kinetic
 energy w = |v|^2/2 from q(E0 - U0(r) - w) with the constant envelope
 q(E0 - U0(r)), and uniform angles.  Evolution is kick-drift-kick leapfrog
 under the axisymmetrized grid force; ``_kdk`` is the one leapfrog, which
-``step`` and ``run`` both call.  ``run`` bins the particles once per
-position update; that binning serves the grid force (its deposit and the
-gather of the potential's spline derivative), the diagnostics row
-(``functionals._ensemble_row``), and the escape and clamped counts.
+``step`` and ``run`` both call.  ``run`` steps the sampled arrays in
+place and records every row, t = 0 included, through one path.  It bins
+the particles once per position update; that binning serves the grid force
+(its deposit and the gather of the potential's spline derivative), the
+diagnostics row (``functionals._ensemble_row``), and the escape and
+clamped counts.
 The per-particle maps of the force step, the leapfrog updates and the
 diagnostics rows run in chunks on a pool of threads, one per CPU in the
 process's affinity set; sums, deposits and the spline stay whole-array on
@@ -110,7 +112,10 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def sample(ss: SteadyState, n: int, seed: int) -> ParticleEnsemble:
-    """Draw n equal-weight particles from the steady state f0 = q(E0 - E)."""
+    """Draw n equal-weight particles from the steady state f0 = q(E0 - E).
+
+    The ensemble's arrays are fresh; ``run`` steps them in place.
+    """
     if n < 1:
         raise InputError("sample: need at least one particle")
     if n < 1000:
@@ -251,6 +256,8 @@ def step(ens: ParticleEnsemble, dt: float, grid: RadialGrid,
 
 def _apply_perturbation(ens: ParticleEnsemble, kind: str,
                         delta: float) -> ParticleEnsemble:
+    """ens with its velocities or positions scaled by 1 + delta into a fresh
+    array, sharing the other; ens itself for no perturbation."""
     if kind == "none" or delta == 0.0:
         return ens
     if kind == "velocity-scale":
@@ -262,9 +269,12 @@ def _apply_perturbation(ens: ParticleEnsemble, kind: str,
     raise InputError(f"unknown perturbation kind {kind!r}")
 
 
-def _noise_floor(model, ss, ens, d0: float) -> float:
+def _noise_floor(model, ss, ens, d0: float = None) -> float:
     """Monte-Carlo noise floor of the distance metric: |d| at t=0 on the
-    full ensemble (d0) plus the spread of d between its two halves."""
+    full ensemble (d0, evaluated here when not given) plus the spread of d
+    between its two halves."""
+    if d0 is None:
+        d0, _ = stability_distance(model, ss, ens)
     half = ens.n // 2
     if half < 1000:
         return abs(d0)
@@ -279,52 +289,53 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
         delta: float = 0.0, model=None) -> dict:
     """Sample, perturb, evolve, and emit the stability time series.
 
-    Returns {"rows": [...], "ensemble": final, "eps_mc": noise floor,
-    "escaped": count, "mass_past_grid": largest fraction of mass past the
-    grid's r_max over the rows, "clamped": sampled stragglers moved to
-    r = 0, "workers": threads of the particle maps}; rows carry the CSV
-    columns t, e_kin, e_pot, casimir, D, d_dist, epot_diff, L3, max_r.
+    The leapfrog steps the drawn (or perturbed) ensemble's arrays in place,
+    and each row's ensemble wraps them without a copy.  Returns {"rows":
+    [...], "ensemble": the last row's, "eps_mc": the noise floor of the
+    unperturbed draw, "escaped": count, "mass_past_grid": largest fraction
+    of mass past the grid's r_max over the rows, "clamped": sampled
+    stragglers moved to r = 0, "workers": threads of the particle maps};
+    rows carry the CSV columns t, e_kin, e_pot, casimir, D, d_dist,
+    epot_diff, L3, max_r.
     """
     model = model or ss.model
-    ens = _apply_perturbation(sample(ss, cfg.n_particles, cfg.seed),
-                              perturbation, delta)
-    w = ens.weights
-    grid = ss.grid
-    binned = _bin(grid, ens.positions, w)
-    # sample's stragglers sit at r = 0, where a radius scale keeps them; any
-    # other draw lands there only for a uniform variate of exactly 0 (2**-53)
-    clamped = int(np.count_nonzero(binned.radii == 0.0))
-    row, mass_past_grid = _ensemble_row(model, ens, binned, ss)
-    rows = [row]
-    eps_mc = _noise_floor(model, ss, ens, row["d_dist"])
-
-    escape_r = _ESCAPE_FACTOR * ss.support_radius
-    escaped = 0
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    # the leapfrog steps raw arrays in place; ensembles are materialized only
-    # at diagnostic times
-    x = ens.positions.copy()
-    v = ens.velocities.copy()
-    t0 = ens.time
+    drawn = sample(ss, cfg.n_particles, cfg.seed)
+    ens = _apply_perturbation(drawn, perturbation, delta)
+    x, v, w = ens.positions, ens.velocities, ens.weights
     dt = cfg.dt
-    kick = _grid_accel_arrays(x, binned)
-    del binned  # no particle arrays kept across the steps
-    kick *= 0.5 * dt
+    escape_r = _ESCAPE_FACTOR * ss.support_radius
+    rows, last, escaped, mass_past_grid = [], None, 0, 0.0
 
     def force(x, out):
-        binned = _bin(grid, x, w)
+        binned = _bin(ss.grid, x, w)
         _grid_accel_arrays(x, binned, out)
         return binned
 
+    def record(binned, t):
+        nonlocal last, escaped, mass_past_grid
+        last = ParticleEnsemble(x, v, w, time=t)
+        row, past = _ensemble_row(model, last, binned, ss)
+        rows.append(row)
+        mass_past_grid = max(mass_past_grid, past)
+        escaped = max(escaped, int(np.count_nonzero(binned.radii > escape_r)))
+
+    kick = np.empty_like(x)
+    binned = force(x, kick)
+    # sample's stragglers sit at r = 0, where a radius scale keeps them; any
+    # other draw lands there only for a uniform variate of exactly 0 (2**-53)
+    clamped = int(np.count_nonzero(binned.radii == 0.0))
+    record(binned, 0.0)
+    # before the first drift: a perturbed ensemble shares an array with the draw
+    eps_mc = _noise_floor(model, ss, drawn,
+                          rows[0]["d_dist"] if ens is drawn else None)
+    del binned, drawn, ens  # the steps keep x, v, w and the kick alone
+    kick *= 0.5 * dt
+    n_steps = int(round(cfg.t_end / dt))
     for k in range(1, n_steps + 1):
         binned = _kdk(x, v, kick, dt, force)
         if k % cfg.output_every == 0 or k == n_steps:
-            ens = ParticleEnsemble(x.copy(), v.copy(), w, time=t0 + k * dt)
-            escaped = max(escaped, int(np.count_nonzero(binned.radii > escape_r)))
-            row, past = _ensemble_row(model, ens, binned, ss)
-            rows.append(row)
-            mass_past_grid = max(mass_past_grid, past)
+            record(binned, k * dt)
         del binned
-    return {"rows": rows, "ensemble": ens, "eps_mc": eps_mc,
+    return {"rows": rows, "ensemble": last, "eps_mc": eps_mc,
             "escaped": escaped, "mass_past_grid": mass_past_grid,
             "clamped": clamped, "workers": _workers()}

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -303,6 +305,32 @@ def _textbook_q(model, eps):
 def test_q_newton_matches_textbook_newton_bitwise(mu1, mu2, c1, c2, eps):
     model = CasimirModel.double_power(mu1, mu2, c1, c2)
     assert model.inverse().q(eps).tobytes() == _textbook_q(model, eps).tobytes()
+
+
+_TINY = np.finfo(float).tiny
+# subnormal points, log-uniform down to 2**-1074, and normal points near tiny
+_near_tiny = (st.floats(-1074.0, -1018.0).map(lambda e: 2.0 ** e)
+              | st.floats(0.0, 16.0 * _TINY) | st.just(_TINY))
+
+
+@settings(deadline=None)
+@given(_power_sums(), st.lists(_near_tiny, min_size=2, max_size=20))
+def test_power_sum_inverse_at_subnormal_arguments(model_terms, s):
+    # Newton cannot meet its tolerance once Q'(f) - eps is subnormal; there
+    # q is the lowest power's closed form, met at tiny by Newton's value
+    model, _ = model_terms
+    inv = model.inverse()
+    s = np.sort(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = {"q": inv.q(s), "G": inv.G(s), "G2": inv.G2(s),
+                  "GQ_scaled": inv.GQ_scaled(s, 0.7)}
+        scalars = [inv.q(float(x)) for x in s]
+    assert np.array_equal(values["q"], scalars)
+    for name, v in values.items():
+        assert np.all(np.isfinite(v)) and np.all(v >= 0.0), name
+        assert np.all(np.diff(v) >= 0.0), name
+    assert np.all(values["q"][s > 0.0] > 0.0)
 
 
 @pytest.mark.parametrize("mu", [0.05, 0.5, 0.75, 0.95])

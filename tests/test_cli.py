@@ -181,18 +181,22 @@ def test_evolve_seed_override_changes_output(solved_dir, tmp_path):
     assert json.loads((out2 / "evolve.json").read_text())["seed"] == 99
 
 
-@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("where", ["flag", "config", "unsolved"])
 def test_evolve_rejects_a_negative_seed(solved_dir, tmp_path, capsys, where):
     base, _ = solved_dir
-    ini = POLY_INI.replace("[evolve]", "[evolve]\nstate = %s" % (base / "steady"))
+    ini = POLY_INI
+    # with no state artifact, evolve would solve first and write steady.csv
+    # and steady.json unless it checks the seed before
+    if where != "unsolved":
+        ini = ini.replace("[evolve]", "[evolve]\nstate = %s" % (base / "steady"))
     flag = ["--seed", "-1"] if where == "flag" else []
-    if where == "config":
+    if where != "flag":
         ini = ini.replace("seed = 4", "seed = -1")
     cfg = _write_config(tmp_path / "evolve.ini", ini)
     out = tmp_path / "out"
     assert main(["evolve", "--config", cfg, "--out", str(out), *flag]) == 2
     assert "seed -1 is not a non-negative integer" in capsys.readouterr().err
-    assert not (out / "timeseries.csv").exists()
+    assert list(out.iterdir()) == []
 
 
 def test_potential_table_roundtrip(tmp_path):

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from flatsteady import SimConfig, accelerations, run, sample, simulate, step
+from flatsteady import (SimConfig, accelerations, functionals, run, sample,
+                        simulate, step)
 from flatsteady.errors import InputError
 from flatsteady.simulate import ParticleEnsemble, _apply_perturbation
 
@@ -212,6 +215,42 @@ def test_run_emits_rows_and_noise_floor(poly_wide, ss_wide):
             "L3", "max_r"}
     assert set(out["rows"][0]) == cols
     assert out["rows"][-1]["t"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("kind,delta", [("velocity-scale", 0.1),
+                                        ("radius-scale", -0.05)])
+def test_perturbed_run_has_the_draws_noise_floor(poly_wide, ss_wide, kind,
+                                                 delta):
+    # eps_mc is the floor of the unperturbed draw: the perturbation is the
+    # signal that d is compared against, not noise
+    cfg = SimConfig(n_particles=20_000, dt=0.01, t_end=0.0, seed=12)
+    base = run(ss_wide, cfg, model=poly_wide)
+    moved = run(ss_wide, cfg, perturbation=kind, delta=delta, model=poly_wide)
+    assert moved["eps_mc"] == base["eps_mc"]
+    assert moved["rows"][0]["d_dist"] != base["rows"][0]["d_dist"]
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_steps_the_draw_without_copies(monkeypatch, poly_wide, ss_wide):
+    # one worker, so the chunk temporaries alive at once do not depend on
+    # the host's CPUs.  run's peak over sample's, which run includes, was
+    # 1.341-1.342 with run's copies of x and v and 1.059-1.061 without them
+    # (seeds 3 and 11-17)
+    monkeypatch.setattr(functionals, "_pool", functools.cache(lambda: (None, 1)))
+    n, t_dyn = 200_000, ss_wide.dynamical_time()
+    cfg = SimConfig(n_particles=n, dt=0.01 * t_dyn, t_end=0.03 * t_dyn,
+                    seed=12, output_every=1)
+    drawn = _traced_peak(lambda: sample(ss_wide, n, cfg.seed))
+    stepped = _traced_peak(lambda: run(ss_wide, cfg, model=poly_wide))
+    assert stepped < 1.2 * drawn
 
 
 def test_run_escape_logging(monkeypatch, poly_wide, ss_wide):
