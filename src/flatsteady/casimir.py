@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import InputError, ModelDefinitionError, ConvergenceError
 
@@ -142,6 +141,8 @@ class CasimirModel:
         if f[0] != 0.0:
             f = np.concatenate([[0.0], f])
             Q = np.concatenate([[0.0], Q])
+        # imported here: scipy.interpolate takes most of the package's import time
+        from scipy.interpolate import PchipInterpolator
         interp = PchipInterpolator(f, Q)
         derivs = (interp, interp.derivative(1), interp.derivative(2))
         # (Q4) needs a monotone Q'; a concave-then-convex table breaks it

@@ -198,6 +198,10 @@ def _write_state(out_dir, prefix, ss: SteadyState, cfg_path, model):
     return csv_path, json_path
 
 
+# the sidecar fields ``_read_state`` passes to ``SteadyState``
+_STATE_FIELDS = ("E0", "mass", "support_radius", "residual", "iterations")
+
+
 def _read_state(prefix, model) -> SteadyState:
     csv_path = prefix + ".csv"
     json_path = prefix + ".json"
@@ -205,8 +209,13 @@ def _read_state(prefix, model) -> SteadyState:
         if not os.path.exists(p):
             raise InputError(f"steady-state artifact {p!r} not found")
     data = read_csv(csv_path, ("r", "rho", "U"))
-    with open(json_path) as fh:
-        side = json.load(fh)
+    try:
+        with open(json_path) as fh:
+            side = json.load(fh)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise InputError(f"sidecar {json_path!r} is not JSON ({exc})") from exc
+    if not isinstance(side, dict):
+        raise FlatSteadyError(f"stale artifact: {json_path!r} holds no object")
     grid = RadialGrid(data[0])
     if grid.content_hash() != side.get("grid_hash"):
         raise FlatSteadyError(
@@ -216,13 +225,14 @@ def _read_state(prefix, model) -> SteadyState:
         raise FlatSteadyError(
             f"stale artifact: {json_path!r} was solved for another model "
             f"({side.get('model')})")
+    missing = [k for k in _STATE_FIELDS if k not in side]
+    if missing:
+        raise FlatSteadyError(
+            f"stale artifact: {json_path!r} has no {', '.join(missing)}")
     return SteadyState(
-        model=model, E0=side["E0"], grid=grid,
+        model=model, grid=grid,
         rho0=RadialProfile(grid, data[1], require_nonnegative=True),
-        U0=RadialProfile(grid, data[2]),
-        mass=side["mass"], support_radius=side["support_radius"],
-        residual=side["residual"], iterations=side["iterations"],
-    )
+        U0=RadialProfile(grid, data[2]), **{k: side[k] for k in _STATE_FIELDS})
 
 
 def _state_for(cp, args, model, out_dir):

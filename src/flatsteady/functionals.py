@@ -12,13 +12,15 @@ kinetic energy particle-wise, potential energy through the deposited ring
 density with per-particle self energies removed, and the Casimir through a
 phase-space histogram in the reduced coordinates (r, |v|^2/2), the dominant
 error term of the ensemble path.  ``_bin`` is the one particle-to-grid
-step (``_radius``, ``RadialGrid.locate`` cells and the deposit) of particle
-positions; one binning per position update serves the grid force, every
-particle sum of a diagnostics row and ``run``'s counts.  ``_ensemble_row``
-builds that row, and ``evaluate_ensemble`` and ``stability_distance`` read
-theirs from it.  The per-particle maps run in chunks on a thread
-pool (``_map_chunks``); every reduction runs on the whole array, so no
-result depends on the worker count or the chunk size.
+step (``_radius``, ``RadialGrid._locate`` cells and the deposit, whose node
+masses it keeps) of particle positions; one binning per position update
+serves the grid force, every particle sum of a diagnostics row and
+``run``'s counts.  ``_ensemble_row`` builds that row: one chunked pass
+forms each particle's kinetic and self-energy terms, and the U0 moment is
+the node masses times U0, with no U0 lookup per particle.
+``evaluate_ensemble`` and ``stability_distance`` read their rows from it.  The per-particle maps
+run in chunks on a thread pool (``_map_chunks``); every reduction runs on
+the whole array, so no result depends on the worker count or the chunk size.
 """
 
 from __future__ import annotations
@@ -190,11 +192,12 @@ class _Binning(NamedTuple):
     """One binning of particle positions on a grid; built by ``_bin``."""
 
     grid: RadialGrid
-    radii: np.ndarray    # |x| of each particle
-    idx: np.ndarray      # cell, from ``grid.locate``
-    frac: np.ndarray     # in-cell fraction, from ``grid.locate``
-    outside: np.ndarray  # r > r_max: the one definition of outside the grid
-    rho: np.ndarray      # cloud-in-cell node density
+    radii: np.ndarray      # |x| of each particle
+    idx: np.ndarray        # cell, from ``grid._locate``
+    frac: np.ndarray       # in-cell fraction, from ``grid._locate``
+    outside: np.ndarray    # r > r_max: the one definition of outside the grid
+    rho: np.ndarray        # cloud-in-cell node density
+    node_mass: np.ndarray  # cloud-in-cell node masses, node 0's share kept
 
 
 def _cic_masses(frac, outside, masses, lo=None, hi=None) -> tuple:
@@ -231,13 +234,13 @@ def _bin(grid: RadialGrid, x: np.ndarray, masses: np.ndarray) -> _Binning:
     """The one particle-to-grid binning, shared by every layer that needs it.
 
     One chunked pass over the positions x (N, 2) computes each radius, its
-    cell and fraction, the outside mask and the cloud-in-cell node masses;
-    two whole-array ``bincount`` calls sum the node masses into the ring
-    density rho, and the node masses are dropped.  Mass past r_max is not
-    deposited, and the share of a node of zero ring weight (a first node at
-    r = 0) drops out of rho.  The radius is ``_radius``'s sqrt(x0*x0 +
-    x1*x1), computed in place, with its ``np.hypot`` fallback for a sum of
-    squares that overflows or underflows.
+    cell and fraction, the outside mask and each particle's cloud-in-cell
+    masses; two whole-array ``bincount`` calls sum them into the node
+    masses, which are kept and give the ring density rho.  Mass past r_max
+    is not deposited, and the share of a node of zero ring weight (a first
+    node at r = 0) stays in the node masses and drops out of rho.  The
+    radius is ``_radius``'s sqrt(x0*x0 + x1*x1), computed in place, with its
+    ``np.hypot`` fallback for a sum of squares that overflows or underflows.
     """
     n = masses.size
     radii, idx = np.empty(n), np.empty(n, dtype=np.intp)
@@ -251,53 +254,14 @@ def _bin(grid: RadialGrid, x: np.ndarray, masses: np.ndarray) -> _Binning:
                     masses[a:b], lo[a:b], hi[a:b])
 
     _map_chunks(chunk, n)
-    rho = np.bincount(idx, weights=lo, minlength=grid.n)
+    node_mass = np.bincount(idx, weights=lo, minlength=grid.n)
     # the node above cell i is i + 1: shift instead of a second index array
-    rho[1:] += np.bincount(idx, weights=hi, minlength=grid.n)[:-1]
+    node_mass[1:] += np.bincount(idx, weights=hi, minlength=grid.n)[:-1]
     ringw = grid.ring_weights
     with np.errstate(invalid="ignore", divide="ignore"):
-        rho = np.where(ringw > 0.0, rho / np.where(ringw > 0.0, ringw, 1.0), 0.0)
-    return _Binning(grid, radii, idx, frac, outside, rho)
-
-
-def _self_energy(op, binned: _Binning, masses: np.ndarray) -> float:
-    """Sum of per-particle deposit self-energies (to subtract from E_pot):
-    the form's 2x2 block on each particle's two cell nodes, from its bands."""
-    ringw = op.grid.ring_weights
-    safe = np.where(ringw > 0.0, ringw, np.inf)
-    idx = binned.idx
-    diag, sup = op.form_bands()
-    quad = np.empty(idx.size)
-
-    def chunk(a, b):
-        i = idx[a:b]
-        wa, wb = _cic_masses(binned.frac[a:b], binned.outside[a:b], masses[a:b])
-        wa /= safe[i]
-        wb /= safe[1:][i]
-        quad[a:b] = (wa * wa * diag[i] + 2.0 * wa * wb * sup[i]
-                     + wb * wb * diag[1:][i])
-
-    _map_chunks(chunk, idx.size)
-    return 0.5 * float(np.sum(quad))
-
-
-def _interp(values: np.ndarray, binned: _Binning) -> np.ndarray:
-    """Node values interpolated linearly through the binning; 0 outside.
-
-    Matches ``RadialProfile.__call__`` (``np.interp`` with right=0) to
-    rounding.
-    """
-    idx, frac, outside = binned.idx, binned.frac, binned.outside
-    slope = np.diff(values)
-    v = np.empty(idx.size)
-
-    def chunk(a, b):
-        i = idx[a:b]
-        np.add(values[i], frac[a:b] * slope[i], out=v[a:b])
-        v[a:b][outside[a:b]] = 0.0
-
-    _map_chunks(chunk, idx.size)
-    return v
+        rho = np.where(ringw > 0.0,
+                       node_mass / np.where(ringw > 0.0, ringw, 1.0), 0.0)
+    return _Binning(grid, radii, idx, frac, outside, rho, node_mass)
 
 
 def _uniform_edges(x: np.ndarray, nb: int) -> np.ndarray:
@@ -312,7 +276,7 @@ def _uniform_edges(x: np.ndarray, nb: int) -> np.ndarray:
 def _phase_histogram(r: np.ndarray, w: np.ndarray, weights: np.ndarray) -> tuple:
     """(hist, r_edges, w_edges): the weighted (r, w) histogram with Scott's
     rule bin counts per dimension, equal bit for bit to ``np.histogramdd``'s;
-    the bins come from ``grids._CellTable``, as ``RadialGrid.locate``'s do.
+    the bins come from ``grids._CellTable``, as ``RadialGrid._locate``'s do.
     A non-finite r or w (a runaway particle) raises ``InputError``."""
     n = r.size
     edges = []
@@ -374,14 +338,21 @@ def _ensemble_row(model: CasimirModel, ens, binned: _Binning,
 
     The row holds t, e_kin, e_pot (self-energies removed, clamped at 0),
     casimir, D; with a steady state ss on the binning's grid also d_dist
-    (d(f, f0), with U0 interpolated through the binning) and epot_diff
-    (E_pot(rho_f - rho0)); then L3 and max_r.
+    (d(f, f0), its U0 moment ``node_mass @ U0``) and epot_diff
+    (E_pot(rho_f - rho0)); then L3 and max_r.  One chunked pass forms each
+    particle's |v|^2/2, kinetic and self-energy terms.
     """
     w, v = ens.weights, ens.velocities
     n = w.size
-    w_kin, wv2 = np.empty(n), np.empty(n)
+    grid = binned.grid
+    op = operator_for(grid)
+    diag, sup = op.form_bands()
+    ringw = grid.ring_weights
+    safe = np.where(ringw > 0.0, ringw, np.inf)
+    idx, frac, outside = binned.idx, binned.frac, binned.outside
+    w_kin, wv2, quad = np.empty(n), np.empty(n), np.empty(n)
 
-    def kinetic(a, b):
+    def chunk(a, b):
         # |v|^2 as the sum over axis 1 of v**2, bit for bit, without its
         # per-row loop; a |v| past about 1.3e154 gives inf, which
         # _phase_histogram rejects
@@ -390,34 +361,36 @@ def _ensemble_row(model: CasimirModel, ens, binned: _Binning,
             v2 += np.square(v[a:b, 1])
         np.multiply(0.5, v2, out=w_kin[a:b])
         np.multiply(w[a:b], v2, out=wv2[a:b])
+        # twice the deposit self-energy: the form's 2x2 block on the
+        # particle's two cell nodes, from its bands
+        i = idx[a:b]
+        wa, wb = _cic_masses(frac[a:b], outside[a:b], w[a:b])
+        wa /= safe[i]
+        wb /= safe[1:][i]
+        quad[a:b] = (wa * wa * diag[i] + 2.0 * wa * wb * sup[i]
+                     + wb * wb * diag[1:][i])
 
-    _map_chunks(kinetic, n)
+    _map_chunks(chunk, n)
     mass = float(np.sum(w))
-    grid = binned.grid
-    op = operator_for(grid)
-    self_e = _self_energy(op, binned, w)
-    casimir = _histogram_casimir(model, binned.radii, w_kin, w)
     e_kin = 0.5 * float(np.sum(wv2))
+    self_e = 0.5 * float(np.sum(quad))
+    # each array goes once it is summed or read, so the histogram's and
+    # L3's temporaries take its memory rather than raise the peak
+    del wv2, quad
+    casimir = _histogram_casimir(model, binned.radii, w_kin, w)
+    del w_kin
     e_pot = min(op.potential_energy(binned.rho) - self_e, 0.0)
     row = {"t": ens.time, "e_kin": e_kin, "e_pot": e_pot, "casimir": casimir,
            "D": (e_kin + casimir) + e_pot}
     if ss is not None:
         _, c_f0, e_moment_f0 = ss.moments
-        # w * (E - E0) per particle, with U0 interpolated through the binning
-        e_f = _interp(ss.U0.values, binned)
-
-        def energy(a, b):
-            np.multiply(w[a:b], (w_kin[a:b] + e_f[a:b]) - ss.E0, out=e_f[a:b])
-
-        _map_chunks(energy, n)
-        e_moment_f = float(np.sum(e_f))
-        del e_f
+        # sum_i w_i * U0(r_i) is node_mass @ U0: cloud-in-cell interpolation
+        # is the transpose of the deposit
+        e_moment_f = ((e_kin - ss.E0 * mass)
+                      + float(binned.node_mass @ ss.U0.values))
         row["d_dist"] = (casimir - c_f0) + (e_moment_f - e_moment_f0)
         row["epot_diff"] = (op.potential_energy(binned.rho - ss.rho0.values)
                             - self_e)
-    # the particle arrays go first, so L3's temporaries take their memory
-    # rather than raise the peak
-    del w_kin, wv2
     row["L3"] = ens.angular_momentum()
     row["max_r"] = float(np.max(binned.radii))
     return row, float(np.sum(w[binned.outside])) / mass

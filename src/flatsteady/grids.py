@@ -279,7 +279,7 @@ class RadialGrid:
     def _cell_table(self) -> _CellTable:
         return _CellTable(self.nodes)
 
-    def locate(self, r):
+    def _locate(self, r):
         """Cell index and in-cell fraction of each radius, clipped to the grid.
 
         ``idx`` equals ``clip(searchsorted(nodes, r, "right") - 1, 0, n - 2)``
@@ -287,14 +287,11 @@ class RadialGrid:
         clipped into [nodes[0], r_max]; the cells come from ``_CellTable``,
         built once per grid (766 buckets on the n=256 solver grid).
         """
-        return self._locate(r)
-
-    def _locate(self, r):
-        # the body of ``locate``: the particle maps call it from pool threads,
-        # and bench/tracer.py keeps its span stack for public calls on one thread
+        # private: the particle maps call it from pool threads, and
+        # bench/tracer.py keeps its span stack for public calls on one thread
         r = np.clip(r, self.nodes[0], self.r_max)
         if np.isnan(r).any():
-            raise InputError("RadialGrid.locate: NaN radius")
+            raise InputError("RadialGrid._locate: NaN radius")
         tab = self._cell_table
         idx = tab(r)
         return idx, (r - self.nodes[idx]) / tab.widths[idx]

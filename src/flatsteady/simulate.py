@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InputError
 from .functionals import (_bin, _ensemble_row, _map_chunks, _radius,
@@ -167,6 +166,8 @@ def _grid_accel_arrays(x: np.ndarray, binned,
     scipy's PPoly order, so it equals ``CubicSpline(nodes, U).derivative()(r)``
     bit for bit.  Writes into ``out`` when given.
     """
+    # imported here: scipy.interpolate takes most of the package's import time
+    from scipy.interpolate import CubicSpline
     grid = binned.grid
     U = operator_for(grid).potential(binned.rho)
     dc = CubicSpline(grid.nodes, U).derivative().c

@@ -1,8 +1,8 @@
-"""One binning per position update: ``RadialGrid.locate`` and its consumers.
+"""One binning per position update: ``RadialGrid._locate`` and its consumers.
 
 The deposit, the grid-force gather, the deposit self-energy and the U0
-lookup all read one (cell, fraction) binning.  The properties check
-``locate`` against the ``searchsorted`` rule it replaces and the consumers
+moment all read one (cell, fraction) binning.  The properties check
+``_locate`` against the ``searchsorted`` rule it replaces and the consumers
 against their definitions; the regression tests keep the earlier separate
 implementations as references.
 """
@@ -16,7 +16,7 @@ from flatsteady import (CasimirModel, RadialGrid, RadialProfile, SimConfig,
                         accelerations, evaluate_ensemble,
                         run, sample, stability_distance)
 from flatsteady import functionals, grids, simulate
-from flatsteady.functionals import _bin, _ensemble_row, _interp, _radius
+from flatsteady.functionals import _bin, _ensemble_row, _radius
 from flatsteady.potential import operator_for
 from flatsteady.simulate import ParticleEnsemble, _grid_accel_arrays
 
@@ -69,7 +69,7 @@ def radii_on(draw, grid):
 def test_locate_matches_searchsorted_rule(data):
     grid = data.draw(grids_any())
     r = data.draw(radii_on(grid))
-    idx, frac = grid.locate(r)
+    idx, frac = grid._locate(r)
     ref = _searchsorted_cells(grid, r)
     assert np.array_equal(idx, ref)
     rc = np.clip(r, grid.nodes[0], grid.r_max)
@@ -84,7 +84,7 @@ def test_locate_past_the_bucket_cap_uses_searchsorted():
     assert grid.r_max / np.diff(grid.nodes).min() > grids._LOCATE_MAX_BUCKETS
     assert grid._cell_table.cells is None
     r = np.concatenate([grid.nodes, 10.0 ** np.linspace(-7.0, 3.5, 5001)])
-    assert np.array_equal(grid.locate(r)[0], _searchsorted_cells(grid, r))
+    assert np.array_equal(grid._locate(r)[0], _searchsorted_cells(grid, r))
 
 
 def test_locate_table_size_on_the_solver_grid():
@@ -99,7 +99,7 @@ def test_locate_table_size_on_the_solver_grid():
 def test_locate_rejects_nan():
     from flatsteady.errors import InputError
     with pytest.raises(InputError):
-        RadialGrid(np.linspace(0.0, 1.0, 32)).locate(np.array([0.5, np.nan]))
+        RadialGrid(np.linspace(0.0, 1.0, 32))._locate(np.array([0.5, np.nan]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,15 +123,17 @@ def test_deposit_keeps_the_retained_mass(data):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_interp_through_binning_matches_profile(data):
+def test_node_mass_moment_matches_profile_sum(data):
+    # cloud-in-cell interpolation is the transpose of the deposit: the node
+    # masses against U give sum_i m_i * U(r_i), 0 past r_max, node 0 included
     grid = data.draw(grids_any())
     r = data.draw(radii_on(grid))
     rng = np.random.default_rng(grid.n)
     U = -0.5 - rng.random(grid.n)          # potential-like: negative, O(1)
-    got = _interp(U, _bin(grid, _on_axis(r), np.ones_like(r)))
-    ref = RadialProfile(grid, U)(r)
-    assert np.all(got[r > grid.r_max] == 0.0)
-    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+    m = rng.random(r.size) + 0.5
+    got = float(_bin(grid, _on_axis(r), m).node_mass @ U)
+    ref = float(np.sum(m * RadialProfile(grid, U)(r)))
+    assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 # -- the one radius formula ----------------------------------------------------

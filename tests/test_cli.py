@@ -358,15 +358,35 @@ def test_state_artifact_of_another_model_fails(solved_dir, tmp_path):
 
 
 def test_state_artifact_without_model_fails(solved_dir, tmp_path):
-    base, _ = solved_dir
-    side = json.loads((base / "steady.json").read_text())
+    side = json.loads((solved_dir[0] / "steady.json").read_text())
     assert side["model"]["terms"] == [[57.0, 0.5]]
     del side["model"]
+    assert _split_with_sidecar(solved_dir, tmp_path, json.dumps(side)) == 1
+
+
+def _split_with_sidecar(solved_dir, tmp_path, text):
+    """Exit code of ``split`` on the solved artifact with its sidecar text."""
+    base, _ = solved_dir
     (tmp_path / "old.csv").write_bytes((base / "steady.csv").read_bytes())
-    (tmp_path / "old.json").write_text(json.dumps(side))
+    (tmp_path / "old.json").write_text(text)
     ini = POLY_INI.replace("[split]", "[split]\nstate = %s" % (tmp_path / "old"))
     cfg = _write_config(tmp_path / "split.ini", ini)
-    assert main(["split", "--config", cfg, "--out", str(tmp_path)]) == 1
+    return main(["split", "--config", cfg, "--out", str(tmp_path)])
+
+
+def test_truncated_state_sidecar_is_usage_error(solved_dir, tmp_path, capsys):
+    text = (solved_dir[0] / "steady.json").read_text()
+    assert _split_with_sidecar(solved_dir, tmp_path, text[:len(text) // 2]) == 2
+    assert "is not JSON" in capsys.readouterr().err
+    assert not (tmp_path / "split.json").exists()
+
+
+def test_state_sidecar_without_e0_fails(solved_dir, tmp_path, capsys):
+    side = json.loads((solved_dir[0] / "steady.json").read_text())
+    del side["E0"]
+    assert _split_with_sidecar(solved_dir, tmp_path, json.dumps(side)) == 1
+    assert "has no E0" in capsys.readouterr().err
+    assert not (tmp_path / "split.json").exists()
 
 
 def _one_column(path):
