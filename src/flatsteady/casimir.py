@@ -202,7 +202,7 @@ class InverseQ:
     ``_G2``, functions of positive arrays: closed forms for one power term
     (a polytrope); for a sum of powers Newton's method from above (below
     the smallest normal float, the lowest power's closed form), for a
-    table a bracketed bisection with a Newton polish, and for both G from
+    table the exact root of its quadratic Q' piece, and for both G from
     the Legendre identity and G2, GQ_scaled from a 64-point rule.  Each
     public method checks its argument once.
     """
@@ -229,10 +229,12 @@ class InverseQ:
             self._mu_low = max(mu for _, mu in model.terms)
             self._q = self._q_newton
         else:
-            # bracket table: Q' sampled on the tabulated f range
-            self._fmax = float(model.f_table[-1])
-            self._eps_max = float(model.Qp(self._fmax))
-            self._q = self._q_bisect
+            # Q' is a*t^2 + b*t + c, t = f - x[i], on each [x[i], x[i+1]]; its
+            # knot values, lifted over the 1e-12 dips custom allows, locate eps
+            qp = model._derivs[1]
+            self._knots, self._coefs = qp.x, qp.c
+            self._qp_knots = np.maximum.accumulate(model.Qp(qp.x))
+            self._q = self._q_table
         # G(s) = s*q(s) - (Q(q(s)) - Q(0)), the convex conjugate of Q, is
         # stationary in q(s): q's solver tolerance enters only squared
         Q0 = model.Q(0.0)
@@ -291,25 +293,23 @@ class InverseQ:
         bad = float(np.max(eps[~done]))
         raise ConvergenceError(f"q: Newton did not converge for eps={bad:.6g}")
 
-    def _q_bisect(self, eps):
-        m = self.model
-        if np.any(eps > self._eps_max * (1.0 + 1e-12)):
-            bad = float(np.max(eps))
+    def _q_table(self, eps):
+        top = self._qp_knots[-1]
+        if np.any(eps > top * (1.0 + 1e-12)):
             raise ConvergenceError(
-                f"q: bracket exhausted for eps={bad:.6g} "
-                f"(table covers Q' up to {self._eps_max:.6g})")
-        lo = np.zeros_like(eps)
-        hi = np.full_like(eps, self._fmax)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            above = m.Qp(mid) > eps
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        f = 0.5 * (lo + hi)
-        # one Newton polish; robustness over speed since q sits in quadratures
-        qpp = np.maximum(m.Qpp(f), 1e-300)
-        f = np.clip(f - (m.Qp(f) - eps) / qpp, lo, hi)
-        return f
+                f"q: bracket exhausted for eps={float(np.max(eps)):.6g} "
+                f"(table covers Q' up to {top:.6g})")
+        x = self._knots
+        i = np.clip(np.searchsorted(self._qp_knots, eps, side="right") - 1,
+                    0, x.size - 2)
+        a, b, c = self._coefs[:, i]
+        d = c - eps
+        # the root of a*t^2 + b*t + d nearest 0 without cancellation (the
+        # discriminant is Q''(root)^2 >= 0 up to rounding); fmax maps 0/0
+        # (eps at a knot where b = 0) to 0, and fmin caps t at the width
+        with np.errstate(all="ignore"):
+            t = -2.0 * d / (b + np.sqrt(np.maximum(b * b - 4.0 * a * d, 0.0)))
+        return x[i] + np.fmin(np.fmax(t, 0.0), x[i + 1] - x[i])
 
     # -- antiderivatives ---------------------------------------------------
 

@@ -18,6 +18,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -32,7 +33,7 @@ from .grids import RadialGrid, RadialProfile, read_csv, write_csv
 from .potential import potential_from_density
 from .steady import (_MASS_TOL, SolverOptions, SteadyState, regularity_report,
                      solve)
-from .simulate import SimConfig, _rng, run
+from .simulate import SimConfig, _check_perturbation, _rng, run
 
 __all__ = ["main"]
 
@@ -202,6 +203,18 @@ def _write_state(out_dir, prefix, ss: SteadyState, cfg_path, model):
 _STATE_FIELDS = ("E0", "mass", "support_radius", "residual", "iterations")
 
 
+def _is_state_number(key, value) -> bool:
+    """value is a JSON number (not a bool) of finite float value, and an
+    integer for ``iterations``."""
+    if isinstance(value, bool) or not isinstance(
+            value, int if key == "iterations" else (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
 def _read_state(prefix, model) -> SteadyState:
     csv_path = prefix + ".csv"
     json_path = prefix + ".json"
@@ -229,6 +242,12 @@ def _read_state(prefix, model) -> SteadyState:
     if missing:
         raise FlatSteadyError(
             f"stale artifact: {json_path!r} has no {', '.join(missing)}")
+    bad = [k for k in _STATE_FIELDS if not _is_state_number(k, side[k])]
+    if bad:
+        raise FlatSteadyError(
+            f"stale artifact: {json_path!r} has "
+            + ", ".join(f"{k} = {json.dumps(side[k])}" for k in bad)
+            + "; each must be a finite number, iterations an integer")
     return SteadyState(
         model=model, grid=grid,
         rho0=RadialProfile(grid, data[1], require_nonnegative=True),
@@ -325,7 +344,9 @@ def _cmd_evolve(args, cp):
     output_every = _get(cp, "evolve", "output_every", 50, int)
     perturbation = _get(cp, "evolve", "perturbation", "none", str)
     delta = _get(cp, "evolve", "delta", 0.0)
-    _rng(seed)  # refuse a bad seed before _state_for writes any artifact
+    # refuse a bad seed or perturbation before _state_for writes any artifact
+    _rng(seed)
+    _check_perturbation(perturbation, delta)
     ss = _state_for(cp, args, model, args.out)
     t_dyn = ss.dynamical_time()
     cfg = SimConfig(

@@ -323,6 +323,9 @@ def _histogram_casimir(model: CasimirModel, r: np.ndarray, w: np.ndarray,
     error of the ensemble path.
     """
     hist, r_edges, w_edges = _phase_histogram(r, w, weights)
+    # a constant r column below 1/2 is widened past r = 0, where its ring
+    # stops; unclipped, a column at r = 0 gets a ring of area 0
+    r_edges = np.maximum(r_edges, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         ann = np.pi * (r_edges[1:] ** 2 - r_edges[:-1] ** 2)
         vol = 2.0 * np.pi * ann[:, None] * np.diff(w_edges)[None, :]

@@ -255,19 +255,27 @@ def step(ens: ParticleEnsemble, dt: float, grid: RadialGrid,
     return ParticleEnsemble(x, v, w, time=ens.time + dt), acc_new
 
 
+def _check_perturbation(kind: str, delta: float) -> None:
+    """InputError unless kind is a known perturbation and delta one it
+    takes: 0 for none, 1 + delta > 0 for a radius scale."""
+    if kind not in ("none", "velocity-scale", "radius-scale"):
+        raise InputError(f"unknown perturbation kind {kind!r}")
+    if kind == "none" and delta != 0.0:
+        raise InputError(f"perturbation none takes no delta (got {delta!r})")
+    if kind == "radius-scale" and 1.0 + delta <= 0.0:
+        raise InputError("radius-scale perturbation: 1 + delta must be > 0")
+
+
 def _apply_perturbation(ens: ParticleEnsemble, kind: str,
                         delta: float) -> ParticleEnsemble:
     """ens with its velocities or positions scaled by 1 + delta into a fresh
-    array, sharing the other; ens itself for no perturbation."""
+    array, sharing the other; ens itself for no perturbation or delta = 0."""
+    _check_perturbation(kind, delta)
     if kind == "none" or delta == 0.0:
         return ens
     if kind == "velocity-scale":
         return replace(ens, velocities=(1.0 + delta) * ens.velocities)
-    if kind == "radius-scale":
-        if 1.0 + delta <= 0.0:
-            raise InputError("radius-scale perturbation: 1 + delta must be > 0")
-        return replace(ens, positions=(1.0 + delta) * ens.positions)
-    raise InputError(f"unknown perturbation kind {kind!r}")
+    return replace(ens, positions=(1.0 + delta) * ens.positions)
 
 
 def _noise_floor(model, ss, ens, d0: float = None) -> float:

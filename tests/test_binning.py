@@ -213,6 +213,8 @@ def _ref_histogram_casimir_rw(model, r, w, weights):
         nb.append(int(np.clip(np.ceil((x.max() - x.min()) / h), 1, 512)))
     hist, (re, we) = np.histogramdd(np.column_stack([r, w]), bins=nb,
                                     weights=weights)
+    # a constant r column below 1/2 gets an edge below 0; the ring stops there
+    re = np.maximum(re, 0.0)
     vol = 2.0 * np.pi * (np.pi * (re[1:] ** 2 - re[:-1] ** 2))[:, None] \
         * np.diff(we)[None, :]
     occ = hist > 0.0

@@ -361,22 +361,24 @@ def test_state_artifact_without_model_fails(solved_dir, tmp_path):
     side = json.loads((solved_dir[0] / "steady.json").read_text())
     assert side["model"]["terms"] == [[57.0, 0.5]]
     del side["model"]
-    assert _split_with_sidecar(solved_dir, tmp_path, json.dumps(side)) == 1
+    assert _run_with_sidecar(solved_dir, tmp_path, json.dumps(side)) == 1
 
 
-def _split_with_sidecar(solved_dir, tmp_path, text):
-    """Exit code of ``split`` on the solved artifact with its sidecar text."""
+def _run_with_sidecar(solved_dir, tmp_path, text, command="split"):
+    """Exit code of ``command`` on the solved artifact with its sidecar
+    text."""
     base, _ = solved_dir
     (tmp_path / "old.csv").write_bytes((base / "steady.csv").read_bytes())
     (tmp_path / "old.json").write_text(text)
-    ini = POLY_INI.replace("[split]", "[split]\nstate = %s" % (tmp_path / "old"))
-    cfg = _write_config(tmp_path / "split.ini", ini)
-    return main(["split", "--config", cfg, "--out", str(tmp_path)])
+    ini = POLY_INI.replace(f"[{command}]", "[%s]\nstate = %s"
+                           % (command, tmp_path / "old"))
+    cfg = _write_config(tmp_path / f"{command}.ini", ini)
+    return main([command, "--config", cfg, "--out", str(tmp_path)])
 
 
 def test_truncated_state_sidecar_is_usage_error(solved_dir, tmp_path, capsys):
     text = (solved_dir[0] / "steady.json").read_text()
-    assert _split_with_sidecar(solved_dir, tmp_path, text[:len(text) // 2]) == 2
+    assert _run_with_sidecar(solved_dir, tmp_path, text[:len(text) // 2]) == 2
     assert "is not JSON" in capsys.readouterr().err
     assert not (tmp_path / "split.json").exists()
 
@@ -384,9 +386,48 @@ def test_truncated_state_sidecar_is_usage_error(solved_dir, tmp_path, capsys):
 def test_state_sidecar_without_e0_fails(solved_dir, tmp_path, capsys):
     side = json.loads((solved_dir[0] / "steady.json").read_text())
     del side["E0"]
-    assert _split_with_sidecar(solved_dir, tmp_path, json.dumps(side)) == 1
+    assert _run_with_sidecar(solved_dir, tmp_path, json.dumps(side)) == 1
     assert "has no E0" in capsys.readouterr().err
     assert not (tmp_path / "split.json").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("E0", None), ("mass", "1.0"), ("residual", float("nan")),
+    ("support_radius", True), ("iterations", 2.5),
+])
+def test_state_sidecar_with_a_non_number_fails(solved_dir, tmp_path, capsys,
+                                               key, value):
+    side = json.loads((solved_dir[0] / "steady.json").read_text())
+    side[key] = value
+    assert _run_with_sidecar(solved_dir, tmp_path, json.dumps(side)) == 1
+    assert f"has {key} = {json.dumps(value)}; " in capsys.readouterr().err
+    assert not (tmp_path / "split.json").exists()
+
+
+def test_evolve_on_a_sidecar_with_a_null_e0_fails(solved_dir, tmp_path, capsys):
+    side = json.loads((solved_dir[0] / "steady.json").read_text())
+    side["E0"] = None
+    assert _run_with_sidecar(solved_dir, tmp_path, json.dumps(side),
+                             command="evolve") == 1
+    assert "has E0 = null; " in capsys.readouterr().err
+    assert not (tmp_path / "evolve.json").exists()
+    assert not (tmp_path / "timeseries.csv").exists()
+
+
+@pytest.mark.parametrize("lines", [
+    "perturbation = none\ndelta = 0.1", "perturbation = squeeze",
+    "perturbation = squeeze\ndelta = 0.1",
+])
+def test_evolve_rejects_a_perturbation_that_does_nothing(tmp_path, capsys,
+                                                         lines):
+    # with no state artifact, evolve would solve first and write steady.csv
+    # and steady.json unless it checks the perturbation before
+    ini = POLY_INI.replace("[evolve]", "[evolve]\n" + lines)
+    cfg = _write_config(tmp_path / "evolve.ini", ini)
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert "perturbation" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def _one_column(path):

@@ -182,6 +182,19 @@ def test_single_particle_zero_epot(poly_wide, ss_wide):
     assert rep.e_pot == 0.0
 
 
+def test_particle_at_the_origin_has_a_finite_casimir(poly_wide):
+    # its constant columns are widened by 1/2 each way; the one ring is cut
+    # at r = 0, so the cell is pi*(1/2)^2 in r times 1 in w
+    m = 1e-3
+    ens = ParticleEnsemble(np.zeros((1, 2)), np.array([[0.0, 0.1]]),
+                           np.array([m]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = evaluate_ensemble(poly_wide, ens)
+    vol = 2.0 * np.pi * (np.pi * 0.25)
+    assert rep.casimir == pytest.approx(poly_wide.Q(m / vol) * vol, rel=1e-12)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * np.pi), st.floats(-8.0, 2.0))
 def test_single_particle_self_energy_is_its_deposit_energy(r, phi, log_m):
@@ -199,9 +212,7 @@ def test_single_particle_self_energy_is_its_deposit_energy(r, phi, log_m):
                         mass=1.0, support_radius=1.0, residual=0.0,
                         iterations=0)
     ens = ParticleEnsemble(x, np.zeros_like(x), m)
-    # at r = 0 the histogram's one ring has zero area and the casimir is NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        row, _ = _ensemble_row(model, ens, binned, empty)
+    row, _ = _ensemble_row(model, ens, binned, empty)
     assert abs(row["epot_diff"]) <= 1e-13 * abs(e_dep)
 
 

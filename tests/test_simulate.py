@@ -193,10 +193,13 @@ def test_perturbation_kinds(ss_wide):
     assert np.array_equal(vsc.positions, ens.positions)
     rsc = _apply_perturbation(ens, "radius-scale", -0.05)
     assert np.allclose(rsc.positions, 0.95 * ens.positions)
-    same = _apply_perturbation(ens, "none", 0.3)
-    assert same is ens
-    with pytest.raises(InputError):
-        _apply_perturbation(ens, "squeeze", 0.1)
+    assert _apply_perturbation(ens, "none", 0.0) is ens
+    assert _apply_perturbation(ens, "velocity-scale", 0.0) is ens
+    # a setting that would do nothing is refused: an unknown kind whatever
+    # delta is, and a delta without a kind
+    for kind, delta in (("squeeze", 0.1), ("squeeze", 0.0), ("none", 0.3)):
+        with pytest.raises(InputError):
+            _apply_perturbation(ens, kind, delta)
     # a radius scale by a factor <= 0 is no scale: it would put every
     # particle at the origin or reflect it through it
     for delta in (-1.0, -1.5):
