@@ -30,7 +30,7 @@ __all__ = [
 _REL_SLACK = 1e-9  # validation slack for floating-point equality cases
 _TINY = np.finfo(float).tiny  # the smallest normal float64
 
-# Gauss-Legendre rule reused for the generic antiderivative quadratures
+# the package's one velocity-space rule: 64-point Gauss-Legendre on [0, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _GL_U = 0.5 * (_GL_NODES + 1.0)   # nodes on [0, 1]
 _GL_W = 0.5 * _GL_WEIGHTS
@@ -38,10 +38,32 @@ _GL_W = 0.5 * _GL_WEIGHTS
 
 def _substituted_quadrature(s, g):
     """int_0^s g(t) dt for each s > 0 by the 64-point rule in t = s*u^2,
-    which flattens the t^mu endpoint behaviour of q; g maps a flat array."""
+    which flattens the t^mu endpoint behaviour of q; g maps the
+    (len(s), 64) array of points t to values, or to a stack of such arrays
+    along leading axes, each integrated."""
     t = s[:, None] * (_GL_U ** 2)[None, :]
-    gt = g(t.ravel()).reshape(t.shape)
-    return 2.0 * s * np.sum(_GL_W * _GL_U * gt, axis=1)
+    return 2.0 * s * np.sum(_GL_W * _GL_U * g(t), axis=-1)
+
+
+def _velocity_moments(model, s, f) -> np.ndarray:
+    """(rho, e_kin, casimir) per node of the array s: 2*pi*int f dw,
+    2*pi*int w*f dw and 2*pi*int Q(f) dw for an isotropic density f(w),
+    w = |v|^2/2, supported on w in [0, s_i]; all three are 0 where s_i <= 0.
+
+    f maps the (k, 64) array of t = s_i - w over the k nodes with s_i > 0,
+    in order, the points of ``_substituted_quadrature``, to the density
+    there; it is evaluated once per node and point.
+    """
+    out = np.zeros((3, s.size))
+    pos = s > 0.0
+    sp = s[pos]
+
+    def g(t):
+        ft = f(t)
+        return np.stack([ft, (sp[:, None] - t) * ft, model.Q(ft)])
+
+    out[:, pos] = 2.0 * np.pi * _substituted_quadrature(sp, g)
+    return out
 
 
 def _power_sum(f, terms):
@@ -203,7 +225,7 @@ class InverseQ:
     (a polytrope); for a sum of powers Newton's method from above (below
     the smallest normal float, the lowest power's closed form), for a
     table the exact root of its quadratic Q' piece, and for both G from
-    the Legendre identity and G2, GQ_scaled from a 64-point rule.  Each
+    the Legendre identity and G2 from ``_substituted_quadrature``.  Each
     public method checks its argument once.
     """
 
@@ -320,11 +342,6 @@ class InverseQ:
     def G2(self, s):
         """G2(s) = int_0^s G(u) du = int_0^s (s-t) q(t) dt; 0 for s <= 0."""
         return self._positive("G2", s, self._G2)
-
-    def GQ_scaled(self, s, amp):
-        """int_0^s Q(amp * q(t)) dt by quadrature (used for rescaled states)."""
-        return self._positive("GQ_scaled", s, lambda sp: _substituted_quadrature(
-            sp, lambda t: self.model.Q(amp * self._q(t))))
 
 
 @dataclass

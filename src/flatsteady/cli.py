@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -199,18 +200,25 @@ def _write_state(out_dir, prefix, ss: SteadyState, cfg_path, model):
     return csv_path, json_path
 
 
-# the sidecar fields ``_read_state`` passes to ``SteadyState``
-_STATE_FIELDS = ("E0", "mass", "support_radius", "residual", "iterations")
+# the sidecar fields ``_read_state`` passes to ``SteadyState``, each with
+# the range its value has in a solved state on a grid reaching r_max
+_STATE_FIELDS = {
+    "E0": lambda v, r_max: v < 0.0,
+    "mass": lambda v, r_max: v > 0.0,
+    "support_radius": lambda v, r_max: 0.0 < v <= r_max,
+    "residual": lambda v, r_max: v >= 0.0,
+    "iterations": lambda v, r_max: v >= 0,
+}
 
 
-def _is_state_number(key, value) -> bool:
-    """value is a JSON number (not a bool) of finite float value, and an
-    integer for ``iterations``."""
+def _is_state_value(key, value, r_max) -> bool:
+    """value is a JSON number (not a bool) of finite float value, an
+    integer for ``iterations``, in the field's solved range."""
     if isinstance(value, bool) or not isinstance(
             value, int if key == "iterations" else (int, float)):
         return False
     try:
-        return math.isfinite(value)
+        return math.isfinite(value) and _STATE_FIELDS[key](value, r_max)
     except OverflowError:  # an integer past the float range
         return False
 
@@ -242,12 +250,15 @@ def _read_state(prefix, model) -> SteadyState:
     if missing:
         raise FlatSteadyError(
             f"stale artifact: {json_path!r} has no {', '.join(missing)}")
-    bad = [k for k in _STATE_FIELDS if not _is_state_number(k, side[k])]
+    bad = [k for k in _STATE_FIELDS
+           if not _is_state_value(k, side[k], grid.r_max)]
     if bad:
         raise FlatSteadyError(
             f"stale artifact: {json_path!r} has "
             + ", ".join(f"{k} = {json.dumps(side[k])}" for k in bad)
-            + "; each must be a finite number, iterations an integer")
+            + "; a solved state has E0 < 0, mass > 0, 0 < support_radius "
+            f"<= r_max = {grid.r_max:.17g}, residual >= 0 and an integer "
+            "iterations >= 0, all finite")
     return SteadyState(
         model=model, grid=grid,
         rho0=RadialProfile(grid, data[1], require_nonnegative=True),
@@ -344,15 +355,14 @@ def _cmd_evolve(args, cp):
     output_every = _get(cp, "evolve", "output_every", 50, int)
     perturbation = _get(cp, "evolve", "perturbation", "none", str)
     delta = _get(cp, "evolve", "delta", 0.0)
-    # refuse a bad seed or perturbation before _state_for writes any artifact
+    # refuse a bad seed, perturbation or run before _state_for writes
     _rng(seed)
     _check_perturbation(perturbation, delta)
+    cfg = SimConfig(n_particles=n_particles, dt=dt_over_tdyn,
+                    t_end=t_end_over_tdyn, seed=seed, output_every=output_every)
     ss = _state_for(cp, args, model, args.out)
     t_dyn = ss.dynamical_time()
-    cfg = SimConfig(
-        n_particles=n_particles, dt=dt_over_tdyn * t_dyn,
-        t_end=t_end_over_tdyn * t_dyn, seed=seed, output_every=output_every,
-    )
+    cfg = replace(cfg, dt=cfg.dt * t_dyn, t_end=cfg.t_end * t_dyn)
     out = run(ss, cfg, perturbation=perturbation, delta=delta, model=model)
 
     rows = out["rows"]

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .casimir import _GL_U, _GL_W, CasimirModel
+from .casimir import CasimirModel, _velocity_moments
 from .errors import InputError
 from .grids import RadialGrid, RadialProfile, _CellTable
 from .potential import FlatPotentialOperator, lp_norm, operator_for
@@ -418,48 +418,23 @@ def evaluate_ensemble(model: CasimirModel, ens,
 
 # -- scaling ---------------------------------------------------------------
 
-def _velocity_moment_direct(inv, s, c, kind, amp):
-    """2*pi * int phi(w) * amp*q(s - c^2 w) dw by quadrature, per node.
-
-    kind 'kinetic' uses phi(w) = w, kind 'casimir' integrates Q(amp*q)
-    instead.  The substitution s - c^2 w = s t^2 removes the endpoint
-    singularity of q.
-    """
-    s = np.asarray(s, dtype=float)
-    pos = s > 0.0
-    out = np.zeros_like(s)
-    if not np.any(pos):
-        return out
-    sp = s[pos]
-    tt = _GL_U[None, :]
-    q_t = inv.q(sp[:, None] * tt ** 2)
-    jac = 2.0 * sp[:, None] * tt / c ** 2
-    if kind == "kinetic":
-        phi = (sp[:, None] / c ** 2) * (1.0 - tt ** 2)
-        vals = phi * amp * q_t
-    elif kind == "casimir":
-        vals = inv.model.Q(amp * q_t)
-    else:
-        raise InputError(f"unknown velocity moment kind {kind!r}")
-    out[pos] = 2.0 * np.pi * np.sum(_GL_W[None, :] * vals * jac, axis=1)
-    return out
-
-
 def rescale_steady(model: CasimirModel, ss: SteadyState, p: ScalingParams) -> dict:
-    """Predicted and directly evaluated functionals of a*f0(b*x, c*v).
+    """Predicted and directly evaluated functionals of f_bar = a*f0(b*x, c*v).
 
-    The prediction applies the scaling identities term by term; the direct
-    path materializes the rescaled planar density on the scaled grid and
-    re-evaluates every functional by quadrature.
+    The prediction applies the scaling identities term by term, with C(a*f0)
+    from ``casimir._velocity_moments`` on the original grid.  The direct path
+    materializes f_bar = a*q(s(b*r) - c^2*w), w in [0, s/c^2], on the scaled
+    grid (nodes r/b), takes its density, kinetic energy and Casimir from the
+    same evaluator, and its potential energy from an independently assembled
+    operator on that density.
     """
     base = evaluate_steady(model, ss)
     a, b, c = p.a, p.b, p.c
-    inv = ss.inv
-    ringw = ss.grid.ring_weights
+    q = ss.inv.q
     s = np.maximum(ss.s_values, 0.0)
 
-    # C(a f) by quadrature on the original state, then the b, c prefactor
-    c_of_af = float(np.sum(ringw * 2.0 * np.pi * inv.GQ_scaled(s, a)))
+    c_of_af = float(np.sum(ss.grid.ring_weights * _velocity_moments(
+        model, s, lambda t: a * q(t))[2]))
     predicted = {
         "mass": a * b ** -2 * c ** -2 * base.mass,
         "e_kin": a * b ** -2 * c ** -4 * base.e_kin,
@@ -467,25 +442,19 @@ def rescale_steady(model: CasimirModel, ss: SteadyState, p: ScalingParams) -> di
         "casimir": b ** -2 * c ** -2 * c_of_af,
     }
 
-    # materialized rescaled state: nodes r/b, planar density a c^-2 rho0(b r)
+    # at w = s/c^2 - t the rescaled density is a*q(s - c^2*w) = a*q(c^2*t)
+    rho_bar, kin_bar, cas_bar = _velocity_moments(
+        model, s / c ** 2, lambda t: a * q(c ** 2 * t))
     scaled_grid = RadialGrid(ss.grid.nodes / b)
-    ringw_s = scaled_grid.ring_weights
-    rho_bar = a * c ** -2 * ss.rho0.values
-    mass_direct = float(np.sum(ringw_s * rho_bar))
+    ringw = scaled_grid.ring_weights
     # an independent assembly: operator_for would derive this operator from
     # the unscaled one by the same homogeneity the prediction uses
     op = FlatPotentialOperator(scaled_grid)
-    e_pot_direct = op.potential_energy(rho_bar)
-    # velocity moments of a*q(s(br) - c^2 w) by direct 1D quadrature
-    kin_density = _velocity_moment_direct(inv, s, c, "kinetic", a)
-    cas_density = _velocity_moment_direct(inv, s, c, "casimir", a)
-    e_kin_direct = float(np.sum(ringw_s * kin_density))
-    cas_direct = float(np.sum(ringw_s * cas_density))
     direct = {
-        "mass": mass_direct,
-        "e_kin": e_kin_direct,
-        "e_pot": e_pot_direct,
-        "casimir": cas_direct,
+        "mass": float(np.sum(ringw * rho_bar)),
+        "e_kin": float(np.sum(ringw * kin_bar)),
+        "e_pot": op.potential_energy(rho_bar),
+        "casimir": float(np.sum(ringw * cas_bar)),
     }
     return {"params": p, "predicted": predicted, "direct": direct,
             "base": base.to_dict()}

@@ -94,8 +94,10 @@ class SimConfig:
     output_every: int = 50        # steps between diagnostic rows
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end < 0:
-            raise InputError("SimConfig: dt must be > 0 and t_end >= 0")
+        if self.n_particles < 1:
+            raise InputError("SimConfig: n_particles must be >= 1")
+        if not (0.0 < self.dt < np.inf and 0.0 <= self.t_end < np.inf):
+            raise InputError("SimConfig: need finite dt > 0 and t_end >= 0")
         if self.method != "grid":
             raise InputError("SimConfig: method must be 'grid'")
         if self.output_every < 1:

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from flatsteady import (CasimirModel, InverseQ, SolverOptions, solve,
                         validate_assumptions)
-from flatsteady.casimir import _substituted_quadrature
+from flatsteady.casimir import _substituted_quadrature, _velocity_moments
 from flatsteady.errors import ConvergenceError, InputError, ModelDefinitionError
 
 F_GRID = np.linspace(0.0, 4.0, 256)
@@ -190,10 +190,18 @@ def test_inverse_roundtrip_custom_tables(model_terms, n, f_max, share,
         assert np.max(np.abs(m.Qp(q) - eps) / eps) <= _TABLE_ROUNDTRIP_REL
 
 
+def _casimir_of_scaled_f0(model, s, amp):
+    """The evaluator's per-node Casimir density of amp*f0, f0 = q(s - w)."""
+    q = model.inverse().q
+    return _velocity_moments(model, np.asarray(s, dtype=float),
+                             lambda t: amp * q(t))[2]
+
+
 # G, G2, the Casimir density s*G - 2*G2 (as SteadyState.moments forms it)
-# and GQ_scaled(amp = 0.7) at s = 0.05, 0.3, 1.0, 2.5 for a sum and a table,
-# as float.hex: pinned so that a change to the Legendre identity behind G or
-# to the quadrature behind G2 and GQ_scaled shows
+# and the evaluator's Casimir density of 0.7*f0, 2*pi*int Q(0.7*q(s - w)) dw,
+# at s = 0.05, 0.3, 1.0, 2.5 for a sum and a table, as float.hex: pinned so
+# that a change to the Legendre identity behind G or to the quadrature
+# behind G2 and the evaluator shows
 _QUADRATURE_PINS = {
     "double_power": {
         "G": ["0x1.ab6c33418de59p-10", "0x1.4d773d4c36577p-5",
@@ -202,8 +210,8 @@ _QUADRATURE_PINS = {
                "0x1.cf3568153f623p-4", "0x1.364c6f54944fep+0"],
         "sG-2G2": ["0x1.9e7e8060f2af0p-16", "0x1.b43b434774ee4p-9",
                    "0x1.2342a595adcb6p-4", "0x1.568d51f2be6b8p-1"],
-        "GQ_scaled": ["0x1.822924020e677p-17", "0x1.81106559e4969p-10",
-                      "0x1.dab98f25d8e00p-6", "0x1.0313643da106cp-2"],
+        "C(0.7f0)": ["0x1.2f4a377a5285fp-14", "0x1.2e6db86559adfp-7",
+                     "0x1.74d917b2c5c69p-3", "0x1.96f48a33b4f85p+0"],
     },
     "custom": {
         "G": ["0x1.8f7fef7bfdd5ep-9", "0x1.6e65b5a8934c8p-5",
@@ -212,8 +220,8 @@ _QUADRATURE_PINS = {
                "0x1.bdeb12fd825ecp-4", "0x1.1369925269503p+0"],
         "sG-2G2": ["0x1.0233ab33ab7fcp-15", "0x1.5fd2de3f3b598p-9",
                    "0x1.bde445a443090p-5", "0x1.136ae60b94da8p-1"],
-        "GQ_scaled": ["0x1.6872b26555f83p-17", "0x1.e2da8acd74cf5p-11",
-                      "0x1.31e2aa28e2e35p-6", "0x1.79f44ca6e540cp-3"],
+        "C(0.7f0)": ["0x1.1b18609ff7f96p-14", "0x1.7b3b7e295a433p-8",
+                     "0x1.e07bd23da1975p-4", "0x1.28d83848eef91p+0"],
     },
 }
 
@@ -228,17 +236,41 @@ def test_quadrature_moments_are_pinned(name):
                                     F0=1.0, mu1=0.5, mu2=0.5, mu3=0.5)
     inv = model.inverse()
     s = np.array([0.0, 0.05, 0.3, 1.0, 2.5])
-    got = {"G": inv.G(s), "G2": inv.G2(s), "GQ_scaled": inv.GQ_scaled(s, 0.7)}
+    got = {"G": inv.G(s), "G2": inv.G2(s),
+           "C(0.7f0)": _casimir_of_scaled_f0(model, s, 0.7)}
     got["sG-2G2"] = s * got["G"] - 2.0 * got["G2"]
     for fn, pins in _QUADRATURE_PINS[name].items():
         assert got[fn][0] == 0.0, fn
         assert [float(v).hex() for v in got[fn][1:]] == pins, fn
-    # scalars take the same path
-    assert inv.G(0.3) == got["G"][2] and inv.GQ_scaled(0.3, 0.7) == got["GQ_scaled"][2]
+    # scalars take the same path, and a node's value is its own
+    assert inv.G(0.3) == got["G"][2]
+    assert _casimir_of_scaled_f0(model, [0.3], 0.7)[0] == got["C(0.7f0)"][2]
+
+
+@pytest.mark.parametrize("model", [
+    CasimirModel.polytrope(0.5, c=57.0), CasimirModel.polytrope(0.75),
+    CasimirModel.double_power(0.4, 0.9, 1.0, 0.5)], ids=repr)
+def test_velocity_moments_of_f0_match_the_closed_forms(model):
+    # rho = 2*pi*G(s), e_kin = 2*pi*G2(s) and C = 2*pi*(s*G - 2*G2), the
+    # forms SteadyState.moments uses, from one evaluation of f per point
+    inv = model.inverse()
+    s = np.array([-0.5, 0.0, 1e-6, 0.05, 0.3, 1.0, 2.5])
+    calls = []
+
+    def f(t):
+        calls.append(t.shape)
+        return inv.q(t)
+
+    rho, e_kin, cas = _velocity_moments(model, s, f)
+    assert calls == [(5, 64)]
+    g, g2 = 2.0 * np.pi * inv.G(s), 2.0 * np.pi * inv.G2(s)
+    for got, ref in ((rho, g), (e_kin, g2), (cas, s * g - 2.0 * g2)):
+        assert np.all(got[:2] == 0.0)
+        assert np.max(np.abs(got[2:] - ref[2:]) / ref[2:]) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["polytrope", "double_power", "custom"])
-@pytest.mark.parametrize("method", ["q", "G", "G2", "GQ_scaled"])
+@pytest.mark.parametrize("method", ["q", "G", "G2"])
 def test_inverse_rejects_non_finite_arguments(kind, method):
     f = np.linspace(0.0, 3.0, 40)
     model = {"polytrope": CasimirModel.polytrope(0.5, c=1.0),
@@ -246,13 +278,12 @@ def test_inverse_rejects_non_finite_arguments(kind, method):
              "custom": CasimirModel.custom(f, f ** 3, F0=1.0, mu1=0.5,
                                            mu2=0.5, mu3=0.5)}[kind]
     fn = getattr(model.inverse(), method)
-    extra = (0.7,) if method == "GQ_scaled" else ()
     for bad in (np.array([0.1, np.nan]), np.nan, np.array([np.inf, 0.1])):
         with pytest.raises(InputError, match=f"^{method}: non-finite"):
-            fn(bad, *extra)
+            fn(bad)
     # negative and zero arguments give exactly 0, and a scalar a float
-    assert fn(-0.5, *extra) == 0.0 and fn(0.0, *extra) == 0.0
-    assert isinstance(fn(0.1, *extra), float)
+    assert fn(-0.5) == 0.0 and fn(0.0) == 0.0
+    assert isinstance(fn(0.1), float)
 
 
 # -- G against independent references ----------------------------------------
@@ -340,7 +371,7 @@ def test_power_sum_inverse_at_subnormal_arguments(model_terms, s):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = {"q": inv.q(s), "G": inv.G(s), "G2": inv.G2(s),
-                  "GQ_scaled": inv.GQ_scaled(s, 0.7)}
+                  "C(0.7f0)": _casimir_of_scaled_f0(model, s, 0.7)}
         scalars = [inv.q(float(x)) for x in s]
     assert np.array_equal(values["q"], scalars)
     for name, v in values.items():

@@ -404,6 +404,27 @@ def test_state_sidecar_with_a_non_number_fails(solved_dir, tmp_path, capsys,
     assert not (tmp_path / "split.json").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("E0", 0.5), ("E0", 0.0), ("mass", -1.0), ("mass", 0), ("residual", -1.0),
+    ("iterations", -5), ("support_radius", -3.0), ("support_radius", 0.0),
+    ("support_radius", "past r_max"),
+])
+def test_state_sidecar_with_an_out_of_range_value_fails(solved_dir, tmp_path,
+                                                        capsys, key, value):
+    # finite numbers that no solved state has mark a stale artifact (exit 1),
+    # not a usage error, and split writes nothing
+    side = json.loads((solved_dir[0] / "steady.json").read_text())
+    if value == "past r_max":
+        r = np.loadtxt(solved_dir[0] / "steady.csv", delimiter=",",
+                       skiprows=3, usecols=0)
+        value = float(np.nextafter(r[-1], np.inf))
+    side[key] = value
+    assert _run_with_sidecar(solved_dir, tmp_path, json.dumps(side)) == 1
+    err = capsys.readouterr().err
+    assert f"has {key} = {json.dumps(value)}; a solved state has" in err
+    assert not (tmp_path / "split.json").exists()
+
+
 def test_evolve_on_a_sidecar_with_a_null_e0_fails(solved_dir, tmp_path, capsys):
     side = json.loads((solved_dir[0] / "steady.json").read_text())
     side["E0"] = None
@@ -427,6 +448,25 @@ def test_evolve_rejects_a_perturbation_that_does_nothing(tmp_path, capsys,
     out = tmp_path / "out"
     assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
     assert "perturbation" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("old,new", [
+    ("n_particles = 5000", "n_particles = 0"),
+    ("dt_over_tdyn = 0.02", "dt_over_tdyn = 0"),
+    ("dt_over_tdyn = 0.02", "dt_over_tdyn = nan"),
+    ("t_end_over_tdyn = 0.2", "t_end_over_tdyn = -1"),
+    ("t_end_over_tdyn = 0.2", "t_end_over_tdyn = inf"),
+    ("output_every = 5", "output_every = 0"),
+])
+def test_evolve_rejects_a_bad_run_setting_before_solving(tmp_path, capsys,
+                                                         old, new):
+    # with no state artifact, evolve would solve first and write steady.csv
+    # and steady.json unless it checks the run settings before
+    cfg = _write_config(tmp_path / "evolve.ini", POLY_INI.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: SimConfig: " in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from flatsteady import (CasimirModel, FunctionalReport, RadialGrid,
                         evaluate_ensemble, evaluate_steady, lp_norm,
                         rescale_steady, sample, scaling_inequality_check,
                         split_diagnostic, stability_distance)
+from flatsteady.casimir import _velocity_moments
 from flatsteady.functionals import (_bin, _ensemble_row, _phase_histogram,
                                     _radius, alpha_from_mu3,
                                     proof_scaling_params)
@@ -319,3 +321,76 @@ def test_moment_sums_match_inline_expressions(poly_wide, ss_wide):
         e_moment_f = ((e_kin - ss.E0 * float(np.sum(w)))
                       + float(binned.node_mass @ ss.U0.values))
         assert row["d_dist"] == (row["casimir"] - c_f0) + (e_moment_f - e_moment_f0)
+
+
+# -- the minimizer property on phase-space densities -------------------------
+
+_THEOREM_MODELS = {
+    "polytrope(0.5, c=57)": CasimirModel.polytrope(0.5, c=57.0),
+    "polytrope(0.75)": CasimirModel.polytrope(0.75),
+    "double_power(0.5, 0.75)": CasimirModel.double_power(0.5, 0.75),
+}
+
+
+def _phase_functionals(model, ss, f):
+    """(rho, mass, e_kin, casimir) of the isotropic density f on the state's
+    support, f(t) its value at w = s - t, from the one velocity rule."""
+    rho, kin, cas = _velocity_moments(model, np.maximum(ss.s_values, 0.0), f)
+    ringw = ss.grid.ring_weights
+    return rho, float(ringw @ rho), float(ringw @ kin), float(ringw @ cas)
+
+
+@functools.lru_cache(maxsize=16)
+def _theorem_state(name, mass):
+    model = _THEOREM_MODELS[name]
+    ss = solve(model, mass, SolverOptions(n=192))
+    return model, ss, _phase_functionals(model, ss, ss.inv.q)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(_THEOREM_MODELS)),
+       st.floats(np.log(0.5), np.log(2.0)).map(np.exp),
+       st.floats(np.log(1e-3), np.log(0.3)).map(np.exp),
+       st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).map(
+           np.array).filter(lambda a: np.linalg.norm(a) >= 0.1))
+def test_steady_state_minimizes_the_energy_casimir_functional(name, mass, eps,
+                                                              alpha):
+    # the paper's theorem on f = f0*exp(eps*phi(r, w)) renormalized to f0's
+    # mass, phi a unit combination of cos(j*pi*r/R)*cos(k*pi*w/s(r)):
+    # d(f, f0) = C(f) - C(f0) + iint (E - E0)(f - f0) >= 0, and
+    # H_C = E_kin + E_pot + C is smallest at f0.  The discrete f0 is a
+    # critical point of the discrete H_C only up to the first variation
+    # delta = 1/2 [(W rho0).K sigma - (W sigma).K rho0], sigma = rho_f - rho0,
+    # which the unsymmetric W K adds (ROADMAP item 3): O(h^2) and linear in
+    # eps, it makes H_C(f) < H_C(f0) in some directions at eps near 1e-3, so
+    # the minimizer inequality is asserted once delta is taken off
+    model, ss, (rho0, mass0, e_kin0, c0) = _theorem_state(name, mass)
+    s = np.maximum(ss.s_values, 0.0)
+    pos = s > 0.0
+    r, sp = ss.grid.nodes[pos, None], s[pos, None]
+    alpha = alpha / np.linalg.norm(alpha)
+    q = ss.inv.q
+
+    def perturbed(t):
+        w = sp - t
+        phi = sum(a * np.cos(j * np.pi * r / ss.support_radius)
+                  * np.cos(k * np.pi * w / sp)
+                  for a, (j, k) in zip(alpha, [(j, k) for j in range(3)
+                                               for k in range(3) if j or k]))
+        return q(t) * np.exp(eps * phi)
+
+    scale = mass0 / _phase_functionals(model, ss, perturbed)[1]
+    rho, mass_f, e_kin, c = _phase_functionals(
+        model, ss, lambda t: scale * perturbed(t))
+    assert mass_f == pytest.approx(mass0, rel=1e-12)
+    ringw = ss.grid.ring_weights
+    d = (c - c0) + (e_kin - e_kin0) - float(ringw @ (s * (rho - rho0)))
+    assert d >= 0.0
+
+    op = operator_for(ss.grid)
+    sigma = rho - rho0
+    delta = 0.5 * (float((ringw * rho0) @ op.potential(sigma))
+                   - float((ringw * sigma) @ op.potential(rho0)))
+    h_diff = ((e_kin + c + op.potential_energy(rho))
+              - (e_kin0 + c0 + op.potential_energy(rho0)))
+    assert h_diff - delta >= 0.0

@@ -273,6 +273,10 @@ def test_config_validation():
         SimConfig(method="direct")
     with pytest.raises(InputError):
         SimConfig(output_every=0)
+    for bad in ({"n_particles": 0}, {"dt": np.nan}, {"dt": np.inf},
+                {"t_end": -1.0}, {"t_end": np.inf}):
+        with pytest.raises(InputError, match="^SimConfig: "):
+            SimConfig(**bad)
 
 
 def test_ensemble_validation():
