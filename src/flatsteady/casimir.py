@@ -100,6 +100,12 @@ class CasimirModel:
     # a table's Q, Q' and Q'' as piecewise polynomials, built once
     _derivs: tuple = field(default=(), repr=False, compare=False)
 
+    def __post_init__(self):
+        # (Q1) and (Q2) split f at F0; a power of a negative F0 is complex
+        if not 0.0 < self.F0 < np.inf:
+            raise ModelDefinitionError(
+                f"F0 must be finite and positive (got {self.F0!r})")
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -174,7 +180,8 @@ class CasimirModel:
             raise ModelDefinitionError(
                 "custom: tabulated Q has non-monotone Q', violating the "
                 "convexity assumption (Q4)")
-        hi = f[f >= F0]
+        # without f = 0, as in lo: an F0 <= 0 would divide 0 by 0 first
+        hi = f[(f > 0.0) & (f >= F0)]
         C1 = (float(np.min(interp(hi) / hi ** (1.0 + 1.0 / mu1)))
               if hi.size else 1.0)
         lo = f[(f > 0.0) & (f <= F0)]

@@ -379,27 +379,12 @@ def _cmd_evolve(args, cp):
               ("x1", "x2", "v1", "v2", "w"),
               (*ens.positions.T, *ens.velocities.T, ens.weights))
 
-    d0 = rows[0]["D"]
-    l3_scale = max(ens.abs_angular_momentum(), 1e-300)
-    d_drift = max(abs(r["D"] - d0) for r in rows) / max(abs(d0), 1e-300)
-    l3_drift = max(abs(r["L3"] - rows[0]["L3"]) for r in rows) / l3_scale
-    eps_mc = out["eps_mc"]
-    d_min = min(r["d_dist"] for r in rows)
-    checks = [
-        {"name": "D_drift_below_1pc", "lhs": d_drift, "rhs": 0.01,
-         "pass": bool(d_drift <= 0.01)},
-        {"name": "L3_drift_below_1e6", "lhs": l3_drift, "rhs": 1e-6,
-         "pass": bool(l3_drift <= 1e-6)},
-        {"name": "d_above_minus_eps_mc", "lhs": d_min, "rhs": -eps_mc,
-         "pass": bool(d_min >= -eps_mc)},
-    ]
     payload = _stamp(args.config, seed=cfg.seed, grid=ss.grid)
-    payload.update({
-        "t_dyn": t_dyn, "eps_mc": eps_mc, "escaped": out["escaped"],
-        "d_drift": d_drift, "l3_drift": l3_drift, "checks": checks,
-    })
+    payload["t_dyn"] = t_dyn
+    payload.update((k, out[k]) for k in ("eps_mc", "escaped", "d_drift",
+                                         "l3_drift", "checks"))
     _write_json(os.path.join(args.out, "evolve.json"), payload)
-    return 0 if all(c["pass"] for c in checks) else 1
+    return 0 if all(c["pass"] for c in out["checks"]) else 1
 
 
 def _cmd_potential_table(args, cp):

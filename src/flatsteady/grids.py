@@ -297,28 +297,20 @@ class RadialGrid:
         return idx, (r - self.nodes[idx]) / tab.widths[idx]
 
     def shape(self) -> "RadialGrid":
-        """Nodes / r_max rounded to 12 significant digits: one per scale family.
+        """Nodes / r_max, each mantissa rounded to 40 bits (about 12 digits):
+        one grid per scale family.
 
-        The rounding absorbs the last-digit jitter of scaling a grid.  It is
-        computed once per grid: ``operator_for`` asks for it on every lookup.
+        A shape's r_max is 1.0, and any positive multiple of it, divided by
+        its own r_max, lies within a few ulps of the shape's 40-bit nodes,
+        which the rounding maps straight back.  It is computed once per
+        grid: ``operator_for`` asks for it on every lookup.
         """
         return self._shape
 
-    def scaled(self, lam: float) -> "RadialGrid":
-        """The grid lam * nodes, whose ``shape()`` is this grid's, unformatted.
-
-        Meant for a shape: its nodes are 12-digit decimals, and lam times
-        them over the new r_max is within an ulp or two of them, which the
-        rounding in ``shape()`` would map straight back.
-        """
-        grid = RadialGrid(lam * self.nodes)
-        object.__setattr__(grid, "_shape", self.shape())
-        return grid
-
     @functools.cached_property
     def _shape(self) -> "RadialGrid":
-        unit = [float(f"{x:.12g}") for x in self.nodes / self.r_max]
-        return RadialGrid(np.array(unit))
+        m, e = np.frexp(self.nodes / self.r_max)
+        return RadialGrid(np.ldexp(np.rint(np.ldexp(m, 40)), e - 40))
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.nodes.tobytes()).hexdigest()[:16]

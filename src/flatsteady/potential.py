@@ -157,7 +157,7 @@ def operator_for(grid: RadialGrid) -> FlatPotentialOperator:
 
     The kernel is homogeneous of degree one, so the operator on lam*g is
     lam times the one on g.  The assembly runs on ``grid.shape()`` itself
-    (nodes / r_max rounded to 12 significant digits) and is kept in an LRU
+    (nodes / r_max, mantissas rounded to 40 bits) and is kept in an LRU
     cache of ``_CACHE_SIZE`` shapes.  The returned operator holds the
     shape's kmat by reference, with scale = r_max / shape.r_max; it is not
     cached and allocates no matrix.

@@ -305,9 +305,12 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     [...], "ensemble": the last row's, "eps_mc": the noise floor of the
     unperturbed draw, "escaped": count, "mass_past_grid": largest fraction
     of mass past the grid's r_max over the rows, "clamped": sampled
-    stragglers moved to r = 0, "workers": threads of the particle maps};
-    rows carry the CSV columns t, e_kin, e_pot, casimir, D, d_dist,
-    epot_diff, L3, max_r.
+    stragglers moved to r = 0, "workers": threads of the particle maps,
+    "d_drift": max |D - D_0| / |D_0|, "l3_drift": max |L3 - L3_0| over the
+    last ensemble's sum of w*|L3|, "d_min": the smallest d_dist, "checks":
+    the gates d_drift <= 1%, l3_drift <= 1e-6 and d_min >= -eps_mc}; rows
+    carry the CSV columns t, e_kin, e_pot, casimir, D, d_dist, epot_diff,
+    L3, max_r.
     """
     model = model or ss.model
     drawn = sample(ss, cfg.n_particles, cfg.seed)
@@ -347,6 +350,17 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
         if k % cfg.output_every == 0 or k == n_steps:
             record(binned, k * dt)
         del binned
+    d0, l0 = rows[0]["D"], rows[0]["L3"]
+    d_drift = max(abs(r["D"] - d0) for r in rows) / max(abs(d0), 1e-300)
+    l3_drift = (max(abs(r["L3"] - l0) for r in rows)
+                / max(last.abs_angular_momentum(), 1e-300))
+    d_min = min(r["d_dist"] for r in rows)
+    checks = [{"name": name, "lhs": lhs, "rhs": rhs, "pass": bool(ok)}
+              for name, lhs, rhs, ok in (
+                  ("D_drift_below_1pc", d_drift, 0.01, d_drift <= 0.01),
+                  ("L3_drift_below_1e6", l3_drift, 1e-6, l3_drift <= 1e-6),
+                  ("d_above_minus_eps_mc", d_min, -eps_mc, d_min >= -eps_mc))]
     return {"rows": rows, "ensemble": last, "eps_mc": eps_mc,
             "escaped": escaped, "mass_past_grid": mass_past_grid,
-            "clamped": clamped, "workers": _workers()}
+            "clamped": clamped, "workers": _workers(), "d_drift": d_drift,
+            "l3_drift": l3_drift, "d_min": d_min, "checks": checks}

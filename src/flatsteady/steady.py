@@ -183,7 +183,7 @@ def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
 
 @functools.lru_cache(maxsize=8)
 def _unit_shape(n: int) -> RadialGrid:
-    """The shape of every n-node trial grid, formatted once per n.
+    """The shape of every n-node trial grid, computed once per n.
 
     A uniform core covers the support with margin, and a short log tail
     serves the edge interpolation of U.  Trial grids are exact multiples of
@@ -202,7 +202,7 @@ def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> S
     R, R_prev, A_prev = _R_SEED, None, None
     rho, sweeps = None, 0
     for _ in range(_MAX_OUTER):
-        grid = unit.scaled(5.0 * R)
+        grid = RadialGrid(5.0 * R * unit.nodes)
         # node i of every trial grid is the same fraction of its r_max, so
         # the last evaluation's densities seed this one node for node
         rho, U, E0, A, _, inner_it = _inner_sweep(inv, operator_for(grid), grid,

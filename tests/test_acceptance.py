@@ -74,13 +74,19 @@ def test_criterion_04_e0_identity(poly_half, ss_half, poly_wide, ss_wide):
     states = [(poly_half, ss_half), (poly_wide, ss_wide),
               (dp, solve(dp, 1.0, SolverOptions(n=192)))]
     for model, ss in states:
-        s = ss.s_values
-        ringw = ss.grid.ring_weights
-        casimir_part = 2.0 * np.pi * (s * ss.inv.G(s) - ss.inv.G2(s))
-        energy_part = ss.rho0.values * ss.U0.values + \
-            2.0 * np.pi * ss.inv.G2(s)
-        lhs = float(np.sum(ringw * (casimir_part + energy_part))) / ss.mass
-        assert abs(lhs - ss.E0) / abs(ss.E0) <= 1e-6
+        assert _e0_identity_defect(ss) <= 1e-6
+
+
+def _e0_identity_defect(ss):
+    """Relative defect of criterion 4's identity E0 = (1/M) sum_i W_i
+    (2*pi*(s*G(s) - G2(s)) + rho0*U0 + 2*pi*G2(s)), s = E0 - U0."""
+    s = ss.s_values
+    ringw = ss.grid.ring_weights
+    casimir_part = 2.0 * np.pi * (s * ss.inv.G(s) - ss.inv.G2(s))
+    energy_part = ss.rho0.values * ss.U0.values + \
+        2.0 * np.pi * ss.inv.G2(s)
+    lhs = float(np.sum(ringw * (casimir_part + energy_part))) / ss.mass
+    return abs(lhs - ss.E0) / abs(ss.E0)
 
 
 def test_criterion_05_negativity_and_virial(poly_half, ss_half):
@@ -122,6 +128,61 @@ def test_criterion_07_scaling_inequality():
     assert rep["d_m1"] >= (0.5 / 1.0) ** 3 * rep["d_m2"]
     assert rep["holds"]
     assert rep["margin"] >= 1e-4
+
+
+# -- the paper's identities over the model family ----------------------------
+
+# about 4 times the worst over hypothesis seeds 1-4 at 200 examples each:
+# 2.2e-5 and 2.4e-10 (CHANGES.md)
+_VIRIAL_TOL = 1e-4
+_E0_IDENTITY_TOL = 1e-9
+_FAMILY_OPTS = SolverOptions(n=192)
+
+
+@st.composite
+def _family_models(draw):
+    """Polytropes with mu in [0.2, 0.95] and c = e^U[0, 4], the same with a
+    declared mu3 < mu, and double powers with mu1 < mu2 in [0.2, 0.95]."""
+    kind = draw(st.sampled_from(["polytrope", "polytrope-mu3", "double_power"]))
+    if kind == "double_power":
+        mu1, mu2 = sorted(draw(st.lists(st.floats(0.2, 0.95), min_size=2,
+                                        max_size=2, unique=True)))
+        return CasimirModel.double_power(mu1, mu2)
+    mu = draw(st.floats(0.2, 0.95))
+    c = float(np.exp(draw(st.floats(0.0, 4.0))))
+    mu3 = (draw(st.floats(0.1, mu, exclude_max=True))
+           if kind == "polytrope-mu3" else None)
+    return CasimirModel.polytrope(mu, c=c, mu3=mu3)
+
+
+_MASSES = st.floats(np.log(0.3), np.log(3.0)).map(np.exp)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_family_models(), _MASSES)
+def test_virial_over_the_model_family(model, mass):
+    # criterion 5's 2 E_kin + E_pot = 0 on every steady state
+    rep = evaluate_steady(model, solve(model, mass, _FAMILY_OPTS))
+    assert abs(2.0 * rep.e_kin + rep.e_pot) <= _VIRIAL_TOL * abs(rep.e_pot)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_family_models(), _MASSES)
+def test_e0_identity_over_the_model_family(model, mass):
+    assert _e0_identity_defect(solve(model, mass, _FAMILY_OPTS)) <= _E0_IDENTITY_TOL
+
+
+@settings(max_examples=20, deadline=None)
+@given(_family_models(), st.lists(_MASSES, min_size=2, max_size=2,
+                                  unique=True).map(sorted))
+def test_scaling_inequality_over_the_model_family(model, masses):
+    # criterion 7's D_M1 >= (M1/M2)^(1+alpha) D_M2 and its proof mechanism,
+    # within their own slacks: the worst margins over seeds 1-4 at 200
+    # examples were -4.8e-13 of the right-hand side (mu3 = mu near 0.94, the
+    # equality case; the slack is 1e-12) and -2.2e-12 (slack 1e-10)
+    rep = scaling_inequality_check(model, *masses, _FAMILY_OPTS)
+    assert rep["holds"], rep
+    assert rep["proof_holds"], rep
 
 
 def test_criterion_08_outer_energy_decay():

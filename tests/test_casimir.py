@@ -112,6 +112,24 @@ def test_polytrope_rejects_bad_exponent():
         CasimirModel.polytrope(1.0)
 
 
+_TABLE_F = np.linspace(0.0, 4.0, 50)
+
+
+@pytest.mark.parametrize("build", [
+    lambda F0: CasimirModel.polytrope(0.5, F0=F0),
+    lambda F0: CasimirModel.double_power(0.5, 0.75, F0=F0),
+    lambda F0: CasimirModel.custom(_TABLE_F, _TABLE_F ** 3, F0=F0,
+                                   mu1=0.5, mu2=0.5, mu3=0.5),
+], ids=["polytrope", "double_power", "custom"])
+def test_f0_must_be_finite_and_positive(build):
+    # a negative F0 gave a double power a complex C2 and a polytrope's
+    # validation an empty reduction; F0 = 0 leaves (Q1) nothing to check
+    for F0 in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ModelDefinitionError, match="F0"):
+            build(F0)
+    assert build(2.0).F0 == 2.0
+
+
 def test_mu3_above_mu_violates_q3():
     # declared mu3 must not exceed the polytropic exponent
     rep = validate_assumptions(CasimirModel.polytrope(0.5, mu3=0.8), F_GRID)

@@ -307,14 +307,21 @@ def _concave_table():
     ("kind = polytrope\nmu = 1.5\n", None),
     ("kind = double_power\nmu1 = 0.5\nmu2 = 0.75\nc1 = -1\nc2 = 1\n", None),
     ("kind = custom\nmu1 = 0.5\nmu2 = 0.5\nmu3 = 0.5\n", _concave_table()),
-], ids=["polytrope-mu", "double-power-c1", "custom-concave"])
+    ("kind = polytrope\nmu = 0.5\nf0 = -1.0\n", None),
+    ("kind = double_power\nmu1 = 0.5\nmu2 = 0.75\nc1 = 1\nc2 = 1\n"
+     "f0 = -1.0\n", None),
+    ("kind = polytrope\nmu = 0.5\nf0 = 0\n", None),
+], ids=["polytrope-mu", "double-power-c1", "custom-concave", "polytrope-f0",
+        "double-power-f0", "polytrope-f0-zero"])
 def test_bad_model_parameter_is_usage_error(tmp_path, capsys, model_lines, table):
     if table is not None:
         (tmp_path / "table.csv").write_text(table)
         model_lines += "table = %s\n" % (tmp_path / "table.csv")
     cfg = _write_config(tmp_path / "bad.ini", "[model]\n" + model_lines)
-    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("model_lines,named", [

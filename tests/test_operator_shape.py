@@ -5,7 +5,6 @@ lam*g is lam times the operator on g; ``operator_for`` relies on this to
 give every grid of one shape that shape's assembled kmat, times a scale.
 """
 
-import functools
 from collections import OrderedDict
 
 import numpy as np
@@ -29,7 +28,7 @@ def unit_grids(draw, n_min=16, n_max=160):
     Every panel is integrated by Gauss-Legendre in a variable that scales
     with the grid, so an assembly is homogeneous to roundoff at any n.  The
     cached operator is compared with a looser bound: it is assembled on
-    ``grid.shape()``, whose nodes are rounded to 12 significant digits.
+    ``grid.shape()``, whose node mantissas are rounded to 40 bits.
     """
     kind = draw(st.sampled_from(["uniform", "log", "hybrid"]))
     # a hybrid grid needs 8 tail nodes beyond its 75% core
@@ -50,7 +49,7 @@ def test_kernel_homogeneous_of_degree_one(grid, lam):
     norm = np.linalg.norm(k_scaled)
     assert np.linalg.norm(k_scaled - lam * k_unit) / norm <= 1e-12
     # the shape's kmat times the scale stands in for the independent
-    # assembly, up to the 12-digit rounding of the shape it was assembled on
+    # assembly, up to the 40-bit rounding of the shape it was assembled on
     op = operator_for(scaled)
     assert np.linalg.norm(op.scale * op.kmat - k_scaled) / norm <= 1e-8
 
@@ -183,7 +182,7 @@ def test_cache_stays_within_its_bound(monkeypatch):
     assert operator_for(grids[-1]).kmat is base.kmat
 
 
-def test_shape_is_formatted_once_per_grid(monkeypatch):
+def test_shape_is_computed_once_per_grid(monkeypatch):
     grid = RadialGrid.hybrid(0.3, 2.0, 96)
     built = []
     post_init = RadialGrid.__post_init__
@@ -192,7 +191,7 @@ def test_shape_is_formatted_once_per_grid(monkeypatch):
         built.append(self)
         post_init(self)
 
-    # every formatting of the nodes builds one shape grid
+    # every computation of a shape builds one shape grid
     monkeypatch.setattr(RadialGrid, "__post_init__", counted)
     operator_for(grid)
     operator_for(grid)
@@ -201,34 +200,45 @@ def test_shape_is_formatted_once_per_grid(monkeypatch):
     fresh = RadialGrid(grid.nodes.copy())
     assert fresh.shape() is not grid.shape()
     assert fresh.shape().key() == grid.shape().key()
-    unit = [float(f"{x:.12g}") for x in grid.nodes / grid.r_max]
-    assert grid.shape().key() == np.array(unit).tobytes()
+    # each node of the shape is nodes / r_max to the nearest 40-bit mantissa
+    unit, nodes = grid.nodes / grid.r_max, grid.shape().nodes
+    m, e = np.frexp(nodes)
+    assert np.all(np.ldexp(m, 40) == np.rint(np.ldexp(m, 40)))
+    assert np.all(np.abs(nodes - unit) <= np.ldexp(1.0, e - 41))
 
 
-def test_second_solve_formats_no_shape(monkeypatch):
+@settings(max_examples=200, deadline=None)
+@given(unit_grids(), st.floats(-300.0, 300.0))
+def test_shape_is_exact_under_scaling(grid, log_lam):
+    # a multiple of a shape, over its own r_max, is a few ulps from the
+    # shape's 40-bit nodes, and the rounding maps it straight back
+    shape = grid.shape()
+    assert shape.r_max == 1.0
+    assert RadialGrid(10.0 ** log_lam * shape.nodes).shape().key() == shape.key()
+
+
+def test_second_solve_assembles_no_operator(monkeypatch):
+    _fresh_cache(monkeypatch)
     model = CasimirModel.polytrope(0.5, c=57.0)
     opts = SolverOptions(n=160)
     solve(model, 1.0, opts)
-    formatted, ops = [], []
-    shape_of = RadialGrid._shape.func
+    assembled, ops = [], []
+    assemble = FlatPotentialOperator._assemble
 
     def counted(self):
-        formatted.append(self.n)
-        return shape_of(self)
+        assembled.append(self.grid.n)
+        return assemble(self)
 
     def recorded(grid):
         ops.append(potential.operator_for(grid))
         return ops[-1]
 
-    prop = functools.cached_property(counted)
-    prop.__set_name__(RadialGrid, "_shape")
-    monkeypatch.setattr(RadialGrid, "_shape", prop)
+    monkeypatch.setattr(FlatPotentialOperator, "_assemble", counted)
     monkeypatch.setattr(steady, "operator_for", recorded)
     solve(model, 2.0, opts)
-    assert formatted == [] and len(ops) > 1
-    monkeypatch.undo()
-    # the trial operators hold the one cached kmat, at the scale a freshly
-    # formatted shape of each trial grid gives
+    assert assembled == [] and len(ops) > 1
+    # the trial operators hold the one cached kmat, at the scale the shape
+    # of each trial grid gives
     unit = RadialGrid.hybrid(0.25, 1.0, 160).shape()
     kmat = potential._OP_CACHE[unit.key()].kmat
     for op in ops:

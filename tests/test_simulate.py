@@ -218,6 +218,20 @@ def test_run_emits_rows_and_noise_floor(poly_wide, ss_wide):
             "L3", "max_r"}
     assert set(out["rows"][0]) == cols
     assert out["rows"][-1]["t"] == pytest.approx(0.5)
+    # the run's gates, each from its rows
+    rows = out["rows"]
+    d = [r["D"] for r in rows]
+    l3 = [r["L3"] for r in rows]
+    d_drift = max(abs(x - d[0]) for x in d) / abs(d[0])
+    l3_drift = (max(abs(x - l3[0]) for x in l3)
+                / out["ensemble"].abs_angular_momentum())
+    d_min = min(r["d_dist"] for r in rows)
+    assert (out["d_drift"], out["l3_drift"], out["d_min"]) == (
+        d_drift, l3_drift, d_min)
+    assert [(c["name"], c["lhs"], c["rhs"], c["pass"]) for c in out["checks"]] == [
+        ("D_drift_below_1pc", d_drift, 0.01, d_drift <= 0.01),
+        ("L3_drift_below_1e6", l3_drift, 1e-6, l3_drift <= 1e-6),
+        ("d_above_minus_eps_mc", d_min, -out["eps_mc"], d_min >= -out["eps_mc"])]
 
 
 @pytest.mark.parametrize("kind,delta", [("velocity-scale", 0.1),
