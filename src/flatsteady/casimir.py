@@ -12,7 +12,6 @@ evaluation per argument for a sum of powers or a table.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,7 +27,6 @@ __all__ = [
 ]
 
 _REL_SLACK = 1e-9  # validation slack for floating-point equality cases
-_TINY = np.finfo(float).tiny  # the smallest normal float64
 
 # the package's one velocity-space rule: 64-point Gauss-Legendre on [0, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -229,11 +227,11 @@ class InverseQ:
 
     The constructor resolves the model's kind once into ``_q``, ``_G`` and
     ``_G2``, functions of positive arrays: closed forms for one power term
-    (a polytrope); for a sum of powers Newton's method from above (below
-    the smallest normal float, the lowest power's closed form), for a
-    table the exact root of its quadratic Q' piece, and for both G from
-    the Legendre identity and G2 from ``_substituted_quadrature``.  Each
-    public method checks its argument once.
+    (a polytrope); for a sum of powers Newton's method from above in
+    log f, on log Q'(f) = log eps, for a table the exact root of its
+    quadratic Q' piece, and for both G from the Legendre identity and G2
+    from ``_substituted_quadrature``.  Each public method checks its
+    argument once.
     """
 
     REL_TOL = 1e-12
@@ -250,12 +248,11 @@ class InverseQ:
                                   / ((mu + 1.0) * (mu + 2.0)))
             return
         if model.terms:
-            # Newton's Q' and Q'' terms, formed once rather than per call
-            self._qp_terms = model._derivative_terms(1)
-            self._qpp_terms = model._derivative_terms(2)
-            # the term of largest mu has the lowest power of f in Q', so it
-            # dominates near f = 0
-            self._mu_low = max(mu for _, mu in model.terms)
+            # Q'(f) = sum a_i*f^e_i; term i alone solves Q'(f) = eps at
+            # log f = (log eps - log a_i)/e_i: per-term columns, formed once
+            a, e = np.array(model._derivative_terms(1)).T
+            self._e = e[:, None]
+            self._log_a = np.log(a)[:, None]
             self._q = self._q_newton
         else:
             # Q' is a*t^2 + b*t + c, t = f - x[i], on each [x[i], x[i+1]]; its
@@ -285,7 +282,7 @@ class InverseQ:
         sv = np.atleast_1d(np.asarray(s, dtype=float))
         if not np.isfinite(sv).all():
             raise InputError(f"{name}: non-finite argument")
-        out = np.zeros_like(sv)
+        out = np.zeros(sv.shape)
         pos = sv > 0.0
         if pos.any():
             out[pos] = fn(sv[pos])
@@ -296,30 +293,32 @@ class InverseQ:
         return self._positive("q", eps, self._q)
 
     def _q_newton(self, eps):
-        m = self.model
-        sub = eps < _TINY
-        if sub.any():
-            # below the smallest normal float Q'(f) - eps has lost its digits
-            # and Newton cannot meet its tolerance; there the lowest power's
-            # closed form, scaled to meet Newton's q at _TINY, is the answer
-            f = np.empty_like(eps)
-            f[~sub] = self._q_newton(eps[~sub])
-            f[sub] = (self._q_newton(np.array([_TINY]))
-                      * (eps[sub] / _TINY) ** self._mu_low)
-            return f
-        # upper bracket: the smallest f solving one term alone
-        f = functools.reduce(np.minimum, [(eps / (coef * (1.0 + 1.0 / mu))) ** mu
-                                          for coef, mu in m.terms])
-        # Q' is convex increasing, Newton from above converges monotonically
-        qp, qpp = self._qp_terms, self._qpp_terms
+        """Newton from above on h(d) = log(Q'(f)/eps), d = log f - top.
+
+        top, the log of the smallest single-term root, bounds log q above;
+        term i of Q'(f)/eps is exp(e_i*d + log_r_i), log_r_i <= 0, so h is
+        a log-sum-exp, convex and increasing, and no term under- or
+        overflows.  An entry stops at its first step below REL_TOL, and
+        every exp and log acts on a whole array, so its bits are its own.
+        """
+        x = eps.ravel()
+        # a zero (G2's s*u^2 at a subnormal s) is solved as 5e-324, q = 0
+        top_i = (np.log(np.maximum(x, 5e-324)) - self._log_a) / self._e
+        top = top_i.min(axis=0)
+        log_r = self._e * (top - top_i)
+        d, done = np.zeros(top.shape), np.zeros(top.shape, dtype=bool)
         for _ in range(80):
-            df = (_power_sum(f, qp) - eps) / _power_sum(f, qpp)
-            f_new = np.maximum(f - df, 0.5 * f)
-            done = np.abs(f_new - f) <= self.REL_TOL * np.maximum(f_new, 1e-300)
-            f = f_new
+            w = np.exp(self._e * d + log_r)  # the terms of Q'(f)/eps
+            s = w.sum(axis=0)
+            step = np.log(s) * s / (self._e * w).sum(axis=0)
+            step[done] = 0.0
+            d -= step
+            # steps are >= 0 up to rounding: the descent starts above the root
+            done |= step <= self.REL_TOL
             if done.all():
-                return f
-        bad = float(np.max(eps[~done]))
+                f = np.where(x > 0.0, np.exp(top + d), 0.0)
+                return f.reshape(eps.shape)
+        bad = float(np.max(x[~done]))
         raise ConvergenceError(f"q: Newton did not converge for eps={bad:.6g}")
 
     def _q_table(self, eps):

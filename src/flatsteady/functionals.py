@@ -165,10 +165,10 @@ def proof_scaling_params(m: float, mu3: float) -> ScalingParams:
     factor m^(1+alpha)."""
     if not (0.0 < m <= 1.0):
         raise InputError("proof_scaling_params: need 0 < m <= 1")
+    # b = a^(1/mu3)/m and c = a^(-1/(2*mu3)) in closed form: raising a to
+    # the power 1/mu3 multiplies its rounding error by 1/mu3
     a = m ** (mu3 / (1.0 - mu3))
-    c = a ** (-0.5 / mu3)
-    b = a ** (1.0 / mu3) / m
-    return ScalingParams(a=a, b=b, c=c)
+    return ScalingParams(a=a, b=a, c=m ** (-0.5 / (1.0 - mu3)))
 
 
 # -- steady-state path -----------------------------------------------------

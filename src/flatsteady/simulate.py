@@ -129,12 +129,22 @@ def sample(ss: SteadyState, n: int, seed: int) -> ParticleEnsemble:
     inc = 0.5 * np.diff(r_nodes) * (g[:-1] + g[1:])
     cdf = np.concatenate([[0.0], np.cumsum(inc)])
     cdf /= cdf[-1]
+    # particles can only live where s = E0 - U0 is above this floor; the
+    # cell where s (linear between nodes, as U0 is) falls to it spreads its
+    # mass only up to that point, so no draw lands past the support
+    s_nodes = ss.s_values
+    s_floor = 1e-12 * max(float(np.max(s_nodes)), 0.0)
+    k = int(np.argmax(s_nodes <= s_floor))
+    if k > 0:
+        t = (s_nodes[k - 1] - s_floor) / (s_nodes[k - 1] - s_nodes[k])
+        r_nodes = r_nodes.copy()
+        r_nodes[k] = r_nodes[k - 1] + t * (r_nodes[k] - r_nodes[k - 1])
 
     u = rng.random(n)
     radii = np.interp(u, cdf, r_nodes)
     s_at = np.maximum(ss.E0 - ss.U0(radii), 0.0)
-    # particles can only live where s > 0; clamp stragglers inward
-    s_floor = 1e-12 * np.max(s_at)
+    # a state with density where s is at the floor keeps stragglers there;
+    # they move to r = 0, and run counts them as clamped
     radii = np.where(s_at > s_floor, radii, 0.0)
     s_at = np.maximum(s_at, s_floor)
 

@@ -16,11 +16,11 @@ scale modes.
 The inner fixed point is found by undamped Anderson mixing (Anderson 1965;
 Walker & Ni 2011, SIAM J. Numer. Anal. 49, 1715) with memory 5: with f the
 residual map(rho) - rho and gamma the combination of the last five residual
-differences dF that best cancels f in least squares, each step is
-f - (dX + dF) gamma, dX the matching iterate differences, clipped at
-rho >= 0.  Its residual is not monotone; whenever it grows the history
-restarts, so the next step is a plain fixed-point step rho <- map(rho), and
-ten consecutive growths raise ConvergenceError.  The renormalization
+differences dF that best cancels f, from (dF dF^T) gamma = dF f, each step
+is f - (dX + dF) gamma, dX the matching iterate differences, clipped at
+rho >= 0 (just f if that system is singular).  The residual is not
+monotone; whenever it grows the history restarts, so the next step is f,
+and ten consecutive growths raise ConvergenceError.  The renormalization
 factor A(R) at the inner fixed point is smooth and monotone in R, and
 A(R*) = 1 exactly at the self-consistent state.  The outer iteration
 drives A to one, rescaling the grid around each trial R so the support
@@ -109,6 +109,16 @@ def density_from_potential(model: CasimirModel, E0: float,
                          require_nonnegative=True)
 
 
+def _anderson_step(f, d_rho, d_res):
+    """f - (d_rho + d_res)^T gamma, with (d_res d_res^T) gamma = d_res f: f
+    itself for no rows, a singular system or a gamma that is not finite."""
+    try:
+        gamma = np.linalg.solve(d_res @ d_res.T, d_res @ f)
+    except np.linalg.LinAlgError:
+        return f
+    return f - gamma @ (d_rho + d_res) if np.isfinite(gamma).all() else f
+
+
 def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
                  seed: np.ndarray | None = None):
     """Edge-pinned, mass-renormalized fixed point for a trial edge radius R.
@@ -132,9 +142,9 @@ def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
             f"the trial grid at edge radius R={R:g} leaves the float64 range")
     rho = seed * (M / seed_mass)
 
-    d_rho, d_res = [], []  # Anderson history: iterate and residual differences
-    grow_count = 0
-    prev_res = np.inf
+    # Anderson history: difference pair k since the restart in row k % _MEMORY
+    hist, n_hist = np.empty((2, _MEMORY, r.size)), 0
+    grow_count, prev_res = 0, np.inf
     for it in range(1, _MAX_SWEEPS + 1):
         U = op.potential(rho)
         if not np.isfinite(U).all():
@@ -158,23 +168,14 @@ def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
                 raise ConvergenceError(
                     f"inner residual grew for 10 consecutive sweeps at "
                     f"R={R:g} (residual {res:.3e})")
-            d_rho.clear()  # the safeguard: restart from a plain map step
-            d_res.clear()
+            n_hist = 0  # the safeguard: restart from a plain map step
         else:
             grow_count = 0
             if it > 1:
-                d_rho.append(rho - rho_prev)
-                d_res.append(f - f_prev)
-                if len(d_rho) > _MEMORY:
-                    del d_rho[0], d_res[0]
+                hist[:, n_hist % _MEMORY] = rho - rho_prev, f - f_prev
+                n_hist += 1
         prev_res, rho_prev, f_prev = res, rho, f
-        step = f
-        if d_rho:
-            # Walker & Ni (2011): the combination of past residuals that best
-            # cancels f, applied to the undamped step
-            dF = np.column_stack(d_res)
-            gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
-            step = f - (np.column_stack(d_rho) + dF) @ gamma
+        step = _anderson_step(f, *hist[:, :min(n_hist, _MEMORY)])
         rho = np.maximum(rho + step, 0.0)
     raise ConvergenceError(
         f"no inner convergence in {_MAX_SWEEPS} sweeps at R={R:g} "

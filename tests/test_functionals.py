@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,22 @@ def test_alpha_and_proof_params():
     assert m * p.a ** (1.0 / 0.5) == pytest.approx(m ** 2 * p.b, rel=1e-12)
     assert p.a * p.b ** -2.0 * p.c ** -2.0 == pytest.approx(m, rel=1e-12)
     assert p.a <= 1.0
+
+
+@pytest.mark.parametrize("mu3", [1e-12, 1e-17])
+def test_proof_params_at_small_mu3(mu3):
+    # b and c formed from a^(1/mu3) carried a's rounding error times 1/mu3
+    # (b = 2 and c = 1 at mu3 = 1e-17); against the closed forms at 30 digits
+    m = 0.5
+    p = proof_scaling_params(m, mu3)
+    with mpmath.workdps(30):
+        a = mpmath.mpf(m) ** (mpmath.mpf(mu3) / (1 - mpmath.mpf(mu3)))
+        c = mpmath.mpf(m) ** (-0.5 / (1 - mpmath.mpf(mu3)))
+        for got, ref in ((p.a, a), (p.b, a), (p.c, c)):
+            assert abs(got - ref) <= 1e-15 * ref
+    assert p.a * p.b ** -2.0 * p.c ** -2.0 == pytest.approx(m, rel=1e-15)
+    # mu3 = 1/2 keeps its bits: a = b = m and c = 1/m
+    assert proof_scaling_params(m, 0.5) == ScalingParams(0.5, 0.5, 2.0)
 
 
 def test_scaling_inequality_trivial_at_equal_masses(poly_half):
@@ -181,7 +198,11 @@ def test_single_particle_zero_epot(poly_wide, ss_wide):
     ens = ParticleEnsemble(np.array([[0.3, 0.0]]), np.array([[0.0, 0.1]]),
                            np.array([1e-6]))
     rep = evaluate_ensemble(poly_wide, ens, grid=ss_wide.grid)
-    assert rep.e_pot == 0.0
+    # the self-energy cancels the deposit's energy only up to rounding: an
+    # exact 0 rested on the sign of a one-ulp difference
+    e_dep = operator_for(ss_wide.grid).potential_energy(
+        _bin(ss_wide.grid, ens.positions, ens.weights).rho)
+    assert -1e-15 * abs(e_dep) <= rep.e_pot <= 0.0
 
 
 def test_particle_at_the_origin_has_a_finite_casimir(poly_wide):

@@ -334,6 +334,18 @@ def test_run_counts_clamped_stragglers(poly_wide, ss_wide):
     assert squeezed["clamped"] == out["clamped"]
 
 
+def test_sample_draws_nothing_past_the_support(ss_wide):
+    # with the radius CDF rising across the whole last support cell, seeds 3
+    # and 7 moved 2 and 1 of 10^6 draws to r = 0; the cell now ends where
+    # E0 - U0 falls to sample's floor, which lies past support_radius
+    floor = 1e-12 * ss_wide.s_values.max()
+    for seed in (3, 7):
+        r = sample(ss_wide, 10 ** 6, seed=seed).radii()
+        assert np.count_nonzero(r == 0.0) == 0
+        assert np.min(ss_wide.E0 - ss_wide.U0(r)) > floor
+        assert np.count_nonzero(r > ss_wide.support_radius) > 0
+
+
 def test_run_reports_no_clamping_and_the_pool_size(poly_wide, ss_wide):
     from flatsteady.functionals import _pool
     cfg = SimConfig(n_particles=4000, dt=0.01, t_end=0.02, seed=6)

@@ -157,6 +157,25 @@ def test_undamped_sweeps_stay_within_count(model, budget):
     assert ss.iterations <= budget
 
 
+def test_singular_anderson_history_takes_a_plain_step():
+    # small integers keep every Gram entry exact, so two identical residual
+    # differences make the normal matrix exactly singular
+    f = np.arange(1.0, 9.0)
+    row = np.array([1.0, 2.0, 0.0, 3.0, 0.0, 1.0, 2.0, 1.0])
+    d_rho = np.ones((2, 8))
+    assert steady._anderson_step(f, d_rho, np.stack([row, row])) is f
+    # a subnormal Gram entry gives gamma = 1/1e-320, which overflows
+    d_res = np.zeros((1, 8))
+    d_res[0, 0] = 1e-160
+    f_big = np.full(8, 1e160)
+    assert steady._anderson_step(f_big, d_rho[:1], d_res) is f_big
+    # otherwise gamma is the least-squares combination lstsq finds
+    d_rho, d_res = np.random.default_rng(3).standard_normal((2, 5, 8))
+    gamma = np.linalg.lstsq(d_res.T, f, rcond=None)[0]
+    assert np.allclose(steady._anderson_step(f, d_rho, d_res),
+                       f - gamma @ (d_rho + d_res), rtol=1e-12, atol=1e-12)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.floats(-2.0, 2.0))
 def test_double_power_solves_within_sweep_budget(mu1, mu2, log_m):
