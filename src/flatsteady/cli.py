@@ -260,7 +260,7 @@ def _read_state(prefix, model) -> SteadyState:
             f"<= r_max = {grid.r_max:.17g}, residual >= 0 and an integer "
             "iterations >= 0, all finite")
     return SteadyState(
-        model=model, grid=grid,
+        model=model,
         rho0=RadialProfile(grid, data[1], require_nonnegative=True),
         U0=RadialProfile(grid, data[2]), **{k: side[k] for k in _STATE_FIELDS})
 

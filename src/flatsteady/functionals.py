@@ -258,9 +258,7 @@ def _bin(grid: RadialGrid, x: np.ndarray, masses: np.ndarray) -> _Binning:
     # the node above cell i is i + 1: shift instead of a second index array
     node_mass[1:] += np.bincount(idx, weights=hi, minlength=grid.n)[:-1]
     ringw = grid.ring_weights
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho = np.where(ringw > 0.0,
-                       node_mass / np.where(ringw > 0.0, ringw, 1.0), 0.0)
+    rho = node_mass / np.where(ringw > 0.0, ringw, np.inf)
     return _Binning(grid, radii, idx, frac, outside, rho, node_mass)
 
 

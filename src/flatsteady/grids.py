@@ -258,19 +258,14 @@ class RadialGrid:
         return float(self.nodes[-1])
 
     @property
-    def trapz_weights(self) -> np.ndarray:
-        """Weights w_i with sum_i w_i g(r_i) ~ int g(r) dr."""
-        r = self.nodes
-        w = np.empty_like(r)
-        w[0] = 0.5 * (r[1] - r[0])
-        w[-1] = 0.5 * (r[-1] - r[-2])
-        w[1:-1] = 0.5 * (r[2:] - r[:-2])
-        return w
-
-    @property
     def ring_weights(self) -> np.ndarray:
-        """Weights for planar area integrals: 2*pi*r_i*dr_i."""
-        return 2.0 * np.pi * self.nodes * self.trapz_weights
+        """Weights for planar area integrals: 2*pi*r_i*dr_i, trapezoidal dr_i."""
+        r = self.nodes
+        dr = np.empty_like(r)
+        dr[0] = 0.5 * (r[1] - r[0])
+        dr[-1] = 0.5 * (r[-1] - r[-2])
+        dr[1:-1] = 0.5 * (r[2:] - r[:-2])
+        return 2.0 * np.pi * r * dr
 
     def key(self) -> bytes:
         return self.nodes.tobytes()

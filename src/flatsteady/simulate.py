@@ -173,10 +173,12 @@ def _grid_accel_arrays(x: np.ndarray, binned,
     """Axisymmetrized force at positions x from their binning.
 
     Kernel potential of the binning's deposit, and the derivative of its
-    not-a-knot cubic spline gathered at each particle's cell; the force is
-    held at its r_max value past the grid.  The derivative is summed in
-    scipy's PPoly order, so it equals ``CubicSpline(nodes, U).derivative()(r)``
-    bit for bit.  Writes into ``out`` when given.
+    not-a-knot cubic spline gathered at each particle's cell.  Past the grid
+    (``binned.outside``) the force is the monopole -M x / r^3 of the mass M
+    the potential is built from, ``ring_weights @ rho``.  The derivative is
+    summed in scipy's PPoly order, so it equals
+    ``CubicSpline(nodes, U).derivative()(r)`` bit for bit.  Writes into
+    ``out`` when given.
     """
     # imported here: scipy.interpolate takes most of the package's import time
     from scipy.interpolate import CubicSpline
@@ -186,18 +188,25 @@ def _grid_accel_arrays(x: np.ndarray, binned,
     # one row per cell: its lower node and the derivative's coefficients,
     # so that a particle's cell is one gather
     table = np.column_stack([grid.nodes[:-1], dc[2], dc[1], dc[0]])
-    radii, idx, r_max = binned.radii, binned.idx, grid.r_max
+    radii, idx, outside = binned.radii, binned.idx, binned.outside
+    r_max = grid.r_max
+    m_grid = float(grid.ring_weights @ binned.rho)
     acc = np.empty_like(x) if out is None else out
 
     def gather(a, b):
         r = radii[a:b]
         cell = table.take(idx[a:b], axis=0)
-        t = np.minimum(r, r_max)
+        t = np.minimum(r, r_max)  # kept finite where the monopole replaces it
         t -= cell[:, 0]
         dU = cell[:, 1] + cell[:, 2] * t + cell[:, 3] * (t * t)
         with np.errstate(invalid="ignore", divide="ignore"):
             scale = np.divide(-dU, r, out=dU)
         scale[r == 0.0] = 0.0  # no direction at the origin
+        far = outside[a:b]
+        if far.any():
+            # divided one r at a time: r^3 overflows past about 1e102
+            r_far = r[far]
+            scale[far] = -m_grid / r_far / r_far / r_far
         np.multiply(scale, x[a:b, 0], out=acc[a:b, 0])
         np.multiply(scale, x[a:b, 1], out=acc[a:b, 1])
 

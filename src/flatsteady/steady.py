@@ -36,7 +36,7 @@ polytrope is self-similar in R, and its later evaluations take one sweep.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,24 +63,27 @@ class SolverOptions:
     n: int = 384  # nodes of each trial grid
 
 
-@dataclass
+@dataclass(frozen=True)
 class SteadyState:
-    """Converged fixed point of rho = 2*pi*G(E0 - U_rho) at prescribed mass."""
+    """Converged fixed point of rho = 2*pi*G(E0 - U_rho) at prescribed mass;
+    its grid is rho0's and its inverse q the model's."""
 
     model: CasimirModel
     E0: float
-    grid: RadialGrid
     rho0: RadialProfile
     U0: RadialProfile
     mass: float
     support_radius: float
     residual: float
     iterations: int
-    inv: InverseQ = field(repr=False, default=None)
 
-    def __post_init__(self):
-        if self.inv is None:
-            self.inv = self.model.inverse()
+    @property
+    def grid(self) -> RadialGrid:
+        return self.rho0.grid
+
+    @functools.cached_property
+    def inv(self) -> InverseQ:
+        return self.model.inverse()
 
     @property
     def s_values(self) -> np.ndarray:
@@ -249,11 +252,11 @@ def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> S
             f"radius R={R:g}, residual {residual:.3e})")
 
     return SteadyState(
-        model=model, E0=float(E0), grid=grid,
+        model=model, E0=float(E0),
         rho0=RadialProfile(grid, rho, require_nonnegative=True),
         U0=RadialProfile(grid, U),
         mass=mass, support_radius=support_radius,
-        residual=residual, iterations=sweeps, inv=inv,
+        residual=residual, iterations=sweeps,
     )
 
 

@@ -225,6 +225,28 @@ def test_criterion_10_stability_baseline(poly_wide, ss_wide):
     assert elapsed < 600.0
 
 
+# (S - eps_mc) / delta^2 over seeds 12-17 at each delta below: 20.8-26.6 at
+# 0.025, 25.1-27.1 at 0.05 and 25.6-26.9 at 0.1
+_ENVELOPE_BAND = (17.0, 31.0)
+
+
+@pytest.mark.slow
+def test_perturbed_envelope_shrinks_as_delta_squared(ss_wide):
+    # the paper's stability statement: d(f, f0) - E_pot(rho_f - rho0) starts
+    # small and stays small; its largest value over a dynamical time,
+    # S(delta), less the draw's noise floor, scales as delta^2
+    t_dyn = ss_wide.dynamical_time()
+    cfg = SimConfig(n_particles=200_000, dt=0.005 * t_dyn, t_end=t_dyn,
+                    seed=12, output_every=50)
+    lo, hi = _ENVELOPE_BAND
+    for delta in (0.025, 0.05, 0.1):
+        out = run(ss_wide, cfg, "velocity-scale", delta)
+        rows = out["rows"]
+        assert len(rows) == 5  # a row every quarter dynamical time
+        excess = max(r["d_dist"] - r["epot_diff"] for r in rows) - out["eps_mc"]
+        assert lo * delta ** 2 <= excess <= hi * delta ** 2, delta
+
+
 def test_criterion_11_determinism(tmp_path):
     ini = """\
 [model]

@@ -257,10 +257,15 @@ def test_force_gather_matches_spline_derivative(ss_wide, ens_edge):
     grid = ss_wide.grid
     x, w = ens_edge.positions, ens_edge.weights
     radii = np.hypot(x[:, 0], x[:, 1])
-    U = operator_for(grid).potential(_ref_deposit(grid, radii, w))
+    rho = _ref_deposit(grid, radii, w)
+    U = operator_for(grid).potential(rho)
     dU = CubicSpline(grid.nodes, U).derivative()(np.clip(radii, 0.0, grid.r_max))
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(radii > 0.0, -dU / np.where(radii > 0.0, radii, 1.0), 0.0)
+    # past the grid, the monopole of the deposited mass
+    outside = radii > grid.r_max
+    assert outside.any()
+    scale[outside] = -(grid.ring_weights @ rho) / radii[outside] ** 3
     ref = scale[:, None] * x
     got = _grid_accel_arrays(x, _bin(grid, x, w))
     np.testing.assert_allclose(got, ref, rtol=1e-12,

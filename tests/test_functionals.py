@@ -231,9 +231,8 @@ def test_single_particle_self_energy_is_its_deposit_energy(r, phi, log_m):
     e_dep = operator_for(grid).potential_energy(binned.rho)
     model = CasimirModel.polytrope(0.5)
     zero = RadialProfile(grid, np.zeros(grid.n))
-    empty = SteadyState(model=model, E0=-1.0, grid=grid, rho0=zero, U0=zero,
-                        mass=1.0, support_radius=1.0, residual=0.0,
-                        iterations=0)
+    empty = SteadyState(model=model, E0=-1.0, rho0=zero, U0=zero, mass=1.0,
+                        support_radius=1.0, residual=0.0, iterations=0)
     ens = ParticleEnsemble(x, np.zeros_like(x), m)
     row, _ = _ensemble_row(model, ens, binned, empty)
     assert abs(row["epot_diff"]) <= 1e-13 * abs(e_dep)
@@ -316,7 +315,7 @@ def _states(poly_wide, ss_wide):
     return [(poly_wide, ss_wide), (dp, solve(dp, 1.0, SolverOptions(n=192))),
             # the custom model on the polytrope's potential: the sums need
             # only E0, U0 and q, not a self-consistent state
-            (custom, dataclasses.replace(ss_wide, model=custom, inv=None))]
+            (custom, dataclasses.replace(ss_wide, model=custom))]
 
 
 def test_moment_sums_match_inline_expressions(poly_wide, ss_wide):

@@ -160,6 +160,33 @@ def test_grid_force_matches_steady(ss_wide):
     assert err / ref < 0.05
 
 
+def test_force_past_the_grid_is_the_monopole_of_the_grid_mass(ss_wide):
+    # probes of negligible mass at rest on the x axis past r_max; the rest
+    # of the draw fixes the deposit, and the grid potential's mass is
+    # ring_weights @ rho of that deposit
+    grid = ss_wide.grid
+    probes = np.array([6.0, 20.0, 100.0])
+    assert np.all(probes > grid.r_max)
+    ens = sample(ss_wide, 20_000, seed=3)
+    x = np.concatenate([ens.positions, np.column_stack([probes, 0.0 * probes])])
+    v = np.concatenate([ens.velocities, np.zeros((3, 2))])
+    w = np.concatenate([ens.weights, np.full(3, 1e-15)])
+    cloud = ParticleEnsemble(x, v, w)
+
+    def expected(x):
+        m_grid = grid.ring_weights @ functionals._bin(grid, x, w).rho
+        r = np.hypot(x[-3:, 0], x[-3:, 1])
+        return -m_grid * x[-3:] / r[:, None] ** 3
+
+    acc = accelerations(cloud, grid)
+    assert np.allclose(acc[-3:, 0], expected(x)[:, 0], rtol=1e-12, atol=0.0)
+    assert np.all(acc[-3:, 1] == 0.0)
+    moved, acc_new = step(cloud, 0.01, grid, acc=acc)
+    assert np.all(moved.positions[-3:, 0] < probes)
+    assert np.allclose(acc_new[-3:], expected(moved.positions),
+                       rtol=1e-12, atol=0.0)
+
+
 def test_direct_force_matches_steady_in_the_mean(ss_wide):
     # the pairwise sum is grainy particle by particle, so compare the
     # bin-averaged inward radial acceleration against the smooth force;

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +86,36 @@ def test_regularity_edge_exponent(ss_half):
 
 def test_dynamical_time_positive(ss_half):
     assert ss_half.dynamical_time() > 0.0
+
+
+# -- a state stores what solve decides; its grid and inverse follow ----------
+
+def test_replaced_model_brings_its_own_inverse(ss_half):
+    other = CasimirModel.polytrope(0.5, c=57.0)
+    s = np.array([0.25, 1.0, 4.0])
+    assert ss_half.inv.q(s)[1] != other.inverse().q(s)[1]
+    swapped = dataclasses.replace(ss_half, model=other)
+    assert np.array_equal(swapped.inv.q(s), other.inverse().q(s))
+    # the original keeps its own
+    assert np.array_equal(ss_half.inv.q(s), ss_half.model.inverse().q(s))
+
+
+def test_replaced_density_brings_its_own_grid(ss_half):
+    g2 = RadialGrid(2.0 * ss_half.grid.nodes)
+    moved = dataclasses.replace(
+        ss_half, rho0=RadialProfile(g2, ss_half.rho0.values),
+        U0=RadialProfile(g2, ss_half.U0.values))
+    assert moved.grid is g2
+    assert ss_half.grid is ss_half.rho0.grid
+
+
+def test_state_fields_cannot_be_assigned(ss_half):
+    # an assignment would leave the cached moments stale
+    for f in dataclasses.fields(ss_half):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ss_half, f.name, getattr(ss_half, f.name))
+    assert {f.name for f in dataclasses.fields(ss_half)}.isdisjoint(
+        {"grid", "inv"})
 
 
 # -- the outer edge iteration at the edges of the model family --------------
