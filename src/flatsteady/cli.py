@@ -32,8 +32,8 @@ from .functionals import (evaluate_steady, scaling_inequality_check,
                           split_diagnostic)
 from .grids import RadialGrid, RadialProfile, read_csv, write_csv
 from .potential import potential_from_density
-from .steady import (_MASS_TOL, SolverOptions, SteadyState, regularity_report,
-                     solve)
+from .steady import (_MASS_TOL, _RESIDUAL_CAP, SolverOptions, SteadyState,
+                     regularity_report, solve)
 from .simulate import SimConfig, _check_perturbation, _rng, run
 
 __all__ = ["main"]
@@ -181,12 +181,12 @@ def _model_record(model: CasimirModel) -> dict:
     return json.loads(_fmt(record))
 
 
-def _write_state(out_dir, prefix, ss: SteadyState, cfg_path, model):
+def _write_state(out_dir, prefix, ss: SteadyState, cfg_path):
     csv_path = os.path.join(out_dir, prefix + ".csv")
     json_path = os.path.join(out_dir, prefix + ".json")
     write_csv(csv_path, {"version": __version__, "grid_hash": ss.grid.content_hash()},
               ("r", "rho", "U"), (ss.grid.nodes, ss.rho0.values, ss.U0.values))
-    report = evaluate_steady(model, ss)
+    report = evaluate_steady(ss.model, ss)
     payload = _stamp(cfg_path, grid=ss.grid)
     payload.update({
         "E0": ss.E0, "mass": ss.mass,
@@ -194,36 +194,33 @@ def _write_state(out_dir, prefix, ss: SteadyState, cfg_path, model):
         "residual": ss.residual, "iterations": ss.iterations,
         "functionals": report.to_dict(),
         "regularity": regularity_report(ss),
-        "model": _model_record(model),
+        "model": _model_record(ss.model),
     })
     _write_json(json_path, payload)
     return csv_path, json_path
 
 
 # the sidecar fields ``_read_state`` passes to ``SteadyState``, each with
-# the range its value has in a solved state on a grid reaching r_max
-_STATE_FIELDS = {
-    "E0": lambda v, r_max: v < 0.0,
-    "mass": lambda v, r_max: v > 0.0,
-    "support_radius": lambda v, r_max: 0.0 < v <= r_max,
-    "residual": lambda v, r_max: v >= 0.0,
-    "iterations": lambda v, r_max: v >= 0,
-}
+# the range its value has in a solved state
+_STATE_FIELDS = {"E0": lambda v: v < 0.0, "iterations": lambda v: v >= 0}
 
 
-def _is_state_value(key, value, r_max) -> bool:
+def _is_state_value(key, value) -> bool:
     """value is a JSON number (not a bool) of finite float value, an
     integer for ``iterations``, in the field's solved range."""
     if isinstance(value, bool) or not isinstance(
             value, int if key == "iterations" else (int, float)):
         return False
     try:
-        return math.isfinite(value) and _STATE_FIELDS[key](value, r_max)
+        return math.isfinite(value) and _STATE_FIELDS[key](value)
     except OverflowError:  # an integer past the float range
         return False
 
 
 def _read_state(prefix, model) -> SteadyState:
+    """The state of ``prefix``.csv's grid, rho0 and U0 and ``prefix``.json's
+    E0 and iterations; a pair whose residual exceeds _RESIDUAL_CAP (inf for
+    an all-zero density) is stale."""
     csv_path = prefix + ".csv"
     json_path = prefix + ".json"
     for p in (csv_path, json_path):
@@ -250,19 +247,22 @@ def _read_state(prefix, model) -> SteadyState:
     if missing:
         raise FlatSteadyError(
             f"stale artifact: {json_path!r} has no {', '.join(missing)}")
-    bad = [k for k in _STATE_FIELDS
-           if not _is_state_value(k, side[k], grid.r_max)]
+    bad = [k for k in _STATE_FIELDS if not _is_state_value(k, side[k])]
     if bad:
         raise FlatSteadyError(
             f"stale artifact: {json_path!r} has "
             + ", ".join(f"{k} = {json.dumps(side[k])}" for k in bad)
-            + "; a solved state has E0 < 0, mass > 0, 0 < support_radius "
-            f"<= r_max = {grid.r_max:.17g}, residual >= 0 and an integer "
-            "iterations >= 0, all finite")
-    return SteadyState(
+            + "; a solved state has E0 < 0 and an integer iterations >= 0, "
+            "both finite")
+    ss = SteadyState(
         model=model,
         rho0=RadialProfile(grid, data[1], require_nonnegative=True),
         U0=RadialProfile(grid, data[2]), **{k: side[k] for k in _STATE_FIELDS})
+    if not ss.residual <= _RESIDUAL_CAP:
+        raise FlatSteadyError(
+            f"stale artifact: {csv_path!r} with E0 = {ss.E0!r} has residual "
+            f"{ss.residual:.3e} > {_RESIDUAL_CAP:.1e}; it is no converged state")
+    return ss
 
 
 def _state_for(cp, args, model, out_dir):
@@ -286,7 +286,7 @@ def _state_for(cp, args, model, out_dir):
                 f"config asks for [solver] n = {n}")
         return ss
     ss = solve(model, 1.0 if mass is None else mass, _solver_opts(cp))
-    _write_state(out_dir, "steady", ss, args.config, model)
+    _write_state(out_dir, "steady", ss, args.config)
     return ss
 
 
@@ -314,7 +314,7 @@ def _cmd_solve(args, cp):
     if mass <= 0:
         raise InputError("config: [solve] mass must be positive")
     ss = solve(model, mass, _solver_opts(cp))
-    _write_state(args.out, "steady", ss, args.config, model)
+    _write_state(args.out, "steady", ss, args.config)
     return 0
 
 
@@ -363,7 +363,7 @@ def _cmd_evolve(args, cp):
     ss = _state_for(cp, args, model, args.out)
     t_dyn = ss.dynamical_time()
     cfg = replace(cfg, dt=cfg.dt * t_dyn, t_end=cfg.t_end * t_dyn)
-    out = run(ss, cfg, perturbation=perturbation, delta=delta, model=model)
+    out = run(ss, cfg, perturbation=perturbation, delta=delta)
 
     rows = out["rows"]
     ens = out["ensemble"]

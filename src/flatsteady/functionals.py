@@ -37,7 +37,7 @@ from .casimir import CasimirModel, _velocity_moments
 from .errors import InputError
 from .grids import RadialGrid, RadialProfile, _CellTable
 from .potential import FlatPotentialOperator, lp_norm, operator_for
-from .steady import SteadyState
+from .steady import _RESIDUAL_CAP, SteadyState
 
 __all__ = ["FunctionalReport", "ScalingParams", "evaluate_steady",
            "evaluate_ensemble", "rescale_steady", "scaling_inequality_check",
@@ -48,7 +48,6 @@ __all__ = ["FunctionalReport", "ScalingParams", "evaluate_steady",
 # calls outweigh its dispatch, small enough that its temporaries stay in
 # cache and add little to the peak memory.
 _CHUNK = 65536
-_RESIDUAL_CAP = 1e-6  # largest residual ``evaluate_steady`` accepts
 # smallest normal float64: a sum of squares below it has lost digits
 _SQUARE_MIN = np.finfo(float).tiny
 
@@ -174,7 +173,9 @@ def proof_scaling_params(m: float, mu3: float) -> ScalingParams:
 # -- steady-state path -----------------------------------------------------
 
 def evaluate_steady(model: CasimirModel, ss: SteadyState) -> FunctionalReport:
-    """Exact (per quadrature) functionals of a converged steady state."""
+    """Exact (per quadrature) functionals of a converged state; model is ss.model."""
+    if model is not ss.model:
+        raise InputError("evaluate_steady: model is not the state's model")
     if ss.residual > _RESIDUAL_CAP:
         raise InputError(
             f"evaluate_steady: state residual {ss.residual:.3e} exceeds "
@@ -416,7 +417,7 @@ def evaluate_ensemble(model: CasimirModel, ens,
 
 # -- scaling ---------------------------------------------------------------
 
-def rescale_steady(model: CasimirModel, ss: SteadyState, p: ScalingParams) -> dict:
+def rescale_steady(ss: SteadyState, p: ScalingParams) -> dict:
     """Predicted and directly evaluated functionals of f_bar = a*f0(b*x, c*v).
 
     The prediction applies the scaling identities term by term, with C(a*f0)
@@ -426,13 +427,13 @@ def rescale_steady(model: CasimirModel, ss: SteadyState, p: ScalingParams) -> di
     same evaluator, and its potential energy from an independently assembled
     operator on that density.
     """
-    base = evaluate_steady(model, ss)
+    base = evaluate_steady(ss.model, ss)
     a, b, c = p.a, p.b, p.c
     q = ss.inv.q
     s = np.maximum(ss.s_values, 0.0)
 
     c_of_af = float(np.sum(ss.grid.ring_weights * _velocity_moments(
-        model, s, lambda t: a * q(t))[2]))
+        ss.model, s, lambda t: a * q(t))[2]))
     predicted = {
         "mass": a * b ** -2 * c ** -2 * base.mass,
         "e_kin": a * b ** -2 * c ** -4 * base.e_kin,
@@ -442,7 +443,7 @@ def rescale_steady(model: CasimirModel, ss: SteadyState, p: ScalingParams) -> di
 
     # at w = s/c^2 - t the rescaled density is a*q(s - c^2*w) = a*q(c^2*t)
     rho_bar, kin_bar, cas_bar = _velocity_moments(
-        model, s / c ** 2, lambda t: a * q(c ** 2 * t))
+        ss.model, s / c ** 2, lambda t: a * q(c ** 2 * t))
     scaled_grid = RadialGrid(ss.grid.nodes / b)
     ringw = scaled_grid.ring_weights
     # an independent assembly: operator_for would derive this operator from
@@ -476,7 +477,7 @@ def scaling_inequality_check(model: CasimirModel, M1: float, M2: float,
     margin = d1 - rhs
 
     p = proof_scaling_params(m, mu3)
-    res = rescale_steady(model, ss2, p)
+    res = rescale_steady(ss2, p)
     d_rescaled = (res["direct"]["e_kin"] + res["direct"]["casimir"]
                   + res["direct"]["e_pot"])
     return {
@@ -530,7 +531,7 @@ def split_diagnostic(ss: SteadyState, R: float, C: float = None) -> dict:
 
 # -- stability metric ------------------------------------------------------
 
-def stability_distance(model: CasimirModel, ss: SteadyState, ens) -> tuple:
+def stability_distance(ss: SteadyState, ens) -> tuple:
     """(d(f, f0), E_pot(rho_f - rho0)) for an ensemble against a steady state.
 
     d = [C(f) - C(f0)] + iint (E - E0)(f - f0) with E = |v|^2/2 + U0(x)
@@ -539,6 +540,6 @@ def stability_distance(model: CasimirModel, ss: SteadyState, ens) -> tuple:
     """
     if ens.positions.shape[0] == 0:
         raise InputError("stability_distance: empty ensemble")
-    row, _ = _ensemble_row(model, ens, _bin(ss.grid, ens.positions,
-                                            ens.weights), ss)
+    row, _ = _ensemble_row(ss.model, ens, _bin(ss.grid, ens.positions,
+                                               ens.weights), ss)
     return row["d_dist"], row["epot_diff"]

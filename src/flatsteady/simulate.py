@@ -299,18 +299,18 @@ def _apply_perturbation(ens: ParticleEnsemble, kind: str,
     return replace(ens, positions=(1.0 + delta) * ens.positions)
 
 
-def _noise_floor(model, ss, ens, d0: float = None) -> float:
+def _noise_floor(ss, ens, d0: float = None) -> float:
     """Monte-Carlo noise floor of the distance metric: |d| at t=0 on the
     full ensemble (d0, evaluated here when not given) plus the spread of d
     between its two halves."""
     if d0 is None:
-        d0, _ = stability_distance(model, ss, ens)
+        d0, _ = stability_distance(ss, ens)
     half = ens.n // 2
     if half < 1000:
         return abs(d0)
-    da, _ = stability_distance(model, ss, ParticleEnsemble(
+    da, _ = stability_distance(ss, ParticleEnsemble(
         ens.positions[:half], ens.velocities[:half], ens.weights[:half]))
-    db, _ = stability_distance(model, ss, ParticleEnsemble(
+    db, _ = stability_distance(ss, ParticleEnsemble(
         ens.positions[half:], ens.velocities[half:], ens.weights[half:]))
     return abs(d0) + abs(da - db)
 
@@ -329,9 +329,10 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     last ensemble's sum of w*|L3|, "d_min": the smallest d_dist, "checks":
     the gates d_drift <= 1%, l3_drift <= 1e-6 and d_min >= -eps_mc}; rows
     carry the CSV columns t, e_kin, e_pot, casimir, D, d_dist, epot_diff,
-    L3, max_r.
+    L3, max_r.  A model, if given, must be ss.model itself.
     """
-    model = model or ss.model
+    if model is not None and model is not ss.model:
+        raise InputError("run: model is not the state's model")
     drawn = sample(ss, cfg.n_particles, cfg.seed)
     ens = _apply_perturbation(drawn, perturbation, delta)
     x, v, w = ens.positions, ens.velocities, ens.weights
@@ -347,7 +348,7 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     def record(binned, t):
         nonlocal last, escaped, mass_past_grid
         last = ParticleEnsemble(x, v, w, time=t)
-        row, past = _ensemble_row(model, last, binned, ss)
+        row, past = _ensemble_row(ss.model, last, binned, ss)
         rows.append(row)
         mass_past_grid = max(mass_past_grid, past)
         escaped = max(escaped, int(np.count_nonzero(binned.radii > escape_r)))
@@ -359,7 +360,7 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     clamped = int(np.count_nonzero(binned.radii == 0.0))
     record(binned, 0.0)
     # before the first drift: a perturbed ensemble shares an array with the draw
-    eps_mc = _noise_floor(model, ss, drawn,
+    eps_mc = _noise_floor(ss, drawn,
                           rows[0]["d_dist"] if ens is drawn else None)
     del binned, drawn, ens  # the steps keep x, v, w and the kick alone
     kick *= 0.5 * dt

@@ -53,6 +53,7 @@ _MEMORY = 5  # Anderson mixing: past sweeps whose differences enter a step
 _MAX_SWEEPS = 400  # inner sweeps per trial edge radius before giving up
 _RESIDUAL_TOL = 1e-13  # relative inner residual at which a sweep stops
 _MASS_TOL = 1e-9  # relative mass defect a converged state may carry
+_RESIDUAL_CAP = 1e-6  # largest residual of a converged state
 _R_SEED = 1.0  # first trial edge radius
 _OUTER_TOL = 1e-10  # |A - 1| at which the outer edge iteration stops
 _MAX_OUTER = 40  # outer edge evaluations before giving up
@@ -66,15 +67,12 @@ class SolverOptions:
 @dataclass(frozen=True)
 class SteadyState:
     """Converged fixed point of rho = 2*pi*G(E0 - U_rho) at prescribed mass;
-    its grid is rho0's and its inverse q the model's."""
+    its grid, inverse q, mass, support radius and residual are derived."""
 
     model: CasimirModel
     E0: float
     rho0: RadialProfile
     U0: RadialProfile
-    mass: float
-    support_radius: float
-    residual: float
     iterations: int
 
     @property
@@ -84,6 +82,23 @@ class SteadyState:
     @functools.cached_property
     def inv(self) -> InverseQ:
         return self.model.inverse()
+
+    @functools.cached_property
+    def mass(self) -> float:
+        return float(np.sum(self.grid.ring_weights * self.rho0.values))
+
+    @functools.cached_property
+    def support_radius(self) -> float:
+        """The last node with rho0 above _SUPPORT_CUT of its max; 0 if none."""
+        nz = np.nonzero(self.rho0.values > _SUPPORT_CUT * np.max(self.rho0.values))[0]
+        return float(self.grid.nodes[nz[-1]]) if nz.size else 0.0
+
+    @functools.cached_property
+    def residual(self) -> float:
+        """max |2*pi*G(E0 - U0) - rho0| / max rho0; inf for rho0 = 0."""
+        rho, peak = self.rho0.values, np.max(self.rho0.values)
+        defect = np.max(np.abs(2.0 * np.pi * self.inv.G(self.s_values) - rho))
+        return float(defect / peak) if peak > 0.0 else np.inf
 
     @property
     def s_values(self) -> np.ndarray:
@@ -233,31 +248,19 @@ def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> S
             f"no outer convergence in {_MAX_OUTER} edge evaluations "
             f"(renormalization defect {A - 1.0:.3e})")
 
-    ringw = grid.ring_weights
-    rho_check = 2.0 * np.pi * inv.G(E0 - U)
-    residual = float(np.max(np.abs(rho_check - rho)) / np.max(rho))
-    mass = float(np.sum(ringw * rho))
-    if abs(mass - M) > _MASS_TOL * M:
-        raise ConvergenceError(f"mass defect {abs(mass - M):.3e} exceeds tolerance")
+    ss = SteadyState(model=model, E0=float(E0), iterations=sweeps,
+                     rho0=RadialProfile(grid, rho, require_nonnegative=True),
+                     U0=RadialProfile(grid, U))
+    if abs(ss.mass - M) > _MASS_TOL * M:
+        raise ConvergenceError(f"mass defect {abs(ss.mass - M):.3e} exceeds tolerance")
     if not (np.isfinite(E0) and E0 < 0.0):
         raise ConvergenceError(
             f"converged cutoff energy E0={E0:g} is not that of a bound state")
-
-    r = grid.nodes
-    nz = np.nonzero(rho > _SUPPORT_CUT * np.max(rho))[0]
-    support_radius = float(r[nz[-1]]) if nz.size else 0.0
-    if nz.size and nz[-1] >= r.size - 2:
+    if ss.support_radius >= grid.nodes[-2]:
         raise GridTooSmallError(
             f"support reaches the grid edge (r_max={grid.r_max:g}, edge "
-            f"radius R={R:g}, residual {residual:.3e})")
-
-    return SteadyState(
-        model=model, E0=float(E0),
-        rho0=RadialProfile(grid, rho, require_nonnegative=True),
-        U0=RadialProfile(grid, U),
-        mass=mass, support_radius=support_radius,
-        residual=residual, iterations=sweeps,
-    )
+            f"radius R={R:g}, residual {ss.residual:.3e})")
+    return ss
 
 
 def regularity_report(ss: SteadyState) -> dict:

@@ -99,7 +99,7 @@ def test_criterion_06_scaling_identity(poly_half, ss_half):
     rng = np.random.default_rng(0)
     for _ in range(20):
         a, b, c = rng.uniform(0.5, 2.0, size=3)
-        res = rescale_steady(poly_half, ss_half, ScalingParams(a, b, c))
+        res = rescale_steady(ss_half, ScalingParams(a, b, c))
         for key in ("mass", "e_kin", "e_pot", "casimir"):
             rel = abs(res["direct"][key] - res["predicted"][key]) \
                 / abs(res["predicted"][key])
@@ -114,7 +114,7 @@ def test_criterion_06_scaling_identity(poly_half, ss_half):
 def test_scaling_identity_for_random_factors(poly_half, ss_half, log_abc):
     # criterion 06 over log-uniform (a, b, c) in [0.2, 5]^3
     a, b, c = np.exp(log_abc)
-    res = rescale_steady(poly_half, ss_half, ScalingParams(a, b, c))
+    res = rescale_steady(ss_half, ScalingParams(a, b, c))
     for key in ("mass", "e_kin", "e_pot", "casimir"):
         rel = abs(res["direct"][key] - res["predicted"][key]) \
             / abs(res["predicted"][key])

@@ -283,7 +283,7 @@ def test_fused_row_matches_separate_paths(poly_wide, ss_wide, ens_edge):
         assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
     # the kinetic sum and the histogram Casimir keep their arithmetic
     assert (row["e_kin"], row["casimir"]) == (ref["e_kin"], ref["casimir"])
-    d, epot_diff = stability_distance(poly_wide, ss_wide, ens_edge)
+    d, epot_diff = stability_distance(ss_wide, ens_edge)
     assert (d, epot_diff) == (row["d_dist"], row["epot_diff"])
     rep = evaluate_ensemble(poly_wide, ens_edge, grid=ss_wide.grid)
     assert (rep.e_pot, rep.casimir, rep.d) == (row["e_pot"], row["casimir"], row["D"])

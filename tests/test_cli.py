@@ -398,10 +398,7 @@ def test_state_sidecar_without_e0_fails(solved_dir, tmp_path, capsys):
     assert not (tmp_path / "split.json").exists()
 
 
-@pytest.mark.parametrize("key,value", [
-    ("E0", None), ("mass", "1.0"), ("residual", float("nan")),
-    ("support_radius", True), ("iterations", 2.5),
-])
+@pytest.mark.parametrize("key,value", [("E0", None), ("iterations", 2.5)])
 def test_state_sidecar_with_a_non_number_fails(solved_dir, tmp_path, capsys,
                                                key, value):
     side = json.loads((solved_dir[0] / "steady.json").read_text())
@@ -412,19 +409,13 @@ def test_state_sidecar_with_a_non_number_fails(solved_dir, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("key,value", [
-    ("E0", 0.5), ("E0", 0.0), ("mass", -1.0), ("mass", 0), ("residual", -1.0),
-    ("iterations", -5), ("support_radius", -3.0), ("support_radius", 0.0),
-    ("support_radius", "past r_max"),
+    ("E0", 0.5), ("E0", 0.0), ("iterations", -5),
 ])
 def test_state_sidecar_with_an_out_of_range_value_fails(solved_dir, tmp_path,
                                                         capsys, key, value):
     # finite numbers that no solved state has mark a stale artifact (exit 1),
     # not a usage error, and split writes nothing
     side = json.loads((solved_dir[0] / "steady.json").read_text())
-    if value == "past r_max":
-        r = np.loadtxt(solved_dir[0] / "steady.csv", delimiter=",",
-                       skiprows=3, usecols=0)
-        value = float(np.nextafter(r[-1], np.inf))
     side[key] = value
     assert _run_with_sidecar(solved_dir, tmp_path, json.dumps(side)) == 1
     err = capsys.readouterr().err
@@ -440,6 +431,67 @@ def test_evolve_on_a_sidecar_with_a_null_e0_fails(solved_dir, tmp_path, capsys):
     assert "has E0 = null; " in capsys.readouterr().err
     assert not (tmp_path / "evolve.json").exists()
     assert not (tmp_path / "timeseries.csv").exists()
+
+
+def test_evolve_takes_mass_and_support_from_the_density(solved_dir, tmp_path):
+    # a sidecar's mass and support_radius are not read: the draws weigh the
+    # density's mass, and t_dyn comes from its support
+    side = json.loads((solved_dir[0] / "steady.json").read_text())
+    mass, support = side["mass"], side["support_radius"]
+    side.update(mass=1.25, support_radius=2.0)
+    assert _run_with_sidecar(solved_dir, tmp_path, json.dumps(side),
+                             command="evolve") in (0, 1)
+    w = np.loadtxt(tmp_path / "snapshot.csv", delimiter=",", comments="#",
+                   skiprows=5, usecols=4)
+    assert w.size == 5000
+    assert w.sum() == pytest.approx(mass, rel=1e-12)
+    t_dyn = json.loads((tmp_path / "evolve.json").read_text())["t_dyn"]
+    assert t_dyn == pytest.approx(2.0 * np.pi * np.sqrt(support ** 3 / mass),
+                                  rel=1e-12)
+
+
+def test_evolve_on_a_moved_e0_fails(solved_dir, tmp_path, capsys):
+    # the density is no fixed point of the map at this E0: a stale pair
+    side = json.loads((solved_dir[0] / "steady.json").read_text())
+    side["E0"] *= 1.01
+    assert _run_with_sidecar(solved_dir, tmp_path, json.dumps(side),
+                             command="evolve") == 1
+    assert "it is no converged state" in capsys.readouterr().err
+    for name in ("timeseries.csv", "snapshot.csv", "evolve.json"):
+        assert not (tmp_path / name).exists()
+
+
+def test_evolve_on_an_all_zero_density_fails(solved_dir, tmp_path, capsys):
+    # the residual of a zero density is inf, with no division warning (the
+    # test settings make one an error)
+    from flatsteady.grids import read_csv, write_csv
+    base, _ = solved_dir
+    r, _, U = read_csv(base / "steady.csv", ("r", "rho", "U"))
+    write_csv(tmp_path / "zero.csv", {}, ("r", "rho", "U"), (r, 0.0 * r, U))
+    (tmp_path / "zero.json").write_bytes((base / "steady.json").read_bytes())
+    ini = POLY_INI.replace("[evolve]", "[evolve]\nstate = %s" % (tmp_path / "zero"))
+    cfg = _write_config(tmp_path / "evolve.ini", ini)
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 1
+    assert "has residual inf > 1.0e-06" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_evolve_on_its_own_state_reproduces_the_run(tmp_path):
+    # an in-process evolve, then one that reads the steady artifact the first
+    # wrote: the same draws, steps and rows, byte for byte
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    cfg = _write_config(tmp_path / "fresh.ini", POLY_INI)
+    rc = main(["evolve", "--config", cfg, "--out", str(fresh)])
+    ini = POLY_INI.replace("[evolve]", "[evolve]\nstate = %s" % (fresh / "steady"))
+    cfg = _write_config(tmp_path / "reused.ini", ini)
+    assert main(["evolve", "--config", cfg, "--out", str(reused)]) == rc
+    assert not (reused / "steady.csv").exists()
+    for name in ("timeseries.csv", "snapshot.csv"):
+        assert (fresh / name).read_bytes() == (reused / name).read_bytes(), name
+    payloads = [json.loads((d / "evolve.json").read_text()) for d in (fresh, reused)]
+    assert payloads[0].pop("config_hash") != payloads[1].pop("config_hash")
+    assert payloads[0] == payloads[1]
 
 
 @pytest.mark.parametrize("lines", [

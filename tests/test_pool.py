@@ -78,9 +78,8 @@ def test_outputs_do_not_depend_on_workers_or_chunks(monkeypatch, poly_wide,
             assert value.tobytes() == res[key].tobytes(), (label, key)
 
 
-@pytest.mark.parametrize("method", ["grid"])
 def test_run_leapfrog_matches_whole_array_updates(monkeypatch, poly_wide,
-                                                  ss_wide, method):
+                                                  ss_wide):
     # the chunked kicks reuse the half kick and the force buffer; at 1, 2
     # and 3 workers the positions and velocities still equal the plain
     # kick-drift-kick, and k calls of step give the same bytes as run's k
@@ -88,7 +87,7 @@ def test_run_leapfrog_matches_whole_array_updates(monkeypatch, poly_wide,
     n = 5000
     t_dyn = ss_wide.dynamical_time()
     cfg = SimConfig(n_particles=n, dt=0.01 * t_dyn, t_end=0.04 * t_dyn,
-                    method=method, seed=2, output_every=4)
+                    seed=2, output_every=4)
     ens = sample(ss_wide, n, seed=2)
     x, v, dt = ens.positions.copy(), ens.velocities.copy(), cfg.dt
     acc = acc0 = accelerations(ens, ss_wide.grid)

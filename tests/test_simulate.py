@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flatsteady import (SimConfig, accelerations, functionals, run, sample,
-                        simulate, step)
+from flatsteady import (CasimirModel, SimConfig, accelerations,
+                        evaluate_steady, functionals, run, sample, simulate,
+                        step)
 from flatsteady.errors import InputError
 from flatsteady.simulate import ParticleEnsemble, _apply_perturbation
 
@@ -37,7 +38,7 @@ def test_sampled_energies_below_cutoff(ss_wide, ens_wide):
 
 
 def test_sampled_kinetic_energy(poly_wide, ss_wide, ens_wide):
-    from flatsteady import evaluate_ensemble, evaluate_steady
+    from flatsteady import evaluate_ensemble
     rep_e = evaluate_ensemble(poly_wide, ens_wide, grid=ss_wide.grid)
     rep_s = evaluate_steady(poly_wide, ss_wide)
     assert rep_e.e_kin == pytest.approx(rep_s.e_kin, rel=0.02)
@@ -129,8 +130,7 @@ def test_leapfrog_time_reversal(ss_wide):
 # gather would give the runaway the force scale -dU/r = 0 and multiply it by
 # its inf coordinate, a numpy "invalid value" warning, which the test
 # settings make an error; only the drift's overflow is silenced here
-@pytest.mark.parametrize("method", ["grid"])
-def test_step_rejects_non_finite_coordinates(ss_wide, method):
+def test_step_rejects_non_finite_coordinates(ss_wide):
     ens = sample(ss_wide, 2000, seed=7)
     v = ens.velocities.copy()
     v[5] = [1e308, 0.0]  # drifts to infinity in one step of dt = 10
@@ -232,6 +232,17 @@ def test_perturbation_kinds(ss_wide):
     for delta in (-1.0, -1.5):
         with pytest.raises(InputError):
             _apply_perturbation(ens, "radius-scale", delta)
+
+
+def test_a_model_other_than_the_states_is_refused(ss_wide):
+    # run once scored the histogram Casimir with the argument and C(f0) with
+    # the state's model, and evaluate_steady ignored the argument
+    other = CasimirModel.polytrope(0.5, c=1.0)
+    cfg = SimConfig(n_particles=2000, dt=0.01, t_end=0.0, seed=1)
+    with pytest.raises(InputError, match="not the state's model"):
+        run(ss_wide, cfg, model=other)
+    with pytest.raises(InputError, match="not the state's model"):
+        evaluate_steady(other, ss_wide)
 
 
 def test_run_emits_rows_and_noise_floor(poly_wide, ss_wide):

@@ -88,7 +88,7 @@ def test_dynamical_time_positive(ss_half):
     assert ss_half.dynamical_time() > 0.0
 
 
-# -- a state stores what solve decides; its grid and inverse follow ----------
+# -- a state stores what solve decides; the rest follows from it -----------
 
 def test_replaced_model_brings_its_own_inverse(ss_half):
     other = CasimirModel.polytrope(0.5, c=57.0)
@@ -114,8 +114,29 @@ def test_state_fields_cannot_be_assigned(ss_half):
     for f in dataclasses.fields(ss_half):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(ss_half, f.name, getattr(ss_half, f.name))
-    assert {f.name for f in dataclasses.fields(ss_half)}.isdisjoint(
-        {"grid", "inv"})
+    assert [f.name for f in dataclasses.fields(ss_half)] == [
+        "model", "E0", "rho0", "U0", "iterations"]
+
+
+def test_replaced_density_brings_its_own_mass_support_and_residual(ss_half):
+    grid, rho = ss_half.grid, ss_half.rho0.values
+    doubled = dataclasses.replace(ss_half, rho0=RadialProfile(grid, 2.0 * rho))
+    assert doubled.mass == 2.0 * ss_half.mass
+    assert doubled.support_radius == ss_half.support_radius
+    # 2*pi*G(E0 - U0) is still rho0/2 of the doubled density
+    assert doubled.residual == pytest.approx(0.5, rel=1e-9)
+    r, half = grid.nodes, 0.5 * ss_half.support_radius
+    cut = dataclasses.replace(
+        ss_half, rho0=RadialProfile(grid, np.where(r <= half, rho, 0.0)))
+    assert cut.support_radius == r[r <= half][-1]
+    assert cut.mass == pytest.approx(
+        np.sum(grid.ring_weights[r <= half] * rho[r <= half]), rel=1e-14)
+    assert cut.mass < ss_half.mass
+    assert cut.residual > 1e-6
+    # all-zero: no mass, no support, and no fixed point (an inf residual,
+    # reached without a division warning)
+    zero = dataclasses.replace(ss_half, rho0=RadialProfile(grid, 0.0 * rho))
+    assert (zero.mass, zero.support_radius, zero.residual) == (0.0, 0.0, np.inf)
 
 
 # -- the outer edge iteration at the edges of the model family --------------
