@@ -408,8 +408,16 @@ def evaluate_ensemble(model: CasimirModel, ens,
     if ens.positions.shape[0] == 0:
         raise InputError("evaluate_ensemble: empty ensemble")
     if grid is None:
-        r_out = max(1.5 * float(np.max(_radius(ens.positions))), 1e-6)
+        r_far = float(np.max(_radius(ens.positions)))
+        r_out = max(1.5 * r_far, 1e-6)
         grid = RadialGrid.hybrid(0.75 * r_out, r_out, 256)
+        # the energy form grows as r_out^3 and leaves float64 near r_out = 1e103
+        with np.errstate(over="ignore", invalid="ignore"):
+            bands = operator_for(grid).form_bands()
+        if not all(np.isfinite(b).all() for b in bands):
+            raise InputError(
+                f"evaluate_ensemble: a particle at radius {r_far:g} takes the "
+                f"automatic grid past the float64 range; pass a grid")
     row, _ = _ensemble_row(model, ens, _bin(grid, ens.positions, ens.weights))
     return FunctionalReport(mass=ens.mass, e_kin=row["e_kin"],
                             e_pot=row["e_pot"], casimir=row["casimir"])

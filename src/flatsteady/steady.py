@@ -31,6 +31,16 @@ lands: a polytrope takes at most three.  Trial grids are multiples of one
 shape, so each evaluation after the first starts from the last one's node
 densities, renormalized to the target mass on its grid (warm start); a
 polytrope is self-similar in R, and its later evaluations take one sweep.
+
+Only the last evaluation's state is returned, so the warm-started ones are
+solved inexactly (Dembo, Eisenstat & Steihaug 1982, SIAM J. Numer. Anal.
+19, 400): a sweep from a seed stops at the residual
+max(_RESIDUAL_TOL, (_RESIDUAL_TOL / _OUTER_TOL) * |A - 1|), A its current
+renormalization factor.  An evaluation that meets the outer stop
+|A - 1| < _OUTER_TOL, the returned one among them, still stops at
+_RESIDUAL_TOL.  The cold first evaluation also runs to _RESIDUAL_TOL: its
+density seeds every later one, and for one power term that seed is exact,
+so a polytrope's later evaluations still take one sweep.
 """
 
 from __future__ import annotations
@@ -144,13 +154,15 @@ def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
     Starts from ``seed`` node densities (a Kuzmin disc of scale R/3 when
     None), renormalized to mass M on this grid, and Anderson-mixes the map
     without damping: the first step and each step after a restart of the
-    history is the map itself.
+    history is the map itself.  It stops at the residual _RESIDUAL_TOL, or
+    from a seed at the inexact stop of the module docstring.
     Returns (rho, U, E0, A, residual, iterations) where A is the factor that
     rescales the mapped density back to mass M.
     """
     r = grid.nodes
     ringw = grid.ring_weights
-    if seed is None:
+    cold = seed is None
+    if cold:
         # written in r/R so that no power of R can leave float64; the grid's
         # own mass integral still may, far from unit R
         seed = (1.0 + (3.0 * r / R) ** 2) ** -1.5
@@ -178,7 +190,8 @@ def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
         rho_map = A * raw
         f = rho_map - rho
         res = float(np.abs(f).max() / rho_map.max())
-        if res <= _RESIDUAL_TOL:
+        if res <= (_RESIDUAL_TOL if cold else
+                   max(_RESIDUAL_TOL, (_RESIDUAL_TOL / _OUTER_TOL) * abs(A - 1.0))):
             return rho_map, U, E0, A, res, it
         if res > prev_res * (1.0 + 1e-12):
             grow_count += 1

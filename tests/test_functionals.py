@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import re
 import warnings
 
 import mpmath
@@ -277,6 +278,24 @@ def test_far_particle_row_is_finite(poly_wide, ss_wide):
     hist, _, _ = _phase_histogram(_radius(x), np.ones(far.n), far.weights)
     sig = np.std(_radius(x) * 2.0 ** -700) * 2.0 ** 700
     assert hist.shape[0] == np.ceil(1e200 / (sig * far.n ** (-1.0 / 6.0)))
+
+
+@pytest.mark.parametrize("r_far", [4e103, 1e200])
+def test_far_particle_without_a_grid_asks_for_one(poly_wide, ss_wide, r_far):
+    # the automatic grid reaches 1.5 * r_far, and its energy form (ring
+    # weights times r_max) leaves float64 near r_far = 1e103; at 1e103 the
+    # ensemble still scores
+    ens = sample(ss_wide, 5000, seed=3)
+    x = ens.positions.copy()
+    x[0] = [1e103, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        evaluate_ensemble(poly_wide, ParticleEnsemble(x, ens.velocities,
+                                                      ens.weights))
+        x[0] = [r_far, 0.0]
+        far = ParticleEnsemble(x, ens.velocities, ens.weights)
+        with pytest.raises(InputError, match=re.escape(f"radius {r_far:g}")):
+            evaluate_ensemble(poly_wide, far)
 
 
 def test_runaway_velocity_raises_input_error(poly_wide, ss_wide):
