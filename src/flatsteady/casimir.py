@@ -158,6 +158,10 @@ class CasimirModel:
         (calibrated so (Q1) and (Q2) hold with equality at the worst
         tabulated point); C3 and C4 are 1/2 and 2.
         """
+        # the solver takes A(R)'s log-log slope from the declared exponents
+        for m in (mu1, mu2):
+            if not (0.0 < m < 1.0):
+                raise ModelDefinitionError("custom: exponents must lie in (0,1)")
         f = np.asarray(f_table, dtype=float)
         Q = np.asarray(Q_table, dtype=float)
         if f.ndim != 1 or f.shape != Q.shape or f.size < 4:

@@ -8,39 +8,30 @@ velocity integral, to the planar closure
 with G the antiderivative of q.  The naive damped iteration of this map is
 unstable: the scale mode (contract the disc, deepen the potential) has a
 fixed-point Jacobian eigenvalue above one, so any damping factor merely
-slows the collapse.  The solver therefore pins the support edge: for a
-trial edge radius R the inner sweep sets E0 = U(R), applies the map and
-renormalizes to the target mass, which removes the unstable amplitude and
-scale modes.
+slows the collapse.  The solver therefore pins the support edge: for an
+edge radius R it sets E0 = U(R), applies the map and renormalizes to the
+target mass by a factor A, which removes the unstable amplitude and scale
+modes.  A(R) is smooth and monotone in R, and A(R*) = 1 exactly at the
+self-consistent state.
 
-The inner fixed point is found by undamped Anderson mixing (Anderson 1965;
-Walker & Ni 2011, SIAM J. Numer. Anal. 49, 1715) with memory 5: with f the
-residual map(rho) - rho and gamma the combination of the last five residual
-differences dF that best cancels f, from (dF dF^T) gamma = dF f, each step
-is f - (dX + dF) gamma, dX the matching iterate differences, clipped at
-rho >= 0 (just f if that system is singular).  The residual is not
-monotone; whenever it grows the history restarts, so the next step is f,
-and ten consecutive growths raise ConvergenceError.  The renormalization
-factor A(R) at the inner fixed point is smooth and monotone in R, and
-A(R*) = 1 exactly at the self-consistent state.  The outer iteration
-drives A to one, rescaling the grid around each trial R so the support
-sits well inside it: a first jump R*A^2 from R = 1, then the unclamped
-log-log secant through the last two (R, A) pairs.  One power term has
-A ~ R^(mu-1) exactly, so two evaluations fix the slope and the secant
-lands: a polytrope takes at most three.  Trial grids are multiples of one
-shape, so each evaluation after the first starts from the last one's node
-densities, renormalized to the target mass on its grid (warm start); a
-polytrope is self-similar in R, and its later evaluations take one sweep.
-
-Only the last evaluation's state is returned, so the warm-started ones are
-solved inexactly (Dembo, Eisenstat & Steihaug 1982, SIAM J. Numer. Anal.
-19, 400): a sweep from a seed stops at the residual
-max(_RESIDUAL_TOL, (_RESIDUAL_TOL / _OUTER_TOL) * |A - 1|), A its current
-renormalization factor.  An evaluation that meets the outer stop
-|A - 1| < _OUTER_TOL, the returned one among them, still stops at
-_RESIDUAL_TOL.  The cold first evaluation also runs to _RESIDUAL_TOL: its
-density seeds every later one, and for one power term that seed is exact,
-so a polytrope's later evaluations still take one sweep.
+The grid of edge radius R is R times one grid, so one operator assembly
+serves every R (U scales as R, the ring weights as R^2), and the node
+densities and log R form one vector of unknowns, z = (rho / max rho_map,
+log R).  Its residual is ((rho_map - rho) / max rho_map, -log A / p_hat),
+with p_hat = (mu1 + mu2)/2 - 1 from the model's declared exponents: one
+power term has A ~ R^(mu - 1) exactly, so the log R step is Newton's there.
+The iteration is undamped Anderson mixing (Anderson 1965; Walker & Ni
+2011, SIAM J. Numer. Anal. 49, 1715) with memory 5: with f the residual
+and gamma the combination of the last five residual differences dF that
+best cancels f, from (dF dF^T) gamma = dF f, each step is
+f - (dX + dF) gamma, dX the matching differences of z, with rho clipped at
+0 and renormalized to the target mass (just f if that system is
+singular).  The density residual is not monotone; whenever it grows the
+history restarts, so the next step is f, and ten consecutive growths raise
+ConvergenceError.  The first pass maps a Kuzmin disc at R = 1 and moves
+only its log R, by one step; the mixing starts from there.  The iteration
+stops where the density residual is at most _RESIDUAL_TOL and
+|A - 1| < _OUTER_TOL.
 """
 
 from __future__ import annotations
@@ -59,19 +50,17 @@ __all__ = ["SteadyState", "SolverOptions", "solve", "density_from_potential",
            "regularity_report"]
 
 _SUPPORT_CUT = 1e-14  # rho below this fraction of its max counts as zero
-_MEMORY = 5  # Anderson mixing: past sweeps whose differences enter a step
-_MAX_SWEEPS = 400  # inner sweeps per trial edge radius before giving up
-_RESIDUAL_TOL = 1e-13  # relative inner residual at which a sweep stops
+_MEMORY = 5  # Anderson mixing: past iterations whose differences enter a step
+_MAX_SWEEPS = 400  # solver iterations before giving up
+_RESIDUAL_TOL = 1e-13  # relative density residual at which the solver stops
 _MASS_TOL = 1e-9  # relative mass defect a converged state may carry
 _RESIDUAL_CAP = 1e-6  # largest residual of a converged state
-_R_SEED = 1.0  # first trial edge radius
-_OUTER_TOL = 1e-10  # |A - 1| at which the outer edge iteration stops
-_MAX_OUTER = 40  # outer edge evaluations before giving up
+_OUTER_TOL = 1e-10  # |A - 1| at which the solver stops
 
 
 @dataclass
 class SolverOptions:
-    n: int = 384  # nodes of each trial grid
+    n: int = 384  # nodes of the solver grid
 
 
 @dataclass(frozen=True)
@@ -147,79 +136,14 @@ def _anderson_step(f, d_rho, d_res):
     return f - gamma @ (d_rho + d_res) if np.isfinite(gamma).all() else f
 
 
-def _inner_sweep(inv: InverseQ, op, grid: RadialGrid, M: float, R: float,
-                 seed: np.ndarray | None = None):
-    """Edge-pinned, mass-renormalized fixed point for a trial edge radius R.
-
-    Starts from ``seed`` node densities (a Kuzmin disc of scale R/3 when
-    None), renormalized to mass M on this grid, and Anderson-mixes the map
-    without damping: the first step and each step after a restart of the
-    history is the map itself.  It stops at the residual _RESIDUAL_TOL, or
-    from a seed at the inexact stop of the module docstring.
-    Returns (rho, U, E0, A, residual, iterations) where A is the factor that
-    rescales the mapped density back to mass M.
-    """
-    r = grid.nodes
-    ringw = grid.ring_weights
-    cold = seed is None
-    if cold:
-        # written in r/R so that no power of R can leave float64; the grid's
-        # own mass integral still may, far from unit R
-        seed = (1.0 + (3.0 * r / R) ** 2) ** -1.5
-    seed_mass = np.sum(ringw * seed)
-    if not 0.0 < seed_mass < np.inf:
-        raise ConvergenceError(
-            f"the trial grid at edge radius R={R:g} leaves the float64 range")
-    rho = seed * (M / seed_mass)
-
-    # Anderson history: difference pair k since the restart in row k % _MEMORY
-    hist, n_hist = np.empty((2, _MEMORY, r.size)), 0
-    grow_count, prev_res = 0, np.inf
-    for it in range(1, _MAX_SWEEPS + 1):
-        U = op.potential(rho)
-        if not np.isfinite(U).all():
-            raise ConvergenceError(
-                f"the potential at edge radius R={R:g} leaves the float64 range")
-        E0 = float(np.interp(R, r, U))
-        raw = 2.0 * np.pi * inv.G(E0 - U)
-        raw_mass = float(np.sum(ringw * raw))
-        if not 0.0 < raw_mass < np.inf:
-            raise ConvergenceError(
-                f"edge-pinned map produced mass {raw_mass:g} at R={R:g}")
-        A = M / raw_mass
-        rho_map = A * raw
-        f = rho_map - rho
-        res = float(np.abs(f).max() / rho_map.max())
-        if res <= (_RESIDUAL_TOL if cold else
-                   max(_RESIDUAL_TOL, (_RESIDUAL_TOL / _OUTER_TOL) * abs(A - 1.0))):
-            return rho_map, U, E0, A, res, it
-        if res > prev_res * (1.0 + 1e-12):
-            grow_count += 1
-            if grow_count >= 10:
-                raise ConvergenceError(
-                    f"inner residual grew for 10 consecutive sweeps at "
-                    f"R={R:g} (residual {res:.3e})")
-            n_hist = 0  # the safeguard: restart from a plain map step
-        else:
-            grow_count = 0
-            if it > 1:
-                hist[:, n_hist % _MEMORY] = rho - rho_prev, f - f_prev
-                n_hist += 1
-        prev_res, rho_prev, f_prev = res, rho, f
-        step = _anderson_step(f, *hist[:, :min(n_hist, _MEMORY)])
-        rho = np.maximum(rho + step, 0.0)
-    raise ConvergenceError(
-        f"no inner convergence in {_MAX_SWEEPS} sweeps at R={R:g} "
-        f"(residual {res:.3e})")
-
-
 @functools.lru_cache(maxsize=8)
 def _unit_shape(n: int) -> RadialGrid:
-    """The shape of every n-node trial grid, computed once per n.
+    """The shape of the n-node solver grid, computed once per n.
 
     A uniform core covers the support with margin, and a short log tail
-    serves the edge interpolation of U.  Trial grids are exact multiples of
-    this shape and share its operator assembly (see potential.operator_for).
+    serves the edge interpolation of U.  The solver grid of edge radius R
+    is 5R times this shape, so every R shares its operator assembly (see
+    potential.operator_for).
     """
     return RadialGrid.hybrid(0.25, 1.0, n).shape()
 
@@ -228,41 +152,74 @@ def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> S
     """Compute the steady state of total mass M for the given Casimir model."""
     if M <= 0:
         raise InputError("solve: target mass must be positive")
-    unit = _unit_shape((opts or SolverOptions()).n)
+    # the grid at R = 1; at edge radius R the nodes are R*r1, the potential
+    # of node densities rho is R*op(rho) and the ring weights are R^2*w1
+    grid1 = RadialGrid(5.0 * _unit_shape((opts or SolverOptions()).n).nodes)
+    op, r1, w1 = operator_for(grid1), grid1.nodes, grid1.ring_weights
     inv = model.inverse()
+    p_hat = 0.5 * (model.mu1 + model.mu2) - 1.0  # log-log slope of A(R)
 
-    R, R_prev, A_prev = _R_SEED, None, None
-    rho, sweeps = None, 0
-    for _ in range(_MAX_OUTER):
-        grid = RadialGrid(5.0 * R * unit.nodes)
-        # node i of every trial grid is the same fraction of its r_max, so
-        # the last evaluation's densities seed this one node for node
-        rho, U, E0, A, _, inner_it = _inner_sweep(inv, operator_for(grid), grid,
-                                                  M, R, seed=rho)
-        sweeps += inner_it
-        if abs(A - 1.0) < _OUTER_TOL:
-            break
-        if R_prev is not None:
-            dlog = np.log(A / A_prev)
-            if dlog == 0.0 or R == R_prev:
-                raise ConvergenceError(
-                    "outer edge iteration stalled: the mass renormalization "
-                    "factor does not respond to the edge radius")
-            p = dlog / np.log(R / R_prev)  # local log-log slope of A(R)
-        R_next = R * (np.float64(A) ** 2 if R_prev is None
-                      else np.exp(-np.log(A) / p))
-        if not 0.0 < R_next < np.inf:
+    # the unknowns (rho / max rho_map, log R), from a Kuzmin disc of scale
+    # R/3 at R = 1; the density part is renormalized to mass M each pass
+    z = np.append((1.0 + (3.0 * r1) ** 2) ** -1.5, 0.0)
+    # Anderson history: difference pair k since the restart in row k % _MEMORY
+    hist, n_hist = np.empty((2, _MEMORY, z.size)), 0
+    grow_count, prev_res = 0, np.inf
+    for it in range(1, _MAX_SWEEPS + 1):
+        with np.errstate(all="ignore"):  # a log R past float64 raises below
+            R = np.exp(z[-1])
+            z_mass = R * R * np.sum(w1 * z[:-1])
+            rho = z[:-1] * (M / z_mass)
+        if not (0.0 < z_mass < np.inf and np.isfinite(rho).all()):
             raise ConvergenceError(
-                f"outer edge step from R={R:g} (renormalization defect "
-                f"{A - 1.0:.3e}) leaves the float64 range")
-        R_prev, A_prev, R = R, A, R_next
+                f"the grid at edge radius R={R:g} leaves the float64 range")
+        U = R * op.potential(rho)
+        if not np.isfinite(U).all():
+            raise ConvergenceError(
+                f"the potential at edge radius R={R:g} leaves the float64 range")
+        E0 = float(np.interp(1.0, r1, U))
+        raw = 2.0 * np.pi * inv.G(E0 - U)
+        raw_mass = R * R * float(np.sum(w1 * raw))
+        if not 0.0 < raw_mass < np.inf:
+            raise ConvergenceError(
+                f"edge-pinned map produced mass {raw_mass:g} at R={R:g}")
+        A = M / raw_mass
+        rho_map = A * raw
+        peak = rho_map.max()
+        f = np.append((rho_map - rho) / peak, -np.log(A) / p_hat)
+        res = float(np.abs(f[:-1]).max())
+        if res <= _RESIDUAL_TOL and abs(A - 1.0) < _OUTER_TOL:
+            break
+        if it == 1:
+            # the disc moves by one log R step and the iteration starts
+            # there: one power term's iterates at two masses then differ by
+            # a shift of log R alone, so its states rescale exactly
+            z[-1] += f[-1]
+            continue
+        x = np.append(rho / peak, z[-1])
+        if res > prev_res * (1.0 + 1e-12):
+            grow_count += 1
+            if grow_count >= 10:
+                raise ConvergenceError(
+                    f"residual grew for 10 consecutive iterations at R={R:g} "
+                    f"(residual {res:.3e}, renormalization defect {A - 1.0:.3e})")
+            n_hist = 0  # the safeguard: restart from a plain map step
+        else:
+            grow_count = 0
+            if it > 2:
+                hist[:, n_hist % _MEMORY] = x - x_prev, f - f_prev
+                n_hist += 1
+        prev_res, x_prev, f_prev = res, x, f
+        z = x + _anderson_step(f, *hist[:, :min(n_hist, _MEMORY)])
+        z[:-1] = np.maximum(z[:-1], 0.0)
     else:
         raise ConvergenceError(
-            f"no outer convergence in {_MAX_OUTER} edge evaluations "
-            f"(renormalization defect {A - 1.0:.3e})")
+            f"no convergence in {_MAX_SWEEPS} iterations (residual {res:.3e}, "
+            f"renormalization defect {A - 1.0:.3e})")
 
-    ss = SteadyState(model=model, E0=float(E0), iterations=sweeps,
-                     rho0=RadialProfile(grid, rho, require_nonnegative=True),
+    grid = RadialGrid(R * r1)
+    ss = SteadyState(model=model, E0=E0, iterations=it,
+                     rho0=RadialProfile(grid, rho_map, require_nonnegative=True),
                      U0=RadialProfile(grid, U))
     if abs(ss.mass - M) > _MASS_TOL * M:
         raise ConvergenceError(f"mass defect {abs(ss.mass - M):.3e} exceeds tolerance")

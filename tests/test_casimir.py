@@ -97,6 +97,14 @@ def test_assumptions_reject_concave_table():
         CasimirModel.custom(f, Q, F0=1.0, mu1=0.5, mu2=0.5, mu3=0.5)
 
 
+@pytest.mark.parametrize("mus", [(1.5, 0.5), (0.5, 1.0), (0.0, 0.5)])
+def test_custom_table_exponents_lie_in_the_unit_interval(mus):
+    # solve steps log R by -log A / ((mu1 + mu2)/2 - 1): that slope is < 0
+    f = np.linspace(0.0, 6.0, 200)[1:]
+    with pytest.raises(ModelDefinitionError, match="exponents"):
+        CasimirModel.custom(f, f ** 3, F0=1.0, mu1=mus[0], mu2=mus[1], mu3=0.5)
+
+
 def test_assumptions_need_enough_samples():
     m = CasimirModel.polytrope(0.5)
     with pytest.raises(InputError):
