@@ -19,15 +19,13 @@ serves the grid force, every particle sum of a diagnostics row and
 forms each particle's kinetic and self-energy terms, and the U0 moment is
 the node masses times U0, with no U0 lookup per particle.
 ``evaluate_ensemble`` and ``stability_distance`` read their rows from it.  The per-particle maps
-run in chunks on a thread pool (``_map_chunks``); every reduction runs on
-the whole array, so no result depends on the worker count or the chunk size.
+run in chunks on the thread pool of ``grids._map_chunks``; every reduction
+runs on the whole array, so no result depends on the worker count or the
+chunk size.
 """
 
 from __future__ import annotations
 
-import functools
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,7 +33,7 @@ import numpy as np
 
 from .casimir import CasimirModel, _velocity_moments
 from .errors import InputError
-from .grids import RadialGrid, RadialProfile, _CellTable
+from .grids import RadialGrid, RadialProfile, _CellTable, _map_chunks
 from .potential import FlatPotentialOperator, lp_norm, operator_for
 from .steady import _RESIDUAL_CAP, SteadyState
 
@@ -44,62 +42,8 @@ __all__ = ["FunctionalReport", "ScalingParams", "evaluate_steady",
            "split_diagnostic", "stability_distance", "alpha_from_mu3",
            "proof_scaling_params"]
 
-# Particles per task of ``_map_chunks``: large enough that a task's numpy
-# calls outweigh its dispatch, small enough that its temporaries stay in
-# cache and add little to the peak memory.
-_CHUNK = 65536
 # smallest normal float64: a sum of squares below it has lost digits
 _SQUARE_MIN = np.finfo(float).tiny
-
-
-@functools.cache
-def _pool() -> tuple:
-    """(executor, workers) for the particle maps, built on first use.
-
-    One worker per CPU the process may run on, the calling thread included;
-    no executor with one CPU.
-    """
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        workers = os.cpu_count() or 1
-    return (ThreadPoolExecutor(workers - 1) if workers > 1 else None), workers
-
-
-def _workers() -> int:
-    """Threads the particle maps run on, the calling thread included."""
-    return _pool()[1]
-
-
-def _map_chunks(fn, n: int) -> None:
-    """Call ``fn(lo, hi)`` on consecutive ``_CHUNK``-long slices of [0, n).
-
-    The calling thread and the pool's threads take slices from one shared
-    iterator until none are left.  ``fn`` must read and write only its
-    slice of the particle arrays; numpy releases the GIL in its ufuncs and
-    fancy indexing, so slices run in parallel.  An exception in a slice is
-    raised once every thread that took a slice has stopped.
-    """
-    pool, workers = _pool()
-    starts = iter(range(0, n, _CHUNK))  # next() on it is atomic under the GIL
-
-    def drain():
-        for lo in starts:
-            fn(lo, min(lo + _CHUNK, n))
-
-    if pool is None or n <= _CHUNK:
-        drain()
-        return
-    helpers = [pool.submit(drain) for _ in range(workers - 1)]
-    try:
-        drain()
-    finally:
-        # a helper that has not started would find nothing left: cancel it
-        # rather than wait for a free thread (a forked child has none)
-        started = [h for h in helpers if not h.cancel()]
-        wait(started)
-    for h in started:
-        h.result()
 
 
 @dataclass
@@ -255,12 +199,27 @@ def _bin(grid: RadialGrid, x: np.ndarray, masses: np.ndarray) -> _Binning:
                     masses[a:b], lo[a:b], hi[a:b])
 
     _map_chunks(chunk, n)
+    return _Binning(grid, radii, idx, frac, outside, *_deposit(grid, idx, lo, hi))
+
+
+def _deposit(grid: RadialGrid, idx, lo, hi) -> tuple:
+    """(rho, node_mass): two whole-array ``bincount`` calls sum the lower
+    and upper cloud-in-cell masses of cells idx into the node masses."""
     node_mass = np.bincount(idx, weights=lo, minlength=grid.n)
     # the node above cell i is i + 1: shift instead of a second index array
     node_mass[1:] += np.bincount(idx, weights=hi, minlength=grid.n)[:-1]
     ringw = grid.ring_weights
-    rho = node_mass / np.where(ringw > 0.0, ringw, np.inf)
-    return _Binning(grid, radii, idx, frac, outside, rho, node_mass)
+    return node_mass / np.where(ringw > 0.0, ringw, np.inf), node_mass
+
+
+def _bin_part(binned: _Binning, masses: np.ndarray, part: slice) -> _Binning:
+    """The binning of the particles ``part`` of a binned ensemble with
+    ``masses``: slices of its per-particle arrays and their own deposit,
+    bit for bit what ``_bin`` gives for those particles alone."""
+    idx, frac, outside = binned.idx[part], binned.frac[part], binned.outside[part]
+    lo, hi = _cic_masses(frac, outside, masses[part])
+    return _Binning(binned.grid, binned.radii[part], idx, frac, outside,
+                    *_deposit(binned.grid, idx, lo, hi))
 
 
 def _uniform_edges(x: np.ndarray, nb: int) -> np.ndarray:

@@ -2,13 +2,17 @@
 
 Profiles live on strictly increasing node sets; area integrals use the
 trapezoidal weights 2*pi*r_i*dr_i, which keeps every integral in the
-package tied to one quadrature convention.
+package tied to one quadrature convention.  The package's one thread pool
+(``_map_chunks``) lives here too: the particle maps, ``sample`` and the CSV
+writer run their chunks on it.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,17 +21,25 @@ from .errors import InputError
 
 __all__ = ["RadialGrid", "RadialProfile", "write_csv", "read_csv"]
 
+# Particles per task of ``_map_chunks``: large enough that a task's numpy
+# calls outweigh its dispatch, small enough that its temporaries stay in
+# cache and add little to the peak memory.
+_CHUNK = 65536
+
 # Largest bucket table ``_CellTable`` builds: a grid or histogram axis whose
 # finest cell would need more buckets gets ``np.searchsorted`` instead.
 _LOCATE_MAX_BUCKETS = 1 << 16
 
-# Rows ``write_csv`` formats and writes at a time: ``_format_rows`` works on a
-# 48-byte canvas per value (240 kB a chunk at 5 columns), and each chunk's
-# text goes straight to the file, so a 10^6-row table is never held as text.
-# Chunks of 512-1024 rows formatted 2*10^5 x 5 doubles fastest on a 2-core
-# x86-64 host (their temporaries stay in cache); 8192 rows took about 1.4
-# times as long.
-_CSV_CHUNK_ROWS = 1024
+# Rows of one ``_format_rows`` call in ``write_csv``: it works on a 48-byte
+# canvas per value (983 kB a chunk at 5 columns), one chunk per worker is
+# formatted at a time, and the chunks' text goes straight to the file, so a
+# 10^6-row table is never held as text.  On a 2-core x86-64 host with both
+# workers, 2*10^5 x 5 doubles took a median of 243, 192, 158, 144 and 163 ms
+# in chunks of 1024, 2048, 4096, 8192 and 16384 rows (15 calls each): small
+# chunks spend their time handing the GIL back and forth between many short
+# numpy calls.  4096 rows is within the noise of the fastest at half the
+# memory of 8192.
+_CSV_CHUNK_ROWS = 4096
 
 # ``_format_rows`` lays each value out on six little-endian 64-bit words (48
 # bytes): byte 0 the sign, bytes 1-5 the "0.000" prefix, digit j of 17 at byte
@@ -84,6 +96,60 @@ def _templates() -> tuple:
     return keep.view(_WORD)[:, 1:5].copy(), fill.view(_WORD)
 
 
+@functools.cache
+def _pool() -> tuple:
+    """(executor, workers) for the chunk maps, built on first use.
+
+    One worker per CPU the process may run on, the calling thread included;
+    no executor with one CPU.
+    """
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        workers = os.cpu_count() or 1
+    return (ThreadPoolExecutor(workers - 1) if workers > 1 else None), workers
+
+
+def _workers() -> int:
+    """Threads the chunk maps run on, the calling thread included."""
+    return _pool()[1]
+
+
+def _map_chunks(fn, n: int, chunk: int = None) -> None:
+    """Call ``fn(lo, hi)`` on consecutive slices of [0, n), ``chunk`` long
+    (``_CHUNK`` by default).
+
+    The calling thread and the pool's threads take slices from one shared
+    iterator until none are left.  ``fn`` must read and write only its
+    slice of the arrays it maps; numpy releases the GIL in its ufuncs and
+    fancy indexing, so slices run in parallel.  ``fn`` calls only private
+    names: ``bench/tracer.py`` wraps the public ones on a span stack that
+    is not thread-safe.  An exception in a slice is raised once every
+    thread that took a slice has stopped.
+    """
+    pool, workers = _pool()
+    chunk = chunk or _CHUNK
+    starts = iter(range(0, n, chunk))  # next() on it is atomic under the GIL
+
+    def drain():
+        for lo in starts:
+            fn(lo, min(lo + chunk, n))
+
+    if pool is None or n <= chunk:
+        drain()
+        return
+    helpers = [pool.submit(drain) for _ in range(workers - 1)]
+    try:
+        drain()
+    finally:
+        # a helper that has not started would find nothing left: cancel it
+        # rather than wait for a free thread (a forked child has none)
+        started = [h for h in helpers if not h.cancel()]
+        wait(started)
+    for h in started:
+        h.result()
+
+
 _DIGITS, _LAST = _digit_tables()
 _KEEP, _FILL = _templates()
 
@@ -94,24 +160,49 @@ def _scaled(m: np.ndarray, q: np.ndarray, e10: np.ndarray) -> tuple:
     The exact value is m * 5^k * 2^-s with k = 16 - e10 in [1, 27] and
     s = -q - k; m < 2^56 after taking a negative s into it, and 5^k < 2^63,
     so the product fits 128 bits, formed from 32-bit limbs, and s in [0, 63]
-    splits it.
+    splits it.  The arguments are not changed; each temporary is updated in
+    place and dropped after its last use.
     """
     k = 16 - e10
-    s = -q - k
-    m = m << np.maximum(-s, 0).astype(np.uint64)
-    s = np.maximum(s, 0).astype(np.uint64)
     p = _POW5.take(k)
-    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
-    p_lo, p_hi = p & 0xFFFFFFFF, p >> 32
-    mid = m_lo * p_hi + m_hi * p_lo
+    s = np.negative(q)
+    s -= k
+    del k
+    # shifts are >= 0 once clipped: their int64 bits read as uint64
+    shift = np.negative(s)
+    np.maximum(shift, 0, out=shift)
+    m = m << shift.view(np.uint64)
+    np.maximum(s, 0, out=s)
+    s = s.view(np.uint64)
+    del shift
+    m_lo = m & 0xFFFFFFFF
+    m >>= 32
+    p_lo = p & 0xFFFFFFFF
+    p >>= 32
+    # m and p now hold the high limbs
+    mid = m_lo * p
+    mid += m * p_lo
     lo = m_lo * p_lo
-    low = lo + (mid << 32)
-    high = m_hi * p_hi + (mid >> 32) + (low < lo)
-    n = ((high << (63 - s)) << 1) | (low >> s)
+    del m_lo, p_lo
+    high = m
+    high *= p
+    del m, p
+    low = mid << 32
+    low += lo
+    high += mid >> 32
+    del mid
+    high += low < lo
+    del lo
+    # n = (high:low) >> s, in high's buffer
+    high <<= 63 - s
+    high <<= 1
+    high |= low >> s
+    n = high
     # twice the remainder against 2^s: above half, or a tie with n odd
-    rest2 = (low & ((1 << s) - 1)) << 1
     one = np.uint64(1) << s
-    return n, (rest2 > one) | ((rest2 == one) & ((n & 1) == 1))
+    low &= one - 1
+    low <<= 1
+    return n, (low > one) | ((low == one) & ((n & 1) == 1))
 
 
 def _format_rows(block: np.ndarray) -> bytes:
@@ -122,17 +213,26 @@ def _format_rows(block: np.ndarray) -> bytes:
     to even from its exact 128-bit value (X = floor(log10|x|), estimated by
     ``np.log10`` and corrected until the digits lie in [10^16, 10^17)), and
     the bytes come from word tables; zeros, subnormals, non-finite values
-    and the rest of the range are formatted by Python's own ``%``.
+    and the rest of the range are formatted by Python's own ``%``.  Each
+    array is dropped after its last use, and the canvas is translated in
+    pieces, so the peak stays near two and a half canvases.
     """
     rows, ncols = block.shape
     x = block.reshape(-1)
     ax = np.abs(x)
     fast = (ax > 1e-11) & (ax < 1e16)
     ax[~fast] = 1.0
+    e10 = np.log10(ax)
+    np.floor(e10, out=e10)
+    np.clip(e10, _X_MIN, _X_MAX - 1, out=e10)
+    e10 = e10.astype(np.int64)
     bits = ax.view(np.uint64)
-    m = (bits & ((1 << 52) - 1)) | (1 << 52)
-    q = (bits >> 52).astype(np.int64) - 1075
-    e10 = np.clip(np.floor(np.log10(ax)), _X_MIN, _X_MAX - 1).astype(np.int64)
+    m = bits & ((1 << 52) - 1)
+    m |= 1 << 52
+    # the biased exponent is below 2^11: its uint64 bits read as int64
+    q = (bits >> 52).view(np.int64)
+    q -= 1075
+    del ax, bits
     n, up = _scaled(m, q, e10)
     # a wrong estimate of floor(log10|x|) puts the digits outside [10^16, 10^17)
     off = (n >= 10 ** 17).astype(np.int64) - (n < 10 ** 16)
@@ -141,11 +241,14 @@ def _format_rows(block: np.ndarray) -> bytes:
         e10[i] += off[i]
         n[i], up[i] = _scaled(m[i], q[i], e10[i])
         off[i] = (n[i] >= 10 ** 17).astype(np.int64) - (n[i] < 10 ** 16)
+    del m, q, off
     n += up
+    del up
     # rounding up to 10^17 (no double in the fast range does; 1e-14 would)
     carry = n == 10 ** 17
     n[carry] = 10 ** 16
     e10 += carry
+    del carry
     lead = n // 10 ** 16
     n -= lead * 10 ** 16
     groups = np.empty((x.size, 4), dtype=np.uint64)
@@ -154,16 +257,26 @@ def _format_rows(block: np.ndarray) -> bytes:
     groups[:, 1] = n // 10 ** 8 - groups[:, 0] * 10 ** 4
     groups[:, 3] = groups[:, 2] % 10 ** 4
     groups[:, 2] //= 10 ** 4
+    del n
     # the last nonzero digit is digit 16 unless the digits end in 0
-    last = np.full(x.size, 16)
+    t = np.full(x.size, 16)
     zero = np.flatnonzero(groups[:, 3] % 10 == 0)
-    last[zero] = _LAST[np.arange(4), groups[zero]].max(axis=1)
-    t = (e10 - _X_MIN) * 17 + last
-    digits = _DIGITS.take(groups)
-    digits[zero] &= _KEEP.take(t[zero], axis=0)
+    t[zero] = _LAST[np.arange(4), groups[zero]].max(axis=1)
+    t += (e10 - _X_MIN) * 17
+    del e10
     words = _FILL.take(t, axis=0)
-    words[:, 0] |= ((lead + 48) << 48) | (x.view(np.uint64) >> 63) * ord("-")
-    words[:, 1:5] |= digits
+    keep = _KEEP.take(t[zero], axis=0)
+    del t
+    lead += 48
+    lead <<= 48
+    lead |= (x.view(np.uint64) >> 63) * ord("-")
+    words[:, 0] |= lead
+    del lead
+    for j in range(4):
+        digits = _DIGITS.take(groups[:, j])
+        digits[zero] &= keep[:, j]
+        words[:, 1 + j] |= digits
+    del groups, digits, keep, zero
     slow = np.flatnonzero(~fast)
     if slow.size:
         # at most 24 bytes each, padded to words 0-4
@@ -173,7 +286,9 @@ def _format_rows(block: np.ndarray) -> bytes:
     sep = np.full(ncols, ord(","), dtype=np.uint64)
     sep[-1] = ord("\n")
     words.reshape(rows, ncols, 6)[:, :, 5] |= sep << 32
-    return words.tobytes().translate(None, b"\0")
+    # 1024 values a piece: the canvas is never copied whole to bytes
+    return b"".join(words[i:i + 1024].tobytes().translate(None, b"\0")
+                    for i in range(0, x.size, 1024))
 
 
 class _CellTable:
@@ -330,7 +445,12 @@ class RadialProfile:
         object.__setattr__(self, "values", v)
 
     def __call__(self, r):
-        """Linear interpolation; zero outside the grid span."""
+        """Linear interpolation between the nodes; values[0] below the first
+        node and 0 past the last."""
+        return self._interp(r)
+
+    def _interp(self, r):
+        # private: ``sample`` calls it from pool threads (see _map_chunks)
         return np.interp(r, self.grid.nodes, self.values, left=self.values[0], right=0.0)
 
     @staticmethod
@@ -349,16 +469,26 @@ def write_csv(path, header: dict, names, columns):
     ended by '\\n': ``_format_rows`` computes the correctly rounded digits of
     each ``_CSV_CHUNK_ROWS`` rows at once in integer numpy arithmetic (and
     hands zeros, subnormals, non-finite values and magnitudes outside
-    (1e-11, 1e16) to Python's ``%``), and each chunk goes straight to the
-    file.
+    (1e-11, 1e16) to Python's ``%``).  One chunk per worker is formatted at
+    a time on the pool of ``_map_chunks``, and the chunks go to the file in
+    order.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
+    rows = cols[0].size
+    batch = _CSV_CHUNK_ROWS * _workers()
     with open(path, "wb") as fh:
         fh.write("".join(f"# {k}: {v}\n" for k, v in header.items()).encode())
         fh.write((",".join(names) + "\n").encode())
-        for i in range(0, cols[0].size, _CSV_CHUNK_ROWS):
-            fh.write(_format_rows(np.column_stack([c[i:i + _CSV_CHUNK_ROWS]
-                                                   for c in cols])))
+        for start in range(0, rows, batch):
+            size = min(batch, rows - start)
+            texts = [b""] * -(-size // _CSV_CHUNK_ROWS)
+
+            def chunk(a, b):
+                texts[a // _CSV_CHUNK_ROWS] = _format_rows(np.column_stack(
+                    [c[start + a:start + b] for c in cols]))
+
+            _map_chunks(chunk, size, _CSV_CHUNK_ROWS)
+            fh.writelines(texts)
 
 
 def read_csv(path, columns=()) -> np.ndarray:

@@ -11,12 +11,12 @@ the particles once per position update; that binning serves the grid force
 (its deposit and the gather of the potential's spline derivative), the
 diagnostics row (``functionals._ensemble_row``), and the escape and
 clamped counts.
-The per-particle maps of the force step, the leapfrog updates and the
-diagnostics rows run in chunks on a pool of threads, one per CPU in the
-process's affinity set; sums, deposits and the spline stay whole-array on
-one thread, so results are bit-reproducible for any worker count.  Sampling
-runs on one thread.  All randomness flows through one counter-based
-generator (Philox) seeded explicitly.
+The per-particle maps of sampling, the force step, the leapfrog updates and
+the diagnostics rows run in chunks on a pool of threads
+(``grids._map_chunks``), one per CPU in the process's affinity set; random
+draws, sums, deposits and the spline stay whole-array on one thread, so
+results are bit-reproducible for any worker count.  All randomness flows
+through one counter-based generator (Philox) seeded explicitly.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError
-from .functionals import (_bin, _ensemble_row, _map_chunks, _radius,
-                          _workers, stability_distance)
-from .grids import RadialGrid
+from .functionals import _bin, _bin_part, _ensemble_row, _radius
+from .grids import RadialGrid, _map_chunks, _workers
 from .potential import operator_for
 from .steady import SteadyState
 
@@ -115,6 +114,10 @@ def _rng(seed: int) -> np.random.Generator:
 def sample(ss: SteadyState, n: int, seed: int) -> ParticleEnsemble:
     """Draw n equal-weight particles from the steady state f0 = q(E0 - E).
 
+    Every random draw is one whole array, taken on the calling thread in a
+    fixed order (radii, then each rejection round's w and u, then the two
+    angles), so the Philox stream and the ensemble do not depend on the
+    worker count; the per-particle maps between the draws run in chunks.
     The ensemble's arrays are fresh; ``run`` steps them in place.
     """
     if n < 1:
@@ -139,31 +142,63 @@ def sample(ss: SteadyState, n: int, seed: int) -> ParticleEnsemble:
         t = (s_nodes[k - 1] - s_floor) / (s_nodes[k - 1] - s_nodes[k])
         r_nodes = r_nodes.copy()
         r_nodes[k] = r_nodes[k - 1] + t * (r_nodes[k] - r_nodes[k - 1])
+    # private names only in the chunks (see grids._map_chunks)
+    u0, inv = ss.U0._interp, ss.inv
 
-    u = rng.random(n)
-    radii = np.interp(u, cdf, r_nodes)
-    s_at = np.maximum(ss.E0 - ss.U0(radii), 0.0)
-    # a state with density where s is at the floor keeps stragglers there;
-    # they move to r = 0, and run counts them as clamped
-    radii = np.where(s_at > s_floor, radii, 0.0)
-    s_at = np.maximum(s_at, s_floor)
+    def q(s):
+        return inv._positive("q", s, inv._q)
+
+    radii, s_at, q_env = rng.random(n), np.empty(n), np.empty(n)
+
+    def envelope(a, b):
+        r = radii[a:b]
+        r[:] = np.interp(r, cdf, r_nodes)
+        s = np.subtract(ss.E0, u0(r), out=s_at[a:b])
+        np.maximum(s, 0.0, out=s)
+        # a state with density where s is at the floor keeps stragglers
+        # there; they move to r = 0, and run counts them as clamped
+        r[s <= s_floor] = 0.0
+        np.maximum(s, s_floor, out=s)
+        q_env[a:b] = q(s)
+
+    _map_chunks(envelope, n)
 
     # rejection in w with the constant envelope q(s): accept u*q(s) <= q(s-w)
     w_kin = np.empty(n)
     pending = np.arange(n)
-    q_env = ss.inv.q(s_at)
     while pending.size:
-        w_try = rng.random(pending.size) * s_at[pending]
-        u_try = rng.random(pending.size) * q_env[pending]
-        ok = u_try <= ss.inv.q(s_at[pending] - w_try)
+        w_try, u_try = rng.random(pending.size), rng.random(pending.size)
+        ok = np.empty(pending.size, dtype=bool)
+
+        def trial(a, b):
+            i = pending[a:b]
+            s = s_at[i]
+            w = w_try[a:b]
+            w *= s
+            u = u_try[a:b]
+            u *= q_env[i]
+            s -= w
+            np.less_equal(u, q(s), out=ok[a:b])
+
+        _map_chunks(trial, pending.size)
         w_kin[pending[ok]] = w_try[ok]
         pending = pending[~ok]
 
-    phi = rng.random(n) * 2.0 * np.pi
-    psi = rng.random(n) * 2.0 * np.pi
-    speed = np.sqrt(2.0 * w_kin)
-    positions = np.column_stack([radii * np.cos(phi), radii * np.sin(phi)])
-    velocities = np.column_stack([speed * np.cos(psi), speed * np.sin(psi)])
+    phi, psi = rng.random(n), rng.random(n)
+    positions, velocities = np.empty((n, 2)), np.empty((n, 2))
+
+    def place(a, b):
+        speed = w_kin[a:b]
+        speed *= 2.0
+        np.sqrt(speed, out=speed)
+        for angle, xy, length in ((phi[a:b], positions, radii[a:b]),
+                                  (psi[a:b], velocities, speed)):
+            angle *= 2.0
+            angle *= np.pi
+            np.multiply(length, np.cos(angle), out=xy[a:b, 0])
+            np.multiply(length, np.sin(angle), out=xy[a:b, 1])
+
+    _map_chunks(place, n)
     weights = np.full(n, ss.mass / n)
     return ParticleEnsemble(positions, velocities, weights)
 
@@ -299,20 +334,23 @@ def _apply_perturbation(ens: ParticleEnsemble, kind: str,
     return replace(ens, positions=(1.0 + delta) * ens.positions)
 
 
-def _noise_floor(ss, ens, d0: float = None) -> float:
+def _noise_floor(ss, ens, binned, d0: float = None) -> float:
     """Monte-Carlo noise floor of the distance metric: |d| at t=0 on the
     full ensemble (d0, evaluated here when not given) plus the spread of d
-    between its two halves."""
+    between its two halves.  ``binned`` is the ensemble's binning; each
+    half takes its slice of it (``_bin_part``)."""
     if d0 is None:
-        d0, _ = stability_distance(ss, ens)
+        d0 = _ensemble_row(ss.model, ens, binned, ss)[0]["d_dist"]
     half = ens.n // 2
     if half < 1000:
         return abs(d0)
-    da, _ = stability_distance(ss, ParticleEnsemble(
-        ens.positions[:half], ens.velocities[:half], ens.weights[:half]))
-    db, _ = stability_distance(ss, ParticleEnsemble(
-        ens.positions[half:], ens.velocities[half:], ens.weights[half:]))
-    return abs(d0) + abs(da - db)
+    def d_of(part):
+        sub = ParticleEnsemble(ens.positions[part], ens.velocities[part],
+                               ens.weights[part])
+        return _ensemble_row(ss.model, sub, _bin_part(binned, ens.weights, part),
+                             ss)[0]["d_dist"]
+
+    return abs(d0) + abs(d_of(slice(None, half)) - d_of(slice(half, None)))
 
 
 def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
@@ -359,8 +397,11 @@ def run(ss: SteadyState, cfg: SimConfig, perturbation: str = "none",
     # other draw lands there only for a uniform variate of exactly 0 (2**-53)
     clamped = int(np.count_nonzero(binned.radii == 0.0))
     record(binned, 0.0)
-    # before the first drift: a perturbed ensemble shares an array with the draw
-    eps_mc = _noise_floor(ss, drawn,
+    # before the first drift: a perturbed ensemble shares an array with the
+    # draw, and row 0's binning is the draw's unless a radius scale moved it
+    if ens.positions is not drawn.positions:
+        binned = _bin(ss.grid, drawn.positions, drawn.weights)
+    eps_mc = _noise_floor(ss, drawn, binned,
                           rows[0]["d_dist"] if ens is drawn else None)
     del binned, drawn, ens  # the steps keep x, v, w and the kick alone
     kick *= 0.5 * dt

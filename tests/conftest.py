@@ -1,7 +1,10 @@
+import functools
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from flatsteady import CasimirModel, SolverOptions, solve
+from flatsteady import CasimirModel, SolverOptions, grids, solve
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +36,19 @@ def kuzmin_profile():
     def sigma(r):
         return 1.0 / (2.0 * np.pi * (r ** 2 + 1.0) ** 1.5)
     return sigma
+
+
+@pytest.fixture
+def use_pool():
+    """use_pool(monkeypatch, workers, chunk=None) routes the chunk maps of
+    ``grids._map_chunks`` through a pool of ``workers`` threads (and, when
+    given, slices of ``chunk``) while ``monkeypatch`` holds; it returns the
+    executor, or None for one worker, for the caller to shut down."""
+    def route(monkeypatch, workers, chunk=None):
+        pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
+        monkeypatch.setattr(grids, "_pool",
+                            functools.cache(lambda: (pool, workers)))
+        if chunk is not None:
+            monkeypatch.setattr(grids, "_CHUNK", chunk)
+        return pool
+    return route

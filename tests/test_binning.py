@@ -307,9 +307,9 @@ def test_run_bins_once_per_position_update(monkeypatch, poly_wide, ss_wide,
                     method=method, seed=3, output_every=output_every)
     out = run(ss_wide, cfg, model=poly_wide)
     assert len(out["rows"]) == 1 + -(-10 // output_every)
-    # t = 0 and each of the 10 drifts, plus the two halves of eps_mc: the
-    # force, the rows, the escape count and clamped share these
-    assert len(calls) == 10 + 1 + 2
+    # t = 0 and each of the 10 drifts: the force, the rows, the escape count,
+    # clamped and the two halves of eps_mc share these
+    assert len(calls) == 10 + 1
 
 
 # -- one definition of outside the grid ----------------------------------------

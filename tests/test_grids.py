@@ -104,25 +104,37 @@ def test_read_csv_returns_columns_bitwise(tmp_path):
     assert b.tobytes() == _PIN_VALUES[::-1].tobytes()
 
 
-def test_write_csv_chunks_match_row_by_row(tmp_path):
+def _assert_pooled_writes_match_row_by_row(tmp_path, monkeypatch, use_pool,
+                                           cols):
+    # the pool formats one chunk per worker at a time: rows one short of,
+    # at and one past a chunk boundary, on 1, 2 and 3 workers
+    for workers in (1, 2, 3):
+        for size in (3 * _CSV_CHUNK_ROWS - 1, 3 * _CSV_CHUNK_ROWS,
+                     3 * _CSV_CHUNK_ROWS + 1, 2 * _CSV_CHUNK_ROWS + 5):
+            part = cols[:, :size]
+            path = tmp_path / f"big-{workers}-{size}.csv"
+            with monkeypatch.context() as m:
+                pool = use_pool(m, workers)
+                write_csv(path, {}, ("x", "y", "z"), part)
+                if pool is not None:
+                    pool.shutdown()
+            rows = "".join("%.17g,%.17g,%.17g\n" % tuple(r) for r in part.T)
+            assert path.read_text() == "x,y,z\n" + rows, (workers, size)
+            assert read_csv(path).tobytes() == part.tobytes(), (workers, size)
+
+
+def test_write_csv_chunks_match_row_by_row(tmp_path, monkeypatch, use_pool):
     rng = np.random.default_rng(3)
-    cols = rng.standard_normal((3, 2 * _CSV_CHUNK_ROWS + 5)) * 10.0 ** rng.integers(
-        -300, 300, size=(3, 2 * _CSV_CHUNK_ROWS + 5))
-    path = tmp_path / "big.csv"
-    write_csv(path, {}, ("x", "y", "z"), cols)
-    rows = "".join("%.17g,%.17g,%.17g\n" % tuple(r) for r in cols.T)
-    assert path.read_text() == "x,y,z\n" + rows
-    assert read_csv(path).tobytes() == cols.tobytes()
+    shape = (3, 3 * _CSV_CHUNK_ROWS + 1)
+    cols = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    _assert_pooled_writes_match_row_by_row(tmp_path, monkeypatch, use_pool, cols)
 
 
-def test_write_csv_chunks_match_row_by_row_in_fast_range(tmp_path):
+def test_write_csv_chunks_match_row_by_row_in_fast_range(tmp_path, monkeypatch,
+                                                         use_pool):
     # N(0, 1) values take the vectorized path across the chunk boundaries
-    cols = np.random.default_rng(4).standard_normal((3, 2 * _CSV_CHUNK_ROWS + 5))
-    path = tmp_path / "normal.csv"
-    write_csv(path, {}, ("x", "y", "z"), cols)
-    rows = "".join("%.17g,%.17g,%.17g\n" % tuple(r) for r in cols.T)
-    assert path.read_text() == "x,y,z\n" + rows
-    assert read_csv(path).tobytes() == cols.tobytes()
+    cols = np.random.default_rng(4).standard_normal((3, 3 * _CSV_CHUNK_ROWS + 1))
+    _assert_pooled_writes_match_row_by_row(tmp_path, monkeypatch, use_pool, cols)
 
 
 def _expect_rows(values):

@@ -12,23 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatsteady import SimConfig, accelerations, run, sample, step
-from flatsteady import functionals
+from flatsteady import grids
 from flatsteady.errors import InputError
 from flatsteady.functionals import _bin, _ensemble_row
 from flatsteady.simulate import ParticleEnsemble, _grid_accel_arrays
 
 # no chunk boundary of the default size falls on a multiple of a smaller one
-N_POOL = 2 * functionals._CHUNK + 17
-
-
-def _use_pool(monkeypatch, workers, chunk=None):
-    """Route the particle maps through a pool of ``workers`` threads."""
-    pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
-    monkeypatch.setattr(functionals, "_pool",
-                        functools.cache(lambda: (pool, workers)))
-    if chunk is not None:
-        monkeypatch.setattr(functionals, "_CHUNK", chunk)
-    return pool
+N_POOL = 2 * grids._CHUNK + 17
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +26,7 @@ def ens_pool(ss_wide):
     """A sampled ensemble with particles past the grid and one at the origin."""
     ens = sample(ss_wide, N_POOL, seed=5)
     x = ens.positions.copy()
-    far = slice(functionals._CHUNK - 3, functionals._CHUNK + 3)
+    far = slice(grids._CHUNK - 3, grids._CHUNK + 3)
     x[far] *= 1.5 * ss_wide.grid.r_max / np.hypot(*x[far].T)[:, None]
     x[7] = [0.0, 0.0]
     return ParticleEnsemble(x, ens.velocities, ens.weights)
@@ -48,26 +38,30 @@ def _outputs(ss, model, ens):
     t_dyn = ss.dynamical_time()
     cfg = SimConfig(n_particles=N_POOL, dt=0.01 * t_dyn, t_end=0.03 * t_dyn,
                     seed=9, output_every=2)
-    out = run(ss, cfg, model=model)
-    return {
-        "acc": acc, "step_x": stepped.positions, "step_v": stepped.velocities,
-        "step_acc": acc_new,
-        "rows": np.array([[row[k] for k in sorted(row)] for row in out["rows"]]),
-        "eps_mc": np.array([out["eps_mc"], out["mass_past_grid"]]),
-        "final_x": out["ensemble"].positions,
-        "final_v": out["ensemble"].velocities,
-        "workers": out["workers"],
-    }
+    res = {"acc": acc, "step_x": stepped.positions,
+           "step_v": stepped.velocities, "step_acc": acc_new}
+    # a radius scale bins the draw apart from row 0 for its noise floor
+    for label, kind, delta in (("", "none", 0.0), ("radius ", "radius-scale", 0.05)):
+        out = run(ss, cfg, perturbation=kind, delta=delta, model=model)
+        res.update({
+            label + "rows": np.array([[row[k] for k in sorted(row)]
+                                      for row in out["rows"]]),
+            label + "eps_mc": np.array([out["eps_mc"], out["mass_past_grid"]]),
+            label + "final_x": out["ensemble"].positions,
+            label + "final_v": out["ensemble"].velocities,
+        })
+        res["workers"] = out["workers"]
+    return res
 
 
-def test_outputs_do_not_depend_on_workers_or_chunks(monkeypatch, poly_wide,
-                                                   ss_wide, ens_pool):
+def test_outputs_do_not_depend_on_workers_or_chunks(monkeypatch, use_pool,
+                                                   poly_wide, ss_wide, ens_pool):
     results = {}
     for label, workers, chunk in (("1", 1, None), ("2", 2, None), ("3", 3, None),
                                   ("one chunk", 3, 10 * N_POOL),
                                   ("odd chunks", 2, 9973)):
         with monkeypatch.context() as m:
-            pool = _use_pool(m, workers, chunk)
+            pool = use_pool(m, workers, chunk)
             results[label] = _outputs(ss_wide, poly_wide, ens_pool)
             if pool is not None:
                 pool.shutdown()
@@ -78,8 +72,8 @@ def test_outputs_do_not_depend_on_workers_or_chunks(monkeypatch, poly_wide,
             assert value.tobytes() == res[key].tobytes(), (label, key)
 
 
-def test_run_leapfrog_matches_whole_array_updates(monkeypatch, poly_wide,
-                                                  ss_wide):
+def test_run_leapfrog_matches_whole_array_updates(monkeypatch, use_pool,
+                                                  poly_wide, ss_wide):
     # the chunked kicks reuse the half kick and the force buffer; at 1, 2
     # and 3 workers the positions and velocities still equal the plain
     # kick-drift-kick, and k calls of step give the same bytes as run's k
@@ -98,7 +92,7 @@ def test_run_leapfrog_matches_whole_array_updates(monkeypatch, poly_wide,
         v += 0.5 * dt * acc
     for workers in (1, 2, 3):
         with monkeypatch.context() as m:
-            pool = _use_pool(m, workers, chunk=997)
+            pool = use_pool(m, workers, chunk=997)
             out = run(ss_wide, cfg, model=poly_wide)
             stepped, acc_step = ens, acc0
             for _ in range(4):
@@ -120,12 +114,13 @@ def test_run_leapfrog_matches_whole_array_updates(monkeypatch, poly_wide,
         assert final.radii().tobytes() == binned.radii.tobytes(), workers
 
 
-def test_nan_radius_in_a_later_chunk_raises(monkeypatch, ss_wide, ens_pool):
+def test_nan_radius_in_a_later_chunk_raises(monkeypatch, use_pool, ss_wide,
+                                            ens_pool):
     x = ens_pool.positions.copy()
-    x[functionals._CHUNK + 11] = [np.nan, 0.0]
+    x[grids._CHUNK + 11] = [np.nan, 0.0]
     for workers in (1, 3):
         with monkeypatch.context() as m:
-            pool = _use_pool(m, workers)
+            pool = use_pool(m, workers)
             with pytest.raises(InputError, match="NaN radius"):
                 _grid_accel_arrays(x, _bin(ss_wide.grid, x, ens_pool.weights))
             if pool is not None:
@@ -143,20 +138,19 @@ def test_chunks_cover_every_particle_once(n, chunk, workers):
         seen[lo:hi] += 1
 
     pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
-    saved = functionals._pool, functionals._CHUNK
-    functionals._pool = functools.cache(lambda: (pool, workers))
-    functionals._CHUNK = chunk
+    saved = grids._pool
+    grids._pool = functools.cache(lambda: (pool, workers))
     try:
-        functionals._map_chunks(mark, n)
+        grids._map_chunks(mark, n, chunk)
     finally:
-        functionals._pool, functionals._CHUNK = saved
+        grids._pool = saved
         if pool is not None:
             pool.shutdown()
     assert np.all(seen == 1)
 
 
 def test_pool_follows_the_affinity_set():
-    pool, workers = functionals._pool()
+    pool, workers = grids._pool()
     assert workers == len(os.sched_getaffinity(0))
     assert (pool is None) == (workers == 1)
 
@@ -171,18 +165,18 @@ def test_shared_slice_iterator_under_frequent_switches():
         seen[lo:hi] += 1
 
     pool = ThreadPoolExecutor(workers - 1)
-    saved = functionals._pool, functionals._CHUNK, sys.getswitchinterval()
-    functionals._pool = functools.cache(lambda: (pool, workers))
-    functionals._CHUNK = 3
+    saved = grids._pool, grids._CHUNK, sys.getswitchinterval()
+    grids._pool = functools.cache(lambda: (pool, workers))
+    grids._CHUNK = 3
     sys.setswitchinterval(1e-6)
     try:
-        caller = threading.Thread(target=functionals._map_chunks, args=(mark, n))
+        caller = threading.Thread(target=grids._map_chunks, args=(mark, n))
         caller.start()
         caller.join(timeout=120)
         assert not caller.is_alive()
     finally:
         sys.setswitchinterval(saved[2])
-        functionals._pool, functionals._CHUNK = saved[:2]
+        grids._pool, grids._CHUNK = saved[:2]
         pool.shutdown()
     assert np.all(seen == 1)
 
@@ -193,15 +187,15 @@ def test_map_returns_when_no_helper_thread_is_free(monkeypatch):
     release = threading.Event()
     pool = ThreadPoolExecutor(1)
     blocker = pool.submit(release.wait, 120)
-    monkeypatch.setattr(functionals, "_pool", functools.cache(lambda: (pool, 2)))
-    monkeypatch.setattr(functionals, "_CHUNK", 7)
+    monkeypatch.setattr(grids, "_pool", functools.cache(lambda: (pool, 2)))
+    monkeypatch.setattr(grids, "_CHUNK", 7)
     seen = np.zeros(100, dtype=int)
 
     def mark(lo, hi):
         seen[lo:hi] += 1
 
     try:
-        caller = threading.Thread(target=functionals._map_chunks, args=(mark, 100))
+        caller = threading.Thread(target=grids._map_chunks, args=(mark, 100))
         caller.start()
         caller.join(timeout=60)
         assert not caller.is_alive()
