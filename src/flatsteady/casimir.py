@@ -7,7 +7,10 @@ inverse q of Q' is what shapes the steady state, f0 = q(E0 - E), and its
 antiderivative G(s) = int_0^s q gives the planar density through
 rho0(r) = 2*pi*G(E0 - U0(r)).  G is the convex conjugate of Q,
 G(s) = s*q(s) - (Q(q(s)) - Q(0)): closed form for a polytrope, one q
-evaluation per argument for a sum of powers or a table.
+evaluation per argument for a sum of powers or a table.  Its antiderivative
+G2, which gives f0's kinetic energy and Casimir, is closed form for a
+polytrope, one q evaluation per argument for a sum of powers, and the
+64-point velocity rule applied to G for a table.
 """
 
 from __future__ import annotations
@@ -232,10 +235,10 @@ class InverseQ:
     The constructor resolves the model's kind once into ``_q``, ``_G`` and
     ``_G2``, functions of positive arrays: closed forms for one power term
     (a polytrope); for a sum of powers Newton's method from above in
-    log f, on log Q'(f) = log eps, for a table the exact root of its
-    quadratic Q' piece, and for both G from the Legendre identity and G2
-    from ``_substituted_quadrature``.  Each public method checks its
-    argument once.
+    log f, on log Q'(f) = log eps, and G2 in closed form from that one q
+    (``_G2_power_sum``); for a table the exact root of its quadratic Q'
+    piece and G2 from ``_substituted_quadrature``; for both G from the
+    Legendre identity.  Each public method checks its argument once.
     """
 
     REL_TOL = 1e-12
@@ -255,9 +258,14 @@ class InverseQ:
             # Q'(f) = sum a_i*f^e_i; term i alone solves Q'(f) = eps at
             # log f = (log eps - log a_i)/e_i: per-term columns, formed once
             a, e = np.array(model._derivative_terms(1)).T
-            self._e = e[:, None]
-            self._log_a = np.log(a)[:, None]
+            self._a, self._e = a[:, None], e[:, None]
+            self._log_a = np.log(self._a)
+            # G2's closed form: 1/(e_i + 1), and 1/(2*(e_i + e_j + 1)) along
+            # axes 0 and 1 of a (terms, terms, 1) array
+            self._lin = 1.0 / (self._e + 1.0)
+            self._quad = 0.5 / (self._e[:, None] + self._e + 1.0)
             self._q = self._q_newton
+            self._G2 = self._G2_power_sum
         else:
             # Q' is a*t^2 + b*t + c, t = f - x[i], on each [x[i], x[i+1]]; its
             # knot values, lifted over the 1e-12 dips custom allows, locate eps
@@ -265,6 +273,7 @@ class InverseQ:
             self._knots, self._coefs = qp.x, qp.c
             self._qp_knots = np.maximum.accumulate(model.Qp(qp.x))
             self._q = self._q_table
+            self._G2 = lambda s: _substituted_quadrature(s, self._G)
         # G(s) = s*q(s) - (Q(q(s)) - Q(0)), the convex conjugate of Q, is
         # stationary in q(s): q's solver tolerance enters only squared
         Q0 = model.Q(0.0)
@@ -274,7 +283,6 @@ class InverseQ:
             return s * f - (model.Q(f) - Q0)
 
         self._G = G
-        self._G2 = lambda s: _substituted_quadrature(s, self._G)
 
     # -- q -----------------------------------------------------------------
 
@@ -306,8 +314,9 @@ class InverseQ:
         every exp and log acts on a whole array, so its bits are its own.
         """
         x = eps.ravel()
-        # a zero (G2's s*u^2 at a subnormal s) is solved as 5e-324, q = 0
-        top_i = (np.log(np.maximum(x, 5e-324)) - self._log_a) / self._e
+        # every caller passes eps > 0 (``_positive`` drops the rest), so
+        # log eps is finite down to the smallest subnormal
+        top_i = (np.log(x) - self._log_a) / self._e
         top = top_i.min(axis=0)
         log_r = self._e * (top - top_i)
         d, done = np.zeros(top.shape), np.zeros(top.shape, dtype=bool)
@@ -320,8 +329,7 @@ class InverseQ:
             # steps are >= 0 up to rounding: the descent starts above the root
             done |= step <= self.REL_TOL
             if done.all():
-                f = np.where(x > 0.0, np.exp(top + d), 0.0)
-                return f.reshape(eps.shape)
+                return np.exp(top + d).reshape(eps.shape)
         bad = float(np.max(x[~done]))
         raise ConvergenceError(f"q: Newton did not converge for eps={bad:.6g}")
 
@@ -344,6 +352,25 @@ class InverseQ:
         return x[i] + np.fmin(np.fmax(t, 0.0), x[i + 1] - x[i])
 
     # -- antiderivatives ---------------------------------------------------
+
+    def _G2_power_sum(self, s):
+        """G2 of a sum of powers from one q solve, F = q(s).
+
+        With Q'(f) = sum a_i*f^e_i, integration by parts in f gives
+        G2 = s*G - s^2*F/2 + sum_ij a_i*a_j*F^(e_i+e_j+1)/(2*(e_i+e_j+1)),
+        that is s^2*F*B with B = 1/2 - sum_i r_i/(e_i+1)
+        + sum_ij r_i*r_j/(2*(e_i+e_j+1)) and r_i = a_i*F^e_i/s, the terms of
+        Q'(F)/s, which sum to 1.  Like G it is stationary in F, so q's
+        tolerance enters only squared.  Each F^e_i is at most s/a_i up to
+        that tolerance, and the product is formed as s*(s*(F*B)), so nothing
+        overflows before G2 itself.
+        """
+        F = self._q(s)
+        r = np.power(F, self._e) / s * self._a
+        # elementwise sums, not a matrix product: a node's bits are its own
+        B = (0.5 - (self._lin * r).sum(axis=0)
+             + (r * (self._quad * r).sum(axis=1)).sum(axis=0))
+        return s * (s * (F * B))
 
     def G(self, s):
         """G(s) = int_0^s q(t) dt; 0 for s <= 0."""
