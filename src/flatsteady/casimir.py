@@ -121,8 +121,9 @@ class CasimirModel:
         """
         if not (0.0 < mu < 1.0):
             raise ModelDefinitionError("polytrope: mu must lie in (0,1)")
-        if c <= 0:
-            raise ModelDefinitionError("polytrope: coefficient must be positive")
+        if not 0.0 < c < np.inf:
+            raise ModelDefinitionError(
+                f"polytrope: coefficient must be finite and positive (got {c!r})")
         m3 = mu if mu3 is None else mu3
         e = 1.0 / mu - 1.0  # homogeneity degree of Q''
         return CasimirModel(
@@ -138,8 +139,10 @@ class CasimirModel:
         for m in (mu1, mu2):
             if not (0.0 < m < 1.0):
                 raise ModelDefinitionError("double_power: exponents must lie in (0,1)")
-        if C1 <= 0 or C2 <= 0:
-            raise ModelDefinitionError("double_power: coefficients must be positive")
+        if not (0.0 < C1 < np.inf and 0.0 < C2 < np.inf):
+            raise ModelDefinitionError(
+                "double_power: coefficients must be finite and positive "
+                f"(got {C1!r}, {C2!r})")
         mu_big = max(mu1, mu2)
         # single-power upper bound for f <= F0 (used by (Q2))
         C2_decl = (C1 * F0 ** (1.0 / mu1 - 1.0 / mu_big)
@@ -169,6 +172,8 @@ class CasimirModel:
         Q = np.asarray(Q_table, dtype=float)
         if f.ndim != 1 or f.shape != Q.shape or f.size < 4:
             raise ModelDefinitionError("custom: need matching 1-d tables with >= 4 points")
+        if not (np.isfinite(f).all() and np.isfinite(Q).all()):
+            raise ModelDefinitionError("custom: table entries must be finite")
         if np.any(np.diff(f) <= 0):
             raise ModelDefinitionError("custom: f table must be strictly increasing")
         if f[0] != 0.0:

@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__
 from .casimir import CasimirModel, validate_assumptions
 from .errors import FlatSteadyError, InputError
-from .functionals import (evaluate_steady, scaling_inequality_check,
-                          split_diagnostic)
+from .functionals import (_check_split, evaluate_steady,
+                          scaling_inequality_check, split_diagnostic)
 from .grids import RadialGrid, RadialProfile, read_csv, write_csv
 from .potential import potential_from_density
 from .steady import (_MASS_TOL, _RESIDUAL_CAP, SolverOptions, SteadyState,
@@ -95,15 +95,15 @@ _MODEL_KEYS = {
     "double_power": {"mu1", "mu2", "c1", "c2"},
     "custom": {"table", "mu1", "mu2", "mu3"},
 }
-_STATE_KEYS = {"state", "mass"}
+# [solve] holds the state's one mass; ``state`` swaps its solve for an artifact
 _KEYS = {
     "model": {"kind", "f0"}.union(*_MODEL_KEYS.values()),
     "solver": {"n"},
     "solve": {"mass"},
     "scaling": {"m1", "m2"},
-    "split": {"radius", "radius_fraction", "c"} | _STATE_KEYS,
+    "split": {"radius", "radius_fraction", "c", "state"},
     "evolve": {"seed", "n_particles", "dt_over_tdyn", "t_end_over_tdyn",
-               "output_every", "perturbation", "delta"} | _STATE_KEYS,
+               "output_every", "perturbation", "delta", "state"},
     "table": {"density"},
 }
 
@@ -181,25 +181,6 @@ def _model_record(model: CasimirModel) -> dict:
     return json.loads(_fmt(record))
 
 
-def _write_state(out_dir, prefix, ss: SteadyState, cfg_path):
-    csv_path = os.path.join(out_dir, prefix + ".csv")
-    json_path = os.path.join(out_dir, prefix + ".json")
-    write_csv(csv_path, {"version": __version__, "grid_hash": ss.grid.content_hash()},
-              ("r", "rho", "U"), (ss.grid.nodes, ss.rho0.values, ss.U0.values))
-    report = evaluate_steady(ss.model, ss)
-    payload = _stamp(cfg_path, grid=ss.grid)
-    payload.update({
-        "E0": ss.E0, "mass": ss.mass,
-        "support_radius": ss.support_radius,
-        "residual": ss.residual, "iterations": ss.iterations,
-        "functionals": report.to_dict(),
-        "regularity": regularity_report(ss),
-        "model": _model_record(ss.model),
-    })
-    _write_json(json_path, payload)
-    return csv_path, json_path
-
-
 # the sidecar fields ``_read_state`` passes to ``SteadyState``, each with
 # the range its value has in a solved state
 _STATE_FIELDS = {"E0": lambda v: v < 0.0, "iterations": lambda v: v >= 0}
@@ -265,20 +246,27 @@ def _read_state(prefix, model) -> SteadyState:
     return ss
 
 
-def _state_for(cp, args, model, out_dir):
-    """Load the referenced artifact if configured, else solve in-process.
+def _state_for(args, cp, model) -> SteadyState:
+    """The steady state of ``model`` at ``[solve] mass`` (default 1.0) on
+    ``[solver] n`` nodes: solve, split and evolve reach their state here.
 
-    A configured mass or ``[solver] n`` that the artifact does not match
-    marks it stale, like another model's artifact.
+    With no ``state`` in the command's section it is solved and written to
+    steady.csv and steady.json in ``args.out``.  Otherwise it is that
+    artifact, which a set ``[solve] mass`` or ``[solver] n`` that it does not
+    match marks stale, like another model's artifact.
     """
-    prefix = _get(cp, args.command, "state", None, str)
-    mass = _get(cp, args.command, "mass", None)
+    mass = _get(cp, "solve", "mass", None)
+    if mass is not None and not 0.0 < mass < math.inf:
+        raise InputError(
+            f"config: [solve] mass must be finite and positive (got {mass!r})")
+    prefix = (_get(cp, args.command, "state", None, str)
+              if "state" in _KEYS[args.command] else None)
     if prefix:
         ss = _read_state(prefix, model)
         if mass is not None and abs(mass - ss.mass) > _MASS_TOL * ss.mass:
             raise FlatSteadyError(
                 f"stale artifact: {prefix!r} has mass {ss.mass:.17g}, the "
-                f"config asks for [{args.command}] mass = {mass:g}")
+                f"config asks for [solve] mass = {mass:g}")
         n = _get(cp, "solver", "n", None, int)
         if n is not None and n != ss.grid.n:
             raise FlatSteadyError(
@@ -286,7 +274,19 @@ def _state_for(cp, args, model, out_dir):
                 f"config asks for [solver] n = {n}")
         return ss
     ss = solve(model, 1.0 if mass is None else mass, _solver_opts(cp))
-    _write_state(out_dir, "steady", ss, args.config)
+    write_csv(os.path.join(args.out, "steady.csv"),
+              {"version": __version__, "grid_hash": ss.grid.content_hash()},
+              ("r", "rho", "U"), (ss.grid.nodes, ss.rho0.values, ss.U0.values))
+    payload = _stamp(args.config, grid=ss.grid)
+    payload.update({
+        "E0": ss.E0, "mass": ss.mass,
+        "support_radius": ss.support_radius,
+        "residual": ss.residual, "iterations": ss.iterations,
+        "functionals": evaluate_steady(ss.model, ss).to_dict(),
+        "regularity": regularity_report(ss),
+        "model": _model_record(ss.model),
+    })
+    _write_json(os.path.join(args.out, "steady.json"), payload)
     return ss
 
 
@@ -309,12 +309,7 @@ def _cmd_validate(args, cp):
 
 
 def _cmd_solve(args, cp):
-    model = _model_from_config(cp)
-    mass = _get(cp, "solve", "mass", 1.0)
-    if mass <= 0:
-        raise InputError("config: [solve] mass must be positive")
-    ss = solve(model, mass, _solver_opts(cp))
-    _write_state(args.out, "steady", ss, args.config)
+    _state_for(args, cp, _model_from_config(cp))
     return 0
 
 
@@ -334,7 +329,9 @@ def _cmd_split(args, cp):
     radius = _get(cp, "split", "radius", None)
     fraction = _get(cp, "split", "radius_fraction", 0.5)
     c_const = _get(cp, "split", "c", None)
-    ss = _state_for(cp, args, model, args.out)
+    # refuse what split_diagnostic would refuse before _state_for writes
+    _check_split(fraction if radius is None else radius, c_const)
+    ss = _state_for(args, cp, model)
     if radius is None:
         radius = fraction * ss.support_radius
     report = split_diagnostic(ss, radius, C=c_const)
@@ -360,7 +357,7 @@ def _cmd_evolve(args, cp):
     _check_perturbation(perturbation, delta)
     cfg = SimConfig(n_particles=n_particles, dt=dt_over_tdyn,
                     t_end=t_end_over_tdyn, seed=seed, output_every=output_every)
-    ss = _state_for(cp, args, model, args.out)
+    ss = _state_for(args, cp, model)
     t_dyn = ss.dynamical_time()
     cfg = replace(cfg, dt=cfg.dt * t_dyn, t_end=cfg.t_end * t_dyn)
     out = run(ss, cfg, perturbation=perturbation, delta=delta)

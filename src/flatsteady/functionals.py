@@ -461,6 +461,14 @@ def scaling_inequality_check(model: CasimirModel, M1: float, M2: float,
 
 # -- splitting -------------------------------------------------------------
 
+def _check_split(R, C=None):
+    """InputError unless 0 < R < inf and C, if given, is finite."""
+    if not 0.0 < R < np.inf:
+        raise InputError(f"split: R must be finite and positive (got {R!r})")
+    if C is not None and not np.isfinite(C):
+        raise InputError(f"split: C must be finite (got {C!r})")
+
+
 def split_diagnostic(ss: SteadyState, R: float, C: float = None) -> dict:
     """Interior/exterior mass split at radius R and the mixed energy term.
 
@@ -468,8 +476,7 @@ def split_diagnostic(ss: SteadyState, R: float, C: float = None) -> dict:
     interaction int U_rho1 * rho2 together with the bound
     C * R^(-1/2) * ||rho0||_{4/3} * lambda when a constant C is supplied.
     """
-    if R <= 0:
-        raise InputError("split_diagnostic: R must be positive")
+    _check_split(R, C)
     r = ss.grid.nodes
     ringw = ss.grid.ring_weights
     rho = ss.rho0.values

@@ -313,9 +313,11 @@ def step(ens: ParticleEnsemble, dt: float, grid: RadialGrid,
 
 def _check_perturbation(kind: str, delta: float) -> None:
     """InputError unless kind is a known perturbation and delta one it
-    takes: 0 for none, 1 + delta > 0 for a radius scale."""
+    takes: finite, 0 for none, 1 + delta > 0 for a radius scale."""
     if kind not in ("none", "velocity-scale", "radius-scale"):
         raise InputError(f"unknown perturbation kind {kind!r}")
+    if not np.isfinite(delta):
+        raise InputError(f"perturbation delta must be finite (got {delta!r})")
     if kind == "none" and delta != 0.0:
         raise InputError(f"perturbation none takes no delta (got {delta!r})")
     if kind == "radius-scale" and 1.0 + delta <= 0.0:

@@ -96,7 +96,7 @@ class SteadyState:
     def residual(self) -> float:
         """max |2*pi*G(E0 - U0) - rho0| / max rho0; inf for rho0 = 0."""
         rho, peak = self.rho0.values, np.max(self.rho0.values)
-        defect = np.max(np.abs(2.0 * np.pi * self.inv.G(self.s_values) - rho))
+        defect = np.max(np.abs(2.0 * np.pi * self._g_values - rho))
         return float(defect / peak) if peak > 0.0 else np.inf
 
     @property
@@ -105,11 +105,17 @@ class SteadyState:
         return self.E0 - self.U0.values
 
     @functools.cached_property
+    def _g_values(self) -> np.ndarray:
+        """G(E0 - U0) at the nodes, computed once for residual and moments;
+        0 off the support."""
+        return self.inv.G(self.s_values)
+
+    @functools.cached_property
     def moments(self) -> tuple:
         """(kinetic energy, Casimir, iint (E - E0) f0) of f0, computed once."""
         ringw = self.grid.ring_weights
         s = np.maximum(self.s_values, 0.0)
-        g, g2 = self.inv.G(s), self.inv.G2(s)
+        g, g2 = self._g_values, self.inv.G2(s)
         return (float(np.sum(ringw * 2.0 * np.pi * g2)),
                 float(np.sum(ringw * 2.0 * np.pi * (s * g - 2.0 * g2))),
                 float(np.sum(ringw * 2.0 * np.pi * (g2 - s * g))))
@@ -150,8 +156,8 @@ def _unit_shape(n: int) -> RadialGrid:
 
 def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> SteadyState:
     """Compute the steady state of total mass M for the given Casimir model."""
-    if M <= 0:
-        raise InputError("solve: target mass must be positive")
+    if not 0.0 < M < np.inf:
+        raise InputError(f"solve: target mass must be finite and positive (got {M!r})")
     # the grid at R = 1; at edge radius R the nodes are R*r1, the potential
     # of node densities rho is R*op(rho) and the ring weights are R^2*w1
     grid1 = RadialGrid(5.0 * _unit_shape((opts or SolverOptions()).n).nodes)

@@ -3,7 +3,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -122,6 +122,30 @@ def test_polytrope_rejects_bad_exponent():
 
 
 _TABLE_F = np.linspace(0.0, 4.0, 50)
+
+
+@pytest.mark.parametrize("build", [
+    lambda c: CasimirModel.polytrope(0.5, c=c),
+    lambda c: CasimirModel.double_power(0.5, 0.75, c, 1.0),
+    lambda c: CasimirModel.double_power(0.5, 0.75, 1.0, c),
+], ids=["polytrope", "double_power-c1", "double_power-c2"])
+def test_power_sum_coefficients_must_be_finite_and_positive(build):
+    # a NaN coefficient was accepted and an infinite one ended in "q: Newton
+    # did not converge"
+    for c in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ModelDefinitionError, match="finite and positive"):
+            build(c)
+    assert build(2.0).terms[-1][0] > 0.0
+
+
+@pytest.mark.parametrize("column", ["f", "Q"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_custom_table_entries_must_be_finite(column, bad):
+    # scipy's interpolator raised a bare ValueError on them
+    f, Q = _TABLE_F.copy(), _TABLE_F ** 3
+    ({"f": f, "Q": Q}[column])[-1] = bad
+    with pytest.raises(ModelDefinitionError, match="must be finite"):
+        CasimirModel.custom(f, Q, F0=1.0, mu1=0.5, mu2=0.5, mu3=0.5)
 
 
 @pytest.mark.parametrize("build", [
@@ -297,8 +321,9 @@ def test_velocity_moments_of_f0_match_the_closed_forms(model):
 
 
 def test_steady_moments_of_a_power_sum_solve_q_once_per_node(monkeypatch):
-    # G and G2 each take one q solve over the support, 1-d: no (k, 64) array
-    # of quadrature points reaches Newton's method
+    # the residual and the moments share one G at the nodes, and G2 takes
+    # one more q solve over the support, each 1-d: no (k, 64) array of
+    # quadrature points reaches Newton's method
     ss = solve(CasimirModel.double_power(0.5, 0.75), 1.0, SolverOptions(n=96))
     calls = []
     q_inner = ss.inv._q
@@ -308,6 +333,7 @@ def test_steady_moments_of_a_power_sum_solve_q_once_per_node(monkeypatch):
         return q_inner(eps)
 
     monkeypatch.setattr(ss.inv, "_q", logged)
+    ss.residual
     ss.moments
     k = int(np.count_nonzero(ss.s_values > 0.0))
     assert 0 < k < ss.grid.n and calls == [(k,), (k,)]
@@ -352,6 +378,11 @@ def test_G_matches_reference(args):
 
 _log_coefs = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
 
+# each example of the mpmath-reference properties below runs a 30-digit
+# quadrature (0.1 to 0.5 s), so shrinking a failure would take many minutes:
+# they report the first falsifying example as found
+_NO_SHRINK = tuple(p for p in settings.default.phases if p is not Phase.shrink)
+
 
 def _root_30_digits(model, eps):
     """The root of Q'(f) = eps at 30 digits, by Newton from q(eps); 0 where
@@ -391,7 +422,7 @@ def _reference_moment(model, s, power):
                            * _root_30_digits(model, sm * u * u), edges)
 
 
-@settings(deadline=None, max_examples=20)
+@settings(deadline=None, max_examples=20, phases=_NO_SHRINK)
 @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), _log_coefs, _log_coefs,
        st.floats(-8.0, 3.0).map(lambda e: 10.0 ** e))
 def test_G_matches_reference_for_random_power_sums(mu1, mu2, c1, c2, s):
@@ -408,7 +439,7 @@ def test_G_matches_reference_for_random_power_sums(mu1, mu2, c1, c2, s):
 _G2_REL = 1.5e-15
 
 
-@settings(deadline=None, max_examples=20)
+@settings(deadline=None, max_examples=20, phases=_NO_SHRINK)
 @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), _log_coefs, _log_coefs,
        st.floats(-8.0, 5.0).map(lambda e: 10.0 ** e))
 def test_G2_matches_reference_for_random_power_sums(mu1, mu2, c1, c2, s):
@@ -417,7 +448,7 @@ def test_G2_matches_reference_for_random_power_sums(mu1, mu2, c1, c2, s):
     assert abs((model.inverse().G2(s) - ref) / ref) <= _G2_REL
 
 
-@settings(deadline=None, max_examples=10)
+@settings(deadline=None, max_examples=10, phases=_NO_SHRINK)
 @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), _log_coefs, _log_coefs,
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
 def test_G2_is_finite_from_subnormal_s_to_1e300(mu1, mu2, c1, c2, shares):
@@ -441,7 +472,7 @@ def test_G2_is_finite_from_subnormal_s_to_1e300(mu1, mu2, c1, c2, shares):
     assert abs((g2[-1] - ref) / ref) <= _G2_REL
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=40, phases=_NO_SHRINK)
 @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), _log_coefs, _log_coefs,
        st.lists(st.floats(-8.0, 3.0), min_size=1, max_size=20).map(
            lambda e: 10.0 ** np.array(e)))

@@ -92,6 +92,25 @@ def test_nonpositive_mass_is_usage_error(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("mass", ["0", "nan", "inf"])
+@pytest.mark.parametrize("command,reuse", [
+    ("solve", False), ("split", False), ("split", True), ("evolve", False),
+    ("evolve", True)])
+def test_mass_that_is_not_finite_and_positive_is_usage_error(
+        solved_dir, tmp_path, capsys, command, reuse, mass):
+    # split and evolve read [solve] mass too, also when they reuse a state
+    # (a NaN mass passed the reuse check, abs(nan - m) > tol being false)
+    ini = POLY_INI.replace("mass = 1.0", "mass = " + mass)
+    if reuse:
+        ini = ini.replace(f"[{command}]", f"[{command}]\nstate = %s"
+                          % (solved_dir[0] / "steady"))
+    cfg = _write_config(tmp_path / "bad.ini", ini)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "[solve] mass must be finite and positive" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_missing_config_is_usage_error(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path)]) == 2
@@ -273,9 +292,13 @@ def _custom_ini(tmp_path, table_text, model_lines):
                          "[model]\nkind = custom\ntable = %s\n%s" % (table, model_lines))
 
 
-def _f_cubed_table():
-    f = np.linspace(0.0, 6.0, 200)
-    return "".join("%.17g,%.17g\n" % (x, x ** 3) for x in f)
+def _f_cubed_table(column=None, bad=None):
+    """The rows of the f^3 table, with entry 100 of ``column`` set to ``bad``
+    if one is given."""
+    rows = [[x, x ** 3] for x in np.linspace(0.0, 6.0, 200)]
+    if column is not None:
+        rows[100]["fQ".index(column)] = bad
+    return "".join("%.17g,%.17g\n" % tuple(row) for row in rows)
 
 
 def test_custom_without_mu1_is_usage_error(tmp_path):
@@ -311,8 +334,17 @@ def _concave_table():
     ("kind = double_power\nmu1 = 0.5\nmu2 = 0.75\nc1 = 1\nc2 = 1\n"
      "f0 = -1.0\n", None),
     ("kind = polytrope\nmu = 0.5\nf0 = 0\n", None),
+    # non-finite numbers: validate exited 1 on the first two, and scipy's
+    # interpolator raised a bare ValueError on the tables
+    ("kind = polytrope\nmu = 0.5\nc = nan\n", None),
+    ("kind = double_power\nmu1 = 0.5\nmu2 = 0.75\nc1 = inf\nc2 = 1\n", None),
+    ("kind = custom\nmu1 = 0.5\nmu2 = 0.5\nmu3 = 0.5\n",
+     "f,Q\n" + _f_cubed_table("f", np.nan)),
+    ("kind = custom\nmu1 = 0.5\nmu2 = 0.5\nmu3 = 0.5\n",
+     "f,Q\n" + _f_cubed_table("Q", np.inf)),
 ], ids=["polytrope-mu", "double-power-c1", "custom-concave", "polytrope-f0",
-        "double-power-f0", "polytrope-f0-zero"])
+        "double-power-f0", "polytrope-f0-zero", "polytrope-c-nan",
+        "double-power-c1-inf", "custom-f-nan", "custom-Q-inf"])
 def test_bad_model_parameter_is_usage_error(tmp_path, capsys, model_lines, table):
     if table is not None:
         (tmp_path / "table.csv").write_text(table)
@@ -341,7 +373,7 @@ def test_model_key_of_another_kind_is_usage_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("old,new", [
-    ("[split]", "[split]\nmass = 2.0"),
+    ("mass = 1.0", "mass = 2.0"),
     ("n = 192", "n = 384"),
 ], ids=["mass", "n"])
 def test_state_artifact_of_another_mass_or_size_fails(solved_dir, tmp_path,
@@ -353,6 +385,70 @@ def test_state_artifact_of_another_mass_or_size_fails(solved_dir, tmp_path,
     assert main(["split", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "stale artifact" in capsys.readouterr().err
     assert not (tmp_path / "split.json").exists()
+
+
+def test_solve_split_and_evolve_reach_one_state(tmp_path):
+    # [solve] mass is the mass of the state every command solves, and one
+    # config gives one config_hash: the three steady artifacts are the same
+    cfg = _write_config(tmp_path / "heavy.ini",
+                        POLY_INI.replace("mass = 1.0", "mass = 2.0"))
+    for command in ("solve", "split", "evolve"):
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / command)]) in (0, 1)
+    for name in ("steady.csv", "steady.json"):
+        blobs = [(tmp_path / c / name).read_bytes()
+                 for c in ("solve", "split", "evolve")]
+        assert blobs[0] == blobs[1] == blobs[2], name
+    mass = json.loads((tmp_path / "solve" / "steady.json").read_text())["mass"]
+    assert mass == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("command", ["split", "evolve"])
+def test_reused_state_of_another_mass_is_stale(solved_dir, tmp_path, capsys,
+                                               command):
+    base, _ = solved_dir
+    ini = POLY_INI.replace("mass = 1.0", "mass = 2.0").replace(
+        f"[{command}]", f"[{command}]\nstate = %s" % (base / "steady"))
+    cfg = _write_config(tmp_path / "heavy.ini", ini)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "config asks for [solve] mass = 2" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    # with no [solve] mass, no mass check applies
+    ini = ini.replace("[solve]\nmass = 2.0\n", "")
+    cfg = _write_config(tmp_path / "any.ini", ini)
+    assert main([command, "--config", cfg, "--out", str(out)]) in (0, 1)
+    assert not (out / "steady.csv").exists()
+    assert (out / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize("command", ["split", "evolve"])
+def test_per_command_mass_is_usage_error(tmp_path, capsys, command):
+    # the state's mass is [solve] mass alone
+    ini = POLY_INI.replace(f"[{command}]", f"[{command}]\nmass = 1.0")
+    cfg = _write_config(tmp_path / "old.ini", ini)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"unknown key 'mass' in [{command}]" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("lines", [
+    "radius = nan", "radius = inf", "radius = 0", "radius_fraction = nan",
+    "radius_fraction = -0.5", "radius_fraction = 0.5\nc = nan",
+    "radius_fraction = 0.5\nc = inf",
+])
+def test_split_rejects_a_bad_radius_or_constant_before_solving(tmp_path, capsys,
+                                                               lines):
+    # a NaN radius gave a split.json with exterior mass 1 and exit 0, a NaN c
+    # a NaN bound_rhs and exit 1; with no state artifact, split would solve
+    # first and write steady.csv and steady.json unless it checks them before
+    cfg = _write_config(tmp_path / "split.ini",
+                        POLY_INI.replace("radius_fraction = 0.5", lines))
+    out = tmp_path / "out"
+    assert main(["split", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: split: " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_state_artifact_of_another_model_fails(solved_dir, tmp_path):
@@ -497,6 +593,9 @@ def test_evolve_on_its_own_state_reproduces_the_run(tmp_path):
 @pytest.mark.parametrize("lines", [
     "perturbation = none\ndelta = 0.1", "perturbation = squeeze",
     "perturbation = squeeze\ndelta = 0.1",
+    # a NaN delta reached the draws and failed there, after steady.* were written
+    "perturbation = velocity-scale\ndelta = nan",
+    "perturbation = radius-scale\ndelta = inf",
 ])
 def test_evolve_rejects_a_perturbation_that_does_nothing(tmp_path, capsys,
                                                          lines):

@@ -134,6 +134,16 @@ def test_split_beyond_support(ss_half):
     assert rep["mixed_term"] == 0.0
 
 
+@pytest.mark.parametrize("R,C", [(np.nan, None), (np.inf, None),
+                                 (0.0, None), (-1.0, None), (0.5, np.nan),
+                                 (0.5, np.inf)])
+def test_split_rejects_a_radius_or_constant_that_is_not_finite(ss_half, R, C):
+    # a NaN radius gave implied_C NaN and exterior mass 1, a NaN C a NaN
+    # bound_rhs
+    with pytest.raises(InputError, match="^split: "):
+        split_diagnostic(ss_half, R, C=C)
+
+
 def test_split_bound_with_generous_constant(ss_half):
     rep = split_diagnostic(ss_half, 0.5 * ss_half.support_radius, C=None)
     rep2 = split_diagnostic(ss_half, 0.5 * ss_half.support_radius,

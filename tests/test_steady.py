@@ -67,6 +67,14 @@ def test_solver_rejects_nonpositive_mass(poly_half):
         solve(poly_half, -1.0)
 
 
+@pytest.mark.parametrize("M", [np.nan, np.inf])
+def test_solver_rejects_a_non_finite_mass(poly_half, M):
+    # such a mass used to reach the first pass and fail there as a grid past
+    # the float64 range (ConvergenceError)
+    with pytest.raises(InputError, match="finite and positive"):
+        solve(poly_half, M)
+
+
 def test_double_power_state_converges():
     model = CasimirModel.double_power(0.4, 0.9, 1.0, 0.5, F0=2.0)
     ss = solve(model, 1.0, SolverOptions(n=192))
