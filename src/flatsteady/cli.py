@@ -330,7 +330,8 @@ def _cmd_split(args, cp):
     fraction = _get(cp, "split", "radius_fraction", 0.5)
     c_const = _get(cp, "split", "c", None)
     # refuse what split_diagnostic would refuse before _state_for writes
-    _check_split(fraction if radius is None else radius, c_const)
+    key, value = ("radius", radius) if radius is not None else ("radius_fraction", fraction)
+    _check_split(value, c_const, (f"[split] {key}", "[split] c"))
     ss = _state_for(args, cp, model)
     if radius is None:
         radius = fraction * ss.support_radius

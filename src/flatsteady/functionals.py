@@ -461,12 +461,12 @@ def scaling_inequality_check(model: CasimirModel, M1: float, M2: float,
 
 # -- splitting -------------------------------------------------------------
 
-def _check_split(R, C=None):
-    """InputError unless 0 < R < inf and C, if given, is finite."""
+def _check_split(R, C=None, names=("R", "C")):
+    """InputError unless 0 < R < inf and C, if given, is finite (named ``names``)."""
     if not 0.0 < R < np.inf:
-        raise InputError(f"split: R must be finite and positive (got {R!r})")
+        raise InputError(f"split: {names[0]} must be finite and positive (got {R!r})")
     if C is not None and not np.isfinite(C):
-        raise InputError(f"split: C must be finite (got {C!r})")
+        raise InputError(f"split: {names[1]} must be finite (got {C!r})")
 
 
 def split_diagnostic(ss: SteadyState, R: float, C: float = None) -> dict:

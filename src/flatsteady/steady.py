@@ -28,10 +28,14 @@ f - (dX + dF) gamma, dX the matching differences of z, with rho clipped at
 0 and renormalized to the target mass (just f if that system is
 singular).  The density residual is not monotone; whenever it grows the
 history restarts, so the next step is f, and ten consecutive growths raise
-ConvergenceError.  The first pass maps a Kuzmin disc at R = 1 and moves
-only its log R, by one step; the mixing starts from there.  The iteration
+ConvergenceError.  The iteration starts from a Kuzmin disc at R = 1 and
 stops where the density residual is at most _RESIDUAL_TOL and
-|A - 1| < _OUTER_TOL.
+|A - 1| < _OUTER_TOL.  One power term, Q = c*f^(1+1/mu), is homologous: the
+loop solves it at c = 1 and M = 1, and with nu^2 = (M*c^-mu)^(1/(1-mu)) and
+sigma = c^-mu*nu^(2(1+mu)) the map r -> r*nu^2/sigma, rho0 -> sigma*rho0,
+(U0, E0) -> nu^2*(U0, E0) gives the (c, M) state.  A first pass that moved
+only log R used to make two masses' iterates differ by a log R shift alone;
+two solves that stopped on either side of _RESIDUAL_TOL broke that, so it went.
 """
 
 from __future__ import annotations
@@ -162,11 +166,15 @@ def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> S
     # of node densities rho is R*op(rho) and the ring weights are R^2*w1
     grid1 = RadialGrid(5.0 * _unit_shape((opts or SolverOptions()).n).nodes)
     op, r1, w1 = operator_for(grid1), grid1.nodes, grid1.ring_weights
-    inv = model.inverse()
+    one = len(model.terms) == 1  # solved at c = 1, mass m = 1 and mapped
+    (c, mu), m = (model.terms[0], 1.0) if one else ((1.0, 0.0), M)
+    inv = (CasimirModel.polytrope(mu) if one else model).inverse()
+    log_nu2 = (np.log(M / m) - mu * np.log(c)) / (1.0 - mu)  # 0 unless one
+    log_sigma = (1.0 + mu) * log_nu2 - mu * np.log(c)
     p_hat = 0.5 * (model.mu1 + model.mu2) - 1.0  # log-log slope of A(R)
 
     # the unknowns (rho / max rho_map, log R), from a Kuzmin disc of scale
-    # R/3 at R = 1; the density part is renormalized to mass M each pass
+    # R/3 at R = 1; the density part is renormalized to mass m each pass
     z = np.append((1.0 + (3.0 * r1) ** 2) ** -1.5, 0.0)
     # Anderson history: difference pair k since the restart in row k % _MEMORY
     hist, n_hist = np.empty((2, _MEMORY, z.size)), 0
@@ -175,7 +183,7 @@ def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> S
         with np.errstate(all="ignore"):  # a log R past float64 raises below
             R = np.exp(z[-1])
             z_mass = R * R * np.sum(w1 * z[:-1])
-            rho = z[:-1] * (M / z_mass)
+            rho = z[:-1] * (m / z_mass)
         if not (0.0 < z_mass < np.inf and np.isfinite(rho).all()):
             raise ConvergenceError(
                 f"the grid at edge radius R={R:g} leaves the float64 range")
@@ -189,19 +197,13 @@ def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> S
         if not 0.0 < raw_mass < np.inf:
             raise ConvergenceError(
                 f"edge-pinned map produced mass {raw_mass:g} at R={R:g}")
-        A = M / raw_mass
+        A = m / raw_mass
         rho_map = A * raw
         peak = rho_map.max()
         f = np.append((rho_map - rho) / peak, -np.log(A) / p_hat)
         res = float(np.abs(f[:-1]).max())
         if res <= _RESIDUAL_TOL and abs(A - 1.0) < _OUTER_TOL:
             break
-        if it == 1:
-            # the disc moves by one log R step and the iteration starts
-            # there: one power term's iterates at two masses then differ by
-            # a shift of log R alone, so its states rescale exactly
-            z[-1] += f[-1]
-            continue
         x = np.append(rho / peak, z[-1])
         if res > prev_res * (1.0 + 1e-12):
             grow_count += 1
@@ -212,7 +214,7 @@ def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> S
             n_hist = 0  # the safeguard: restart from a plain map step
         else:
             grow_count = 0
-            if it > 2:
+            if it > 1:
                 hist[:, n_hist % _MEMORY] = x - x_prev, f - f_prev
                 n_hist += 1
         prev_res, x_prev, f_prev = res, x, f
@@ -223,6 +225,13 @@ def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> S
             f"no convergence in {_MAX_SWEEPS} iterations (residual {res:.3e}, "
             f"renormalization defect {A - 1.0:.3e})")
 
+    with np.errstate(all="ignore"):  # onto (c, M); an image past float64 raises
+        nu2, sigma, lam = np.exp([log_nu2, log_sigma, log_nu2 - log_sigma])
+        R, E0, U, rho_map = R * lam, float(nu2 * E0), nu2 * U, sigma * rho_map
+        if not (0.0 < R * R * np.sum(w1 * rho_map) < np.inf and np.isfinite(U).all()):
+            raise ConvergenceError(
+                f"the state leaves the float64 range (nu^2 = e^{log_nu2:.6g}, "
+                f"sigma = e^{log_sigma:.6g})")
     grid = RadialGrid(R * r1)
     ss = SteadyState(model=model, E0=E0, iterations=it,
                      rho0=RadialProfile(grid, rho_map, require_nonnegative=True),

@@ -442,12 +442,15 @@ def test_split_rejects_a_bad_radius_or_constant_before_solving(tmp_path, capsys,
                                                                lines):
     # a NaN radius gave a split.json with exterior mass 1 and exit 0, a NaN c
     # a NaN bound_rhs and exit 1; with no state artifact, split would solve
-    # first and write steady.csv and steady.json unless it checks them before
+    # first and write steady.csv and steady.json unless it checks them before;
+    # the message names the config key, not split_diagnostic's R or C
     cfg = _write_config(tmp_path / "split.ini",
                         POLY_INI.replace("radius_fraction = 0.5", lines))
     out = tmp_path / "out"
+    key = lines.splitlines()[-1].split(" = ")[0]  # the bad line's key
     assert main(["split", "--config", cfg, "--out", str(out)]) == 2
-    assert "config error: split: " in capsys.readouterr().err
+    assert (f"config error: split: [split] {key} must be finite"
+            in capsys.readouterr().err)
     assert list(out.iterdir()) == []
 
 
