@@ -329,6 +329,9 @@ def _cmd_split(args, cp):
     radius = _get(cp, "split", "radius", None)
     fraction = _get(cp, "split", "radius_fraction", 0.5)
     c_const = _get(cp, "split", "c", None)
+    if radius is not None and cp.has_option("split", "radius_fraction"):
+        raise InputError(f"config: [split] radius = {radius:g} does not read "
+                         f"'radius_fraction'; set one of the two")
     # refuse what split_diagnostic would refuse before _state_for writes
     key, value = ("radius", radius) if radius is not None else ("radius_fraction", fraction)
     _check_split(value, c_const, (f"[split] {key}", "[split] c"))

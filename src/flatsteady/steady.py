@@ -33,9 +33,12 @@ stops where the density residual is at most _RESIDUAL_TOL and
 |A - 1| < _OUTER_TOL.  One power term, Q = c*f^(1+1/mu), is homologous: the
 loop solves it at c = 1 and M = 1, and with nu^2 = (M*c^-mu)^(1/(1-mu)) and
 sigma = c^-mu*nu^(2(1+mu)) the map r -> r*nu^2/sigma, rho0 -> sigma*rho0,
-(U0, E0) -> nu^2*(U0, E0) gives the (c, M) state.  A first pass that moved
-only log R used to make two masses' iterates differ by a log R shift alone;
-two solves that stopped on either side of _RESIDUAL_TOL broke that, so it went.
+(U0, E0) -> nu^2*(U0, E0) gives the (c, M) state.  One-term models share
+one cached (c = 1, M = 1) solve per (mu, n), in a bounded cache, so a hit
+is bitwise the state a miss gives and `iterations` stays that solve's count.
+A first pass that moved only log R used to make two masses' iterates differ
+by a log R shift alone; two solves that stopped on either side of
+_RESIDUAL_TOL broke that, so it went.
 """
 
 from __future__ import annotations
@@ -158,20 +161,13 @@ def _unit_shape(n: int) -> RadialGrid:
     return RadialGrid.hybrid(0.25, 1.0, n).shape()
 
 
-def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> SteadyState:
-    """Compute the steady state of total mass M for the given Casimir model."""
-    if not 0.0 < M < np.inf:
-        raise InputError(f"solve: target mass must be finite and positive (got {M!r})")
+def _loop(inv: InverseQ, m: float, p_hat: float, n: int) -> tuple:
+    """(grid1, R, E0, U, rho_map, iterations) of the edge-pinned iteration at
+    mass m and log-log slope p_hat of A(R), U and rho_map at grid1's nodes."""
     # the grid at R = 1; at edge radius R the nodes are R*r1, the potential
     # of node densities rho is R*op(rho) and the ring weights are R^2*w1
-    grid1 = RadialGrid(5.0 * _unit_shape((opts or SolverOptions()).n).nodes)
+    grid1 = RadialGrid(5.0 * _unit_shape(n).nodes)
     op, r1, w1 = operator_for(grid1), grid1.nodes, grid1.ring_weights
-    one = len(model.terms) == 1  # solved at c = 1, mass m = 1 and mapped
-    (c, mu), m = (model.terms[0], 1.0) if one else ((1.0, 0.0), M)
-    inv = (CasimirModel.polytrope(mu) if one else model).inverse()
-    log_nu2 = (np.log(M / m) - mu * np.log(c)) / (1.0 - mu)  # 0 unless one
-    log_sigma = (1.0 + mu) * log_nu2 - mu * np.log(c)
-    p_hat = 0.5 * (model.mu1 + model.mu2) - 1.0  # log-log slope of A(R)
 
     # the unknowns (rho / max rho_map, log R), from a Kuzmin disc of scale
     # R/3 at R = 1; the density part is renormalized to mass m each pass
@@ -224,6 +220,30 @@ def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> S
         raise ConvergenceError(
             f"no convergence in {_MAX_SWEEPS} iterations (residual {res:.3e}, "
             f"renormalization defect {A - 1.0:.3e})")
+    return grid1, R, E0, U, rho_map, it
+
+
+@functools.lru_cache(maxsize=32)
+def _canonical(mu: float, n: int) -> tuple:
+    """_loop's state of polytrope(mu) at M = 1, its arrays read-only."""
+    state = _loop(CasimirModel.polytrope(mu).inverse(), 1.0, mu - 1.0, n)
+    for a in (state[0].nodes, *state[3:5]):  # grid1's nodes, U and rho_map
+        a.flags.writeable = False
+    return state
+
+
+def solve(model: CasimirModel, M: float, opts: SolverOptions | None = None) -> SteadyState:
+    """Compute the steady state of total mass M for the given Casimir model."""
+    if not 0.0 < M < np.inf:
+        raise InputError(f"solve: target mass must be finite and positive (got {M!r})")
+    n = (opts or SolverOptions()).n
+    one = len(model.terms) == 1  # solved at c = 1, mass m = 1 and mapped
+    (c, mu), m = (model.terms[0], 1.0) if one else ((1.0, 0.0), M)
+    grid1, R, E0, U, rho_map, it = (_canonical(mu, n) if one else _loop(
+        model.inverse(), M, 0.5 * (model.mu1 + model.mu2) - 1.0, n))
+    r1, w1 = grid1.nodes, grid1.ring_weights
+    log_nu2 = (np.log(M / m) - mu * np.log(c)) / (1.0 - mu)  # 0 unless one
+    log_sigma = (1.0 + mu) * log_nu2 - mu * np.log(c)
 
     with np.errstate(all="ignore"):  # onto (c, M); an image past float64 raises
         nu2, sigma, lam = np.exp([log_nu2, log_sigma, log_nu2 - log_sigma])

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from flatsteady import CasimirModel, SolverOptions, grids, solve
+from flatsteady import CasimirModel, SolverOptions, grids, solve, steady
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +36,17 @@ def kuzmin_profile():
     def sigma(r):
         return 1.0 / (2.0 * np.pi * (r ** 2 + 1.0) ** 1.5)
     return sigma
+
+
+@pytest.fixture
+def cold_cache():
+    """Empties steady's cache of canonical polytrope states on entry and on
+    exit, so that a state solved under a patched loop reaches no other test;
+    it returns the clearing function, for a test that needs a cold cache
+    part way through."""
+    steady._canonical.cache_clear()
+    yield steady._canonical.cache_clear
+    steady._canonical.cache_clear()
 
 
 @pytest.fixture

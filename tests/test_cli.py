@@ -454,6 +454,18 @@ def test_split_rejects_a_bad_radius_or_constant_before_solving(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+def test_split_radius_and_fraction_together_is_usage_error(tmp_path, capsys):
+    # a set radius left the fraction unread, even a nan one: exit 0 and a
+    # split.json; it is refused before the solve writes anything
+    cfg = _write_config(tmp_path / "split.ini", POLY_INI.replace(
+        "radius_fraction = 0.5", "radius = 0.5\nradius_fraction = nan"))
+    out = tmp_path / "out"
+    assert main(["split", "--config", cfg, "--out", str(out)]) == 2
+    assert ("config error: config: [split] radius = 0.5 does not read "
+            "'radius_fraction'" in capsys.readouterr().err)
+    assert list(out.iterdir()) == []
+
+
 def test_state_artifact_of_another_model_fails(solved_dir, tmp_path):
     base, _ = solved_dir
     ini = POLY_INI.replace("c = 57.0", "c = 1.0").replace(

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from flatsteady import (CasimirModel, FlatPotentialOperator, RadialGrid,
                         RadialProfile, SolverOptions, density_from_potential,
-                        evaluate_steady, regularity_report, solve, steady)
+                        evaluate_steady, regularity_report,
+                        scaling_inequality_check, solve, steady)
 from flatsteady.cli import main
 from flatsteady.potential import operator_for
 from flatsteady.errors import ConvergenceError, GridTooSmallError, InputError
@@ -152,19 +153,30 @@ def test_replaced_density_brings_its_own_mass_support_and_residual(ss_half):
 
 # -- the solver loop at the edges of the model family ----------------------
 
-def _counted_solve(model, M, n):
-    """solve(model, M) on the n-node solver grid; checks that the state's
-    ``iterations`` counts the loop's passes, one potential matvec each."""
-    matvecs = []
-    potential = FlatPotentialOperator.potential
+def _recorded_matvecs(monkeypatch):
+    """Patches FlatPotentialOperator.potential to append to the list it
+    returns at each call."""
+    calls, potential = [], FlatPotentialOperator.potential
 
-    def counted(self, rho):
-        matvecs.append(rho.size)
+    def recorded(self, rho):
+        calls.append(rho.size)
         return potential(self, rho)
 
+    monkeypatch.setattr(FlatPotentialOperator, "potential", recorded)
+    return calls
+
+
+def _counted_solve(model, M, n):
+    """solve(model, M) on the n-node solver grid from a cold canonical
+    cache, left cold after; checks that the state's ``iterations`` counts
+    the loop's passes, one potential matvec each."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FlatPotentialOperator, "potential", counted)
-        ss = solve(model, M, SolverOptions(n=n))
+        matvecs = _recorded_matvecs(mp)
+        steady._canonical.cache_clear()
+        try:
+            ss = solve(model, M, SolverOptions(n=n))
+        finally:
+            steady._canonical.cache_clear()
     assert ss.iterations == len(matvecs)
     return ss
 
@@ -369,6 +381,88 @@ def test_anderson_sweep_matches_damped_reference(make_model):
     assert abs(ss.E0 - ref) <= 1e-9 * abs(ref)
 
 
+# -- one canonical solve per (mu, n) ----------------------------------------
+
+def _bits(ss):
+    return (ss.E0, ss.iterations, ss.rho0.values.tobytes(),
+            ss.U0.values.tobytes(), ss.grid.nodes.tobytes())
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.0, 4.0).map(np.exp),
+       st.floats(np.log(0.3), np.log(3.0)).map(np.exp))
+def test_a_cache_hit_equals_a_miss_bit_for_bit(c, M):
+    # the miss runs the loop for this (c, M); the hit maps the entry that a
+    # (c = 1, M = 1) solve left
+    model, opts = CasimirModel.polytrope(0.6, c=c), SolverOptions(n=96)
+    steady._canonical.cache_clear()
+    miss = solve(model, M, opts)
+    steady._canonical.cache_clear()
+    solve(CasimirModel.polytrope(0.6), 1.0, opts)
+    hit = solve(model, M, opts)
+    assert steady._canonical.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert _bits(hit) == _bits(miss)
+
+
+def test_a_cache_hit_runs_no_matvec_and_looks_up_no_operator(monkeypatch,
+                                                             cold_cache):
+    opts = SolverOptions(n=96)
+    solve(CasimirModel.polytrope(0.6), 1.0, opts)
+    matvecs, lookups = _recorded_matvecs(monkeypatch), []
+    monkeypatch.setattr(steady, "operator_for",
+                        lambda grid: lookups.append(grid) or operator_for(grid))
+    ss = solve(CasimirModel.polytrope(0.6, c=3.0), 2.0, opts)
+    assert matvecs == [] and lookups == []
+    _assert_converged(ss, 2.0)
+
+
+def test_writing_into_a_state_leaves_the_next_solve(cold_cache):
+    # at c = 1, M = 1 the image is the identity map of the cached state
+    model, opts = CasimirModel.polytrope(0.6), SolverOptions(n=96)
+    first = solve(model, 1.0, opts)
+    bits = _bits(first)
+    first.rho0.values[:] = 1.0
+    first.U0.values[:] = -1.0
+    first.grid.nodes[:] = 0.0
+    assert _bits(solve(model, 1.0, opts)) == bits
+    grid1, _, _, U, rho_map, _ = steady._canonical(0.6, 96)
+    for a in (grid1.nodes, U, rho_map):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_an_image_past_float64_leaves_its_entry_valid(cold_cache):
+    opts = SolverOptions(n=128)
+    with pytest.raises(ConvergenceError, match="float64"):
+        solve(CasimirModel.polytrope(0.5, c=1e300), 1.0, opts)
+    hit = solve(CasimirModel.polytrope(0.5), 1.0, opts)
+    assert steady._canonical.cache_info()[:2] == (1, 1)
+    _assert_converged(hit, 1.0)
+    cold_cache()
+    assert _bits(solve(CasimirModel.polytrope(0.5), 1.0, opts)) == _bits(hit)
+
+
+def test_the_cache_stays_within_its_bound(cold_cache):
+    size = steady._canonical.cache_parameters()["maxsize"]
+    for mu in np.linspace(0.3, 0.7, size + 4):
+        solve(CasimirModel.polytrope(float(mu)), 1.0, SolverOptions(n=64))
+    info = steady._canonical.cache_info()
+    assert (info.misses, info.currsize) == (size + 4, size)
+
+
+def test_scaling_check_on_a_polytrope_runs_one_loop(monkeypatch, cold_cache):
+    # both masses are images of one canonical solve: a cold check makes that
+    # solve's matvecs more than a warm one, not twice as many
+    matvecs = _recorded_matvecs(monkeypatch)
+    model, opts = CasimirModel.polytrope(0.5, c=57.0), SolverOptions(n=128)
+    counts = []
+    for _ in range(2):
+        matvecs.clear()
+        assert scaling_inequality_check(model, 0.5, 1.0, opts)["holds"]
+        counts.append(len(matvecs))
+    assert counts[0] - counts[1] == steady._canonical(0.5, 128)[-1] > 0
+
+
 # -- the ways a solve fails --------------------------------------------------
 
 @pytest.mark.filterwarnings("error")
@@ -400,7 +494,8 @@ def test_state_past_float64_is_convergence_error(mu, c, M):
      GridTooSmallError, r"edge radius R=0\.0175389,"),
 ], ids=["iteration_cap", "growth", "grid_too_small"])
 def test_failed_solve_raises_and_the_cli_writes_nothing(
-        monkeypatch, tmp_path, capsys, poly_half, name, value, error, message):
+        monkeypatch, tmp_path, capsys, cold_cache, poly_half, name, value,
+        error, message):
     monkeypatch.setattr(steady, name, value)
     with pytest.raises(error, match=message):
         solve(poly_half, 1.0, SolverOptions(n=128))
