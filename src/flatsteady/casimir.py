@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, ModelDefinitionError, ConvergenceError
+from .grids import _PiecewisePoly
 
 __all__ = [
     "CasimirModel",
@@ -179,9 +180,7 @@ class CasimirModel:
         if f[0] != 0.0:
             f = np.concatenate([[0.0], f])
             Q = np.concatenate([[0.0], Q])
-        # imported here: scipy.interpolate takes most of the package's import time
-        from scipy.interpolate import PchipInterpolator
-        interp = PchipInterpolator(f, Q)
+        interp = _PiecewisePoly.pchip(f, Q)
         derivs = (interp, interp.derivative(1), interp.derivative(2))
         # (Q4) needs a monotone Q'; a concave-then-convex table breaks it
         fs = np.linspace(f[0], f[-1], 4 * f.size)

@@ -117,13 +117,13 @@ def _load_config(path) -> configparser.ConfigParser:
     if not read:
         raise InputError(f"config file {path!r} not found or unreadable")
     if cp.defaults():
-        raise InputError(f"config: unknown section [{cp.default_section}]")
+        raise InputError(f"unknown section [{cp.default_section}]")
     for section in cp.sections():
         if section not in _KEYS:
-            raise InputError(f"config: unknown section [{section}]")
+            raise InputError(f"unknown section [{section}]")
         for key in cp.options(section):
             if key not in _KEYS[section]:
-                raise InputError(f"config: unknown key {key!r} in [{section}]")
+                raise InputError(f"unknown key {key!r} in [{section}]")
     return cp
 
 
@@ -133,23 +133,23 @@ def _get(cp, section, key, default=_REQUIRED, type_=float):
     assert key in _KEYS[section], f"[{section}] {key} is not declared in _KEYS"
     if not cp.has_option(section, key):
         if default is _REQUIRED:
-            raise InputError(f"config: [{section}] needs {key}")
+            raise InputError(f"[{section}] needs {key}")
         return default
     try:
         return type_(cp.get(section, key))
     except (ValueError, configparser.Error) as exc:
-        raise InputError(f"config: bad [{section}] {key} ({exc})") from exc
+        raise InputError(f"bad [{section}] {key} ({exc})") from exc
 
 
 def _model_from_config(cp: configparser.ConfigParser) -> CasimirModel:
     if "model" not in cp:
-        raise InputError("config: missing [model] section")
+        raise InputError("missing [model] section")
     kind = _get(cp, "model", "kind", "polytrope", str)
     if kind not in _MODEL_KEYS:
-        raise InputError(f"config: unknown model kind {kind!r}")
+        raise InputError(f"unknown model kind {kind!r}")
     unread = set(cp.options("model")) - {"kind", "f0"} - _MODEL_KEYS[kind]
     if unread:
-        raise InputError(f"config: [model] kind = {kind} does not read "
+        raise InputError(f"[model] kind = {kind} does not read "
                          f"{', '.join(map(repr, sorted(unread)))}")
     F0 = _get(cp, "model", "f0", 1.0)
     if kind == "polytrope":
@@ -258,7 +258,7 @@ def _state_for(args, cp, model) -> SteadyState:
     mass = _get(cp, "solve", "mass", None)
     if mass is not None and not 0.0 < mass < math.inf:
         raise InputError(
-            f"config: [solve] mass must be finite and positive (got {mass!r})")
+            f"[solve] mass must be finite and positive (got {mass!r})")
     prefix = (_get(cp, args.command, "state", None, str)
               if "state" in _KEYS[args.command] else None)
     if prefix:
@@ -330,7 +330,7 @@ def _cmd_split(args, cp):
     fraction = _get(cp, "split", "radius_fraction", 0.5)
     c_const = _get(cp, "split", "c", None)
     if radius is not None and cp.has_option("split", "radius_fraction"):
-        raise InputError(f"config: [split] radius = {radius:g} does not read "
+        raise InputError(f"[split] radius = {radius:g} does not read "
                          f"'radius_fraction'; set one of the two")
     # refuse what split_diagnostic would refuse before _state_for writes
     key, value = ("radius", radius) if radius is not None else ("radius_fraction", fraction)

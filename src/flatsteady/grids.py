@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -330,6 +331,139 @@ class _CellTable:
         i -= x < self.edges[i]
         i += x >= self.upper[i]
         return i
+
+
+class _PiecewisePoly:
+    """A piecewise polynomial on breakpoints ``x`` in scipy's PPoly layout:
+    ``c[k, i]`` multiplies (v - x[i])^(m - k) on cell i, m + 1 rows.
+
+    Its two cubics, ``not_a_knot`` and ``pchip``, take scipy's arithmetic
+    step for step, and so do ``derivative`` and ``__call__``: they equal
+    ``scipy.interpolate.CubicSpline(x, y)`` and ``PchipInterpolator(x, y)``
+    bit for bit, which tests/test_grids.py checks.
+    """
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x, self.c = x, c
+
+    @staticmethod
+    def _hermite(x, y, dydx) -> "_PiecewisePoly":
+        """The cubic through (x, y) with slope dydx at each breakpoint."""
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        return _PiecewisePoly(x, np.stack(
+            (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])))
+
+    @staticmethod
+    def not_a_knot(x, y) -> "_PiecewisePoly":
+        """The not-a-knot cubic spline through (x, y), len(x) >= 4.
+
+        Its knot slopes solve a tridiagonal system: rows 1..n-2 join the
+        cells with a continuous second derivative, rows 0 and n-1 make the
+        third derivative continuous at x[1] and x[-2].
+        """
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        d = np.empty(x.size)
+        d[1:-1] = 2 * (dx[:-1] + dx[1:])
+        d[0], d[-1] = dx[1], dx[-2]
+        du = np.append(x[2] - x[0], dx[:-1])
+        dl = np.append(dx[1:], x[-1] - x[-3])
+        b = np.empty(x.size)
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        h = x[2] - x[0]
+        b[0] = ((dx[0] + 2*h) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / h
+        h = x[-1] - x[-3]
+        b[-1] = (dx[-1]**2*slope[-2] + (2*h + dx[-1])*dx[-2]*slope[-1]) / h
+        s = _gtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist())
+        return _PiecewisePoly._hermite(x, y, np.array(s))
+
+    @staticmethod
+    def pchip(x, y) -> "_PiecewisePoly":
+        """The monotone cubic through (x, y) of Fritsch & Carlson (1980),
+        len(x) >= 3: a knot's slope is the weighted harmonic mean of its
+        cells' slopes, 0 where they differ in sign or one is 0, and an end's
+        is the one-sided three-point estimate, limited to keep the shape."""
+        h = np.diff(x)
+        m = np.diff(y) / h
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2*h[1:] + h[:-1]
+        w2 = h[1:] + 2*h[:-1]
+        # a 0 slope divides by 0 here, and ``flat`` drops it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1/m[:-1] + w2/m[1:]) / (w1 + w2)
+        dk = np.zeros_like(y)
+        dk[1:-1][~flat] = 1.0 / whmean[~flat]
+        dk[0] = _pchip_end(h[0], h[1], m[0], m[1])
+        dk[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+        return _PiecewisePoly._hermite(x, y, dk)
+
+    def derivative(self, nu: int = 1) -> "_PiecewisePoly":
+        c = self.c[:self.c.shape[0] - nu].copy()
+        # row k of m + 1 - nu rows gains (m - k)(m - k - 1)...(m - k - nu + 1)
+        c *= np.array([float(math.prod(range(a, a + nu)))
+                       for a in range(c.shape[0], 0, -1)])[:, None]
+        return _PiecewisePoly(self.x, c)
+
+    def __call__(self, v):
+        """Values at v; the end cells extend past the breakpoints."""
+        v = np.asarray(v, dtype=float)
+        c = self.c
+        i = np.clip(np.searchsorted(self.x, v, "right") - 1, 0, self.x.size - 2)
+        s = v - self.x[i]
+        # highest power last, powers as running products, from a sum that
+        # starts at 0.0 (which makes a -0.0 term +0.0)
+        out = c[-1, i] + 0.0
+        z = s
+        for k in range(c.shape[0] - 2, -1, -1):
+            out += c[k, i] * z
+            if k:
+                z = z * s
+        return out
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """An end slope of ``_PiecewisePoly.pchip`` from its two cells' widths
+    h and slopes m: 0 against the end cell's slope, at most 3*m0 where the
+    two slopes differ in sign."""
+    d = ((2*h0 + h1)*m0 - h0*m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _gtsv(dl: list, d: list, du: list, b: list) -> list:
+    """The tridiagonal system (sub-diagonal dl, diagonal d, super-diagonal
+    du) solved for b as LAPACK's dgtsv solves one right-hand side: Gaussian
+    elimination that swaps rows i and i + 1 where |d[i]| < |dl[i]|, then back
+    substitution.  Overwrites its lists; returns b."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:
+            # the swap fills dl[i] in as a second super-diagonal
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[-1] /= d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
 
 
 @dataclass(frozen=True)

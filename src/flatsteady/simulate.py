@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError
 from .functionals import _bin, _bin_part, _ensemble_row, _radius
-from .grids import RadialGrid, _map_chunks, _workers
+from .grids import RadialGrid, _PiecewisePoly, _map_chunks, _workers
 from .potential import operator_for
 from .steady import SteadyState
 
@@ -211,15 +211,14 @@ def _grid_accel_arrays(x: np.ndarray, binned,
     not-a-knot cubic spline gathered at each particle's cell.  Past the grid
     (``binned.outside``) the force is the monopole -M x / r^3 of the mass M
     the potential is built from, ``ring_weights @ rho``.  The derivative is
-    summed in scipy's PPoly order, so it equals
-    ``CubicSpline(nodes, U).derivative()(r)`` bit for bit.  Writes into
+    summed in ``_PiecewisePoly.__call__``'s order, constant term first and
+    t^2 as t*t, so it equals ``_PiecewisePoly.not_a_knot(nodes,
+    U).derivative()(r)`` bit for bit, up to the sign of a zero.  Writes into
     ``out`` when given.
     """
-    # imported here: scipy.interpolate takes most of the package's import time
-    from scipy.interpolate import CubicSpline
     grid = binned.grid
     U = operator_for(grid).potential(binned.rho)
-    dc = CubicSpline(grid.nodes, U).derivative().c
+    dc = _PiecewisePoly.not_a_knot(grid.nodes, U).derivative().c
     # one row per cell: its lower node and the derivative's coefficients,
     # so that a particle's cell is one gather
     table = np.column_stack([grid.nodes[:-1], dc[2], dc[1], dc[0]])

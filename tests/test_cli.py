@@ -461,9 +461,23 @@ def test_split_radius_and_fraction_together_is_usage_error(tmp_path, capsys):
         "radius_fraction = 0.5", "radius = 0.5\nradius_fraction = nan"))
     out = tmp_path / "out"
     assert main(["split", "--config", cfg, "--out", str(out)]) == 2
-    assert ("config error: config: [split] radius = 0.5 does not read "
+    assert ("config error: [split] radius = 0.5 does not read "
             "'radius_fraction'" in capsys.readouterr().err)
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("ini", [
+    POLY_INI + "\n[bogus]\nx = 1\n",
+    POLY_INI.replace("mass = 1.0", "mass = -1.0"),
+    POLY_INI.replace("kind = polytrope", "kind = plummer"),
+], ids=["unknown-section", "negative-mass", "unknown-kind"])
+def test_usage_error_names_config_once(tmp_path, capsys, ini):
+    # main adds the "config error: " prefix; the message does not repeat it
+    cfg = _write_config(tmp_path / "bad.ini", ini)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "config: " not in err[len("config error: "):]
 
 
 def test_state_artifact_of_another_model_fails(solved_dir, tmp_path):

@@ -1,14 +1,18 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline, PPoly, PchipInterpolator
 
-from flatsteady import RadialGrid, RadialProfile
+from flatsteady import RadialGrid, RadialProfile, grids
+from flatsteady.cli import main
 from flatsteady.errors import InputError
-from flatsteady.grids import _CSV_CHUNK_ROWS, _format_rows, read_csv, write_csv
+from flatsteady.grids import (_CSV_CHUNK_ROWS, _PiecewisePoly, _format_rows,
+                              _gtsv, read_csv, write_csv)
 
 
 def test_uniform_grid_weights_integrate_area():
@@ -232,3 +236,87 @@ def test_read_csv_rejects_unreadable_or_empty(tmp_path, text):
         path.write_text(text)
     with pytest.raises(InputError):
         read_csv(path)
+
+
+@pytest.fixture(scope="module")
+def steady_csv(tmp_path_factory):
+    """r and U of a solved polytrope's steady.csv, read back."""
+    base = tmp_path_factory.mktemp("steady_csv")
+    (base / "poly.ini").write_text(
+        "[model]\nkind = polytrope\nmu = 0.5\nc = 57.0\n\n[solver]\nn = 192\n")
+    assert main(["solve", "--config", str(base / "poly.ini"),
+                 "--out", str(base)]) == 0
+    r, _, U = read_csv(base / "steady.csv", ("r", "rho", "U"))
+    return r, U
+
+
+def _not_a_knot_swaps(x, y):
+    """``_PiecewisePoly.not_a_knot(x, y)`` and how many rows its solve swapped.
+
+    A row i < n - 2 that ``_gtsv`` eliminates without a swap leaves dl[i] at
+    0; a swap leaves there the fill-in, a cell width > 0.
+    """
+    swaps = []
+
+    def spy(dl, d, du, b):
+        out = _gtsv(dl, d, du, b)
+        swaps.append(sum(v != 0.0 for v in dl[:-1]))
+        return out
+
+    with mock.patch.object(grids, "_gtsv", spy):
+        pp = _PiecewisePoly.not_a_knot(x, y)
+    return pp, swaps[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["hybrid", "steady", "jump"]), st.booleans(),
+       st.sampled_from([32, 96, 192, 256, 384]), st.integers(0, 2**32 - 1))
+def test_not_a_knot_matches_scipy_bit_for_bit(steady_csv, kind, smooth, n, seed):
+    # hybrid grids of several n, steady.csv's grid (y its U when smooth), and
+    # grids with one cell 10^2 to 10^6 times wider than the others, where
+    # the solve swaps rows; y smooth or random
+    rng = np.random.default_rng(seed)
+    if kind == "hybrid":
+        x = RadialGrid.hybrid(rng.uniform(0.1, 10.0), 20.0, n).nodes
+    elif kind == "jump":
+        dx = rng.uniform(0.01, 1.0, n // 2)
+        dx[rng.integers(2, dx.size - 1)] *= 10.0 ** rng.uniform(2.0, 6.0)
+        x = np.concatenate([[0.0], np.cumsum(dx)])
+    else:
+        x, U = steady_csv
+    if not smooth:
+        y = rng.standard_normal(x.size)
+    else:
+        y = U if kind == "steady" else np.cos(3.0 * x / x[-1]) / (1.0 + x)
+    pp, swaps = _not_a_knot_swaps(x, y)
+    assert np.array_equal(pp.derivative().c, CubicSpline(x, y).derivative().c)
+    if kind == "jump":
+        assert swaps > 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(3, 80), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_pchip_matches_scipy_bit_for_bit(n, dip, seed):
+    # a strictly convex table from 0: increasing slopes over random widths,
+    # the first of them negative for dip > 0, where the slopes change sign
+    rng = np.random.default_rng(seed)
+    f = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n))])
+    slopes = np.cumsum(rng.uniform(0.01, 1.0, n))
+    slopes -= dip * slopes[-1]
+    Q = np.concatenate([[0.0], np.cumsum(slopes * np.diff(f))])
+    ours, ref = _PiecewisePoly.pchip(f, Q), PchipInterpolator(f, Q)
+    # knots, the last one alone, inside the cells and past both ends
+    v = np.concatenate([f, [f[-1]], rng.uniform(-0.5, f[-1] + 0.5, 500)])
+    for k in range(3):
+        a, b = ours.derivative(k), ref.derivative(k)
+        assert np.array_equal(a.c, b.c)
+        assert np.array_equal(a(v), b(v))
+        assert a(f[-1]) == b(f[-1])
+
+
+def test_piecewise_poly_sums_from_zero_like_scipy():
+    # scipy's sum starts at 0.0, so a value whose every term is -0.0 is +0.0
+    x, c = np.array([0.0, 1.0]), np.full((4, 1), -0.0)
+    v = np.array([0.0, 0.5, 1.0])
+    assert not np.signbit(PPoly(c, x)(v)).any()
+    assert not np.signbit(_PiecewisePoly(x, c)(v)).any()
